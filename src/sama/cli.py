@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -342,13 +343,18 @@ def _print_property_table(results) -> int:
 
 def cmd_verify(args) -> int:
     failures = 0
+    lap = time.perf_counter()
 
     def check(name: str, passed: bool, detail: str = "") -> None:
-        nonlocal failures
+        """Print one result with the wall time since the previous one."""
+        nonlocal failures, lap
+        now = time.perf_counter()
+        elapsed = f"{(now - lap) * 1e3:.1f} ms"
+        lap = now
         status = "PASS" if passed else "FAIL"
         failures += 0 if passed else 1
-        suffix = f" ({detail})" if detail else ""
-        print(f"{status}  {name}{suffix}")
+        suffix = f"{detail}, {elapsed}" if detail else elapsed
+        print(f"{status}  {name} ({suffix})")
 
     # gather audits on fresh runs
     frame = bench_mod.synthetic_frame(600, 800, seed=11)

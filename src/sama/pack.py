@@ -293,7 +293,7 @@ def render_preview(
 
 @dataclass
 class AuditReport:
-    """Outcome of re-fetching every output pixel from the pyramid."""
+    """Outcome of recomputing every output pixel from its recorded source."""
 
     total_pixels: int
     mismatches: int
@@ -305,41 +305,110 @@ class AuditReport:
         return self.mismatches == 0
 
 
+def _axis_table(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear taps of every output index along one axis.
+
+    Output index ``i`` has its half-pixel centre at
+    ``(i + 0.5) * n_in / n_out - 0.5`` in the source, clamped to
+    ``[0, n_in - 1]``. Its taps are ``i0 = floor(centre)`` and
+    ``i1 = min(i0 + 1, n_in - 1)``; the weight of ``i1`` is the float32
+    fraction ``centre - i0``.
+    """
+    centre = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    centre = np.clip(centre, 0.0, n_in - 1.0)
+    i0 = np.floor(centre).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    return i0, i1, (centre - i0).astype(np.float32)
+
+
+def _bilinear_at(
+    src: np.ndarray,
+    y: np.ndarray,
+    x: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cols: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """(N, 3) uint8: the level pixels at (y[k], x[k]), recomputed from ``src``.
+
+    The four taps are fetched with flat takes; the blend is horizontal on the
+    top and bottom rows, then vertical, all in float32, rounded half up.
+    """
+    width = src.shape[1]
+    flat = src.reshape(-1, 3)
+    r0 = rows[0][y] * width
+    r1 = rows[1][y] * width
+    c0 = cols[0][x]
+    c1 = cols[1][x]
+    fy = rows[2][y][:, None]
+    fx = cols[2][x][:, None]
+    p00 = flat.take(r0 + c0, axis=0).astype(np.float32)
+    p01 = flat.take(r0 + c1, axis=0).astype(np.float32)
+    p10 = flat.take(r1 + c0, axis=0).astype(np.float32)
+    p11 = flat.take(r1 + c1, axis=0).astype(np.float32)
+    top = p00 + fx * (p01 - p00)
+    bot = p10 + fx * (p11 - p10)
+    val = top + fy * (bot - top)
+    return np.floor(val + 0.5).clip(0, 255).astype(np.uint8)
+
+
 def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditReport:
-    """Compare every output pixel against its recorded pyramid source.
+    """Recompute every output pixel from its recorded source and compare.
+
+    Each pixel's record names a level, a frame of the clip the pyramid was
+    built from, and a level coordinate. The expected value is re-derived
+    from that source frame with the documented bilinear rule (see
+    ``_axis_table`` and ``_bilinear_at``), evaluated only at the recorded
+    coordinate, so the cost scales with the output size and not with the
+    level areas. The rule is written here apart from the resize code in
+    ``pyramid``, so an interpolation fault there shows up as mismatches.
+    The frame is looked up in the level's source list, which for clips is
+    the selected clip: provenance ``frame`` still records the output slot.
 
     Out-of-range scale ids, frame indices, or coordinates count as
     mismatches rather than raising, so a corrupted tensor still yields a
-    report.
+    report. Work proceeds one output frame at a time to bound memory.
     """
     if t.provenance is None:
         raise MissingProvenance("tensor carries no provenance to audit")
-    prov = t.provenance.reshape(-1)
-    data = t.data.reshape(-1, 3)
-    total = prov.size
+    scale_counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
     mismatches = 0
-    per_scale: dict[int, int] = {}
-    scales, counts = np.unique(prov["scale"], return_counts=True)
-    for s, count in zip(scales, counts):
-        per_scale[int(s)] = int(count)
-        idx_s = np.nonzero(prov["scale"] == s)[0]
-        if s >= len(pyramid):
-            mismatches += int(count)
-            continue
-        level = pyramid[int(s)]
-        for fr in np.unique(prov["frame"][idx_s]):
-            idx = idx_s[prov["frame"][idx_s] == fr]
-            if fr >= level.frame_count:
+    for f in range(t.frames_out):
+        prov = t.provenance[f].reshape(-1)
+        got = t.data[f].reshape(-1, 3)
+        scale = prov["scale"]
+        in_frame = np.bincount(scale, minlength=256)
+        scale_counts += in_frame
+        for s in np.flatnonzero(in_frame):
+            idx = np.flatnonzero(scale == s)
+            if s >= len(pyramid):
                 mismatches += idx.size
                 continue
-            src = level.frame(int(fr))
-            y = prov["y"][idx].astype(np.int64)
-            x = prov["x"][idx].astype(np.int64)
-            valid = (y < level.height) & (x < level.width)
-            mismatches += int((~valid).sum())
-            vi = idx[valid]
-            got = src[y[valid], x[valid]]
-            mismatches += int(np.any(got != data[vi], axis=1).sum())
+            level = pyramid[s]
+            sources = level.sources
+            frame = prov["frame"][idx]
+            for fr in np.flatnonzero(np.bincount(frame)):
+                sub = idx[frame == fr]
+                if fr >= len(sources):
+                    mismatches += sub.size
+                    continue
+                y = prov["y"][sub]
+                x = prov["x"][sub]
+                inside = (y < level.height) & (x < level.width)
+                mismatches += sub.size - int(np.count_nonzero(inside))
+                src = sources[fr]
+                expected = _bilinear_at(
+                    src,
+                    y[inside].astype(np.int64),
+                    x[inside].astype(np.int64),
+                    _axis_table(src.shape[0], level.height),
+                    _axis_table(src.shape[1], level.width),
+                )
+                differ = expected != got[sub[inside]]
+                mismatches += int(
+                    np.count_nonzero(differ[:, 0] | differ[:, 1] | differ[:, 2])
+                )
+    total = t.provenance.size
+    per_scale = {int(s): int(scale_counts[s]) for s in np.flatnonzero(scale_counts)}
     shares = {s: c / total for s, c in per_scale.items()}
     return AuditReport(
         total_pixels=total,

@@ -52,12 +52,24 @@ def thread_count() -> int:
     return max(n, 1)
 
 
-def _parallel_map(fn, items: list):
+def _parallel_map(fn, items: list) -> tuple[list, float | None]:
+    """``[fn(x) for x in items]`` on up to SAMA_THREADS threads.
+
+    Also returns the summed duration of the calls when they ran on threads,
+    where they overlap in wall-clock time; None when they ran serially.
+    """
     n = thread_count()
     if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+        return [fn(x) for x in items], None
+
+    def timed(x):
+        t0 = time.perf_counter()
+        out = fn(x)
+        return out, time.perf_counter() - t0
+
     with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+        pairs = list(ex.map(timed, items))
+    return [out for out, _ in pairs], sum(d for _, d in pairs)
 
 
 @dataclass(frozen=True)
@@ -378,11 +390,9 @@ def sample_video(clip: MediaClip, config: SamplerConfig) -> SampleResult:
         s = int(frame_scales[t])
         return _render_single(pyramid, s, t, plans, config, single_tmpl[s])
 
-    results = _parallel_map(one_frame, list(range(frames_out)))
+    results, busy = _parallel_map(one_frame, list(range(frames_out)))
     data = np.stack([d for d, _, _ in results])
     prov = np.stack([p for _, p, _ in results])
-    interp_total = sum(i for _, _, i in results)
-    timings["pyramid"] += interp_total
     tensor = SampledTensor(
         kind="video",
         data=data,
@@ -394,7 +404,15 @@ def sample_video(clip: MediaClip, config: SamplerConfig) -> SampleResult:
         provenance=prov,
         grid=(config.grid_rows, config.grid_cols),
     )
-    timings["compose"] = time.perf_counter() - t0 - interp_total
+    span = time.perf_counter() - t0
+    # Serially, each frame's interpolation is a disjoint part of this span.
+    # Threaded frames overlap, so the span is split by the interpolation
+    # share of the summed per-frame time instead.
+    interp = sum(i for _, _, i in results)
+    if busy:
+        interp = span * (interp / busy)
+    timings["pyramid"] += interp
+    timings["compose"] = span - interp
     return SampleResult(tensor=tensor, pyramid=pyramid, timings=timings)
 
 

@@ -176,6 +176,11 @@ class PyramidLevel:
     def frame_count(self) -> int:
         return len(self._sources)
 
+    @property
+    def sources(self) -> tuple[np.ndarray, ...]:
+        """The (possibly upscaled) source frames this level resizes from."""
+        return tuple(self._sources)
+
     def frame(self, i: int) -> np.ndarray:
         """The (height, width, 3) pixels of frame ``i`` at this level."""
         src = self._sources[i]

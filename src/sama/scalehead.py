@@ -12,6 +12,7 @@ here; parameters are supplied or seeded by the caller.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -440,16 +441,25 @@ def _random_attn(rng: np.random.Generator, with_r: bool = True) -> AttnInputs:
 
 
 def run_property_suite(seeds: int = 100, rng_seed: int = 0) -> list[PropertyResult]:
-    """Every numeric invariant this module promises, over random instances."""
+    """Every numeric invariant this module promises, over random instances.
+
+    Each result's detail ends with the wall time since the previous result;
+    a loop that decides several results is charged to the first of them.
+    """
     rng = np.random.default_rng(rng_seed)
     results: list[PropertyResult] = []
+    lap = time.perf_counter()
 
     def record(name: str, worst: float, tol: float) -> None:
+        nonlocal lap
+        now = time.perf_counter()
+        ms = (now - lap) * 1e3
+        lap = now
         results.append(
             PropertyResult(
                 name=name,
                 passed=worst <= tol,
-                detail=f"worst {worst:.3e} (tol {tol:.0e}, {seeds} seeds)",
+                detail=f"worst {worst:.3e} (tol {tol:.0e}, {seeds} seeds, {ms:.1f} ms)",
             )
         )
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -226,6 +227,10 @@ def test_verify_clean(capsys):
     assert "image gather audit" in out
     assert "determinism replay" in out
     assert "FAIL" not in out
+    checks = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert len(checks) > 5
+    for line in checks:
+        assert re.search(r"\b\d+\.\d ms\)$", line), line
 
 
 def test_verify_inject_fault(capsys):

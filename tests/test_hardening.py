@@ -16,12 +16,29 @@ from conftest import coordinate_clip, coordinate_frame
 
 def test_audit_flags_out_of_bounds_coordinates():
     res = sample_video(coordinate_clip(240, 300, 4), SamplerConfig(frames_out=4, n_scales=2))
+    intact = res.tensor.provenance.copy()
     prov = res.tensor.provenance
     prov[0, 0, 0]["y"] = 10_000_000  # beyond any level
     prov[1, 2, 3]["scale"] = 99  # beyond the pyramid
     prov[2, 4, 5]["frame"] = 5000  # beyond the clip
     report = provenance_audit(res.tensor, res.pyramid)
     assert report.mismatches == 3
+    assert sum(report.per_scale_pixels.values()) == report.total_pixels
+
+    # the first value outside each range, one field at a time
+    level = res.pyramid[int(intact[1, 5, 6]["scale"])]
+    first_outside = {
+        "scale": len(res.pyramid),
+        "frame": level.frame_count,
+        "y": level.height,
+        "x": level.width,
+    }
+    for field, value in first_outside.items():
+        res.tensor.provenance = intact.copy()
+        res.tensor.provenance[1, 5, 6][field] = value
+        report = provenance_audit(res.tensor, res.pyramid)
+        assert report.mismatches == 1, field
+        assert sum(report.per_scale_pixels.values()) == report.total_pixels
 
 
 def test_ppm_header_truncated_variants():

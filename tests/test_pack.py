@@ -1,6 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sama.pack
+import sama.pyramid
+from sama import bench
 from sama.errors import CorruptFile, DimMismatch, MissingProvenance, UnsupportedFormat
 from sama.media import PROVENANCE_DTYPE, SamplerConfig
 from sama.pack import (
@@ -14,6 +20,7 @@ from sama.pack import (
     write_container,
 )
 from sama.pipeline import sample_image, sample_video
+from sama.pyramid import PyramidLevel
 
 from conftest import coordinate_clip, coordinate_frame
 
@@ -197,6 +204,77 @@ def test_audit_progressive_shares():
     assert set(report.per_scale_shares) == set(range(16))
     for share in report.per_scale_shares.values():
         assert share == pytest.approx(2 / 32)
+
+
+def _one_pixel_case(value):
+    """A 3x3 source, a 2x2 level, and one output pixel that records level
+    pixel (y=1, x=0)."""
+    src = np.zeros((3, 3, 3), dtype=np.uint8)
+    src[1, 0] = (100, 0, 7)
+    src[1, 1] = (200, 0, 7)
+    src[2, 0] = (0, 2, 7)
+    src[2, 1] = (40, 2, 7)
+    pyramid = [PyramidLevel(0, [src], 3, 3), PyramidLevel(1, [src], 2, 2)]
+    prov = np.zeros((1, 1, 1), dtype=PROVENANCE_DTYPE)
+    prov["scale"], prov["y"], prov["x"] = 1, 1, 0
+    data = np.array(value, dtype=np.uint8).reshape(1, 1, 1, 3)
+    return SampledTensor(kind="image", data=data, n_scales=2, provenance=prov), pyramid
+
+
+def test_audit_oracle_hand_worked_pixel():
+    # Level row 1 of 2 over 3 source rows: centre 1.5 * 1.5 - 0.5 = 1.75, so
+    # rows 1 and 2 with weight 0.75 on row 2. Level column 0: centre
+    # 0.5 * 1.5 - 0.5 = 0.25, so columns 0 and 1 with weight 0.25 on column 1.
+    # Channel 0: top 100 + 0.25 * 100 = 125, bottom 0 + 0.25 * 40 = 10,
+    # 125 + 0.75 * (10 - 125) = 38.75 -> 39. Channel 1: top 0, bottom 2,
+    # 1.5 -> 2 (half rounds up). Channel 2: constant 7.
+    expected = (39, 2, 7)
+    t, pyramid = _one_pixel_case(expected)
+    report = provenance_audit(t, pyramid)
+    assert report.ok and report.total_pixels == 1
+    assert report.per_scale_pixels == {1: 1}
+    for channel in range(3):
+        for delta in (-1, 1):
+            off = list(expected)
+            off[channel] += delta
+            t, pyramid = _one_pixel_case(off)
+            assert provenance_audit(t, pyramid).mismatches == 1
+
+
+def test_audit_catches_an_interpolation_fault(monkeypatch):
+    """A resize that truncates instead of rounding must not audit clean."""
+
+    def truncating_lerp(p00, p01, p10, p11, fy, fx):
+        fxc = fx[None, :, None]
+        top = p00 + fxc * (p01 - p00)
+        bot = p10 + fxc * (p11 - p10)
+        val = top + fy[:, None, None] * (bot - top)
+        return np.floor(val).clip(0, 255).astype(np.uint8)
+
+    monkeypatch.setattr(sama.pyramid, "_lerp_core", truncating_lerp)
+    clip = bench.synthetic_clip(240, 320, 6, seed=12)
+    cfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=9)
+    res = sample_video(clip, cfg)
+    assert provenance_audit(res.tensor, res.pyramid).mismatches > 0
+
+
+def test_audit_shares_no_code_with_the_resize_path():
+    tree = ast.parse(Path(sama.pack.__file__).read_text())
+    from_pyramid = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "pyramid"
+        for alias in node.names
+    }
+    assert from_pyramid == {"PyramidLevel"}
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    resize_code = {
+        "_axis_taps", "_lerp_core", "_lerp_gather", "_lerp_gather_sparse",
+        "resize_rgb", "resize_rect",
+    }
+    assert not (attrs | names) & resize_code
+    assert not attrs & {"frame", "frames", "rect", "_sources"}  # PyramidLevel's
 
 
 def test_audit_requires_provenance():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,16 @@ def test_timings_reported():
     res = sample_image(coordinate_frame(400, 400), SamplerConfig.iqa_default())
     assert set(res.timings) == {"pyramid", "fragments", "compose"}
     assert all(t >= 0 for t in res.timings.values())
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_video_timings_are_disjoint_wall_spans(monkeypatch, threads):
+    monkeypatch.setenv("SAMA_THREADS", threads)
+    clip = coordinate_clip(260, 340, 6)
+    cfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=17)
+    t0 = time.perf_counter()
+    res = sample_video(clip, cfg)
+    wall = time.perf_counter() - t0
+    assert set(res.timings) == {"pyramid", "fragments", "compose"}
+    assert all(t >= 0 for t in res.timings.values())
+    assert sum(res.timings.values()) <= wall
