@@ -4,7 +4,7 @@ Subcommands: sample-image, sample-video, preview, masks, bench,
 attn-check, verify. Configuration comes from defaults, then an optional
 JSON config file, then flags (flags win). Exit codes: 0 success, 1
 configuration error, 2 I/O or input-format error, 3 pipeline or property
-violation.
+violation, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -517,7 +517,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``sama verify | head -1``): stop quietly
+        # with the shell's SIGPIPE status, and point stdout at devnull so
+        # the flush at interpreter shutdown has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -116,13 +116,14 @@ def source_coord_maps(
     output pixel (i, j) copies level pixel (src_y[i, j], src_x[i, j]).
     """
     grid_rows, grid_cols = offsets.shape[:2]
-    ys = np.repeat(offsets[:, :, 0], frag_h, axis=0)
-    ys = np.repeat(ys, frag_w, axis=1)
-    xs = np.repeat(offsets[:, :, 1], frag_h, axis=0)
-    xs = np.repeat(xs, frag_w, axis=1)
-    ys = ys + np.tile(np.arange(frag_h), grid_rows)[:, None]
-    xs = xs + np.tile(np.arange(frag_w), grid_cols)[None, :]
-    return ys.astype(np.uint32), xs.astype(np.uint32)
+    shape = (grid_rows, frag_h, grid_cols, frag_w)  # (row, dy, col, dx)
+    ys = offsets[:, None, :, None, 0] + np.arange(frag_h)[:, None, None]
+    xs = offsets[:, None, :, None, 1] + np.arange(frag_w)
+    out_shape = (grid_rows * frag_h, grid_cols * frag_w)
+    return (
+        np.broadcast_to(ys, shape).astype(np.uint32).reshape(out_shape),
+        np.broadcast_to(xs, shape).astype(np.uint32).reshape(out_shape),
+    )
 
 
 @dataclass(frozen=True)

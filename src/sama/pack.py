@@ -100,9 +100,9 @@ class SampledTensor:
         """Fraction of output pixels each pyramid level contributed."""
         if self.provenance is None:
             raise MissingProvenance("tensor carries no provenance")
-        scales, counts = np.unique(self.provenance["scale"], return_counts=True)
+        counts = np.bincount(self.provenance["scale"].reshape(-1), minlength=256)
         total = self.provenance.size
-        return {int(s): int(c) / total for s, c in zip(scales, counts)}
+        return {int(s): int(counts[s]) / total for s in np.flatnonzero(counts)}
 
     def provenance_at(self, frame: int, y: int, x: int) -> ProvenanceEntry:
         """Where output pixel (frame, y, x) was copied from."""

@@ -1,9 +1,13 @@
 """Multi-granularity pyramid: linear min-side schedule + bilinear resize.
 
-Levels hold references to the source frames and resize lazily on first
-access (memoized per source frame), so pipelines that touch only a couple
-of frames per level pay only for those. Resampling is pure, so access
-order never changes results.
+Levels hold references to the source frames and never resize eagerly.
+The sampler turns the level pixels its plan needs into ``PixelTaps`` once
+(``pixel_taps``) and runs one ``gather_taps`` per (frame, level): one flat
+take of the four corner pixels and one blend. Whole frames
+(``PyramidLevel.frame``, memoized) and windows (``PyramidLevel.rect``) are
+kept for callers outside the sampler. Every path blends with ``_lerp_core``
+on taps from ``_axis_taps``, so they agree byte for byte, and access order
+never changes results.
 """
 
 from __future__ import annotations
@@ -87,13 +91,28 @@ def _axis_taps(n_in: int, n_out: int, start: int = 0, count: int | None = None):
 
 
 def _lerp_core(p00, p01, p10, p11, fy, fx):
-    """Per-pixel blend shared by every resize path; the identical arithmetic
-    guarantees a windowed resize matches the same slice of a full resize."""
-    fxc = fx[None, :, None]
-    top = p00 + fxc * (p01 - p00)
-    bot = p10 + fxc * (p11 - p10)
-    val = top + fy[:, None, None] * (bot - top)
-    return np.floor(val + 0.5).clip(0, 255).astype(np.uint8)
+    """Bilinear blend of four float32 corner arrays, rounded half up to uint8.
+
+    ``fy`` and ``fx`` arrive already broadcastable against the corners. Every
+    resize path and the sampler's gather share this arithmetic, so windowed,
+    whole-frame and per-pixel results are byte-identical. The blend runs in
+    place: ``p01`` and ``p11`` are overwritten.
+    """
+    top = p01
+    top -= p00
+    top *= fx
+    top += p00  # p00 + fx * (p01 - p00)
+    bot = p11
+    bot -= p10
+    bot *= fx
+    bot += p10  # p10 + fx * (p11 - p10)
+    bot -= top
+    bot *= fy
+    bot += top  # top + fy * (bot - top)
+    bot += 0.5
+    np.floor(bot, out=bot)
+    np.clip(bot, 0, 255, out=bot)
+    return bot.astype(np.uint8)
 
 
 def _lerp_gather(src, y0, y1, fy, x0, x1, fx):
@@ -105,8 +124,8 @@ def _lerp_gather(src, y0, y1, fy, x0, x1, fx):
         rows0[:, x1].astype(np.float32),
         rows1[:, x0].astype(np.float32),
         rows1[:, x1].astype(np.float32),
-        fy,
-        fx,
+        fy[:, None, None],
+        fx[None, :, None],
     )
 
 
@@ -122,8 +141,8 @@ def _lerp_gather_sparse(src, y0, y1, fy, x0, x1, fx):
         src[yc0, xc1].astype(np.float32),
         src[yc1, xc0].astype(np.float32),
         src[yc1, xc1].astype(np.float32),
-        fy,
-        fx,
+        fy[:, None, None],
+        fx[None, :, None],
     )
 
 
@@ -157,12 +176,60 @@ def resize_rect(
     return _lerp_gather_sparse(src, ty0, ty1, tfy, tx0, tx1, tfx)
 
 
+@dataclass(frozen=True)
+class PixelTaps:
+    """Bilinear taps of scattered level pixels, as flat source-pixel indices.
+
+    ``index`` is (4, N): the top-left, top-right, bottom-left and
+    bottom-right source pixel behind each of N level pixels, and ``fy`` and
+    ``fx`` are their (N, 1) float32 fractions. A level the size of its
+    source has a (1, N) index and no fractions: its pixels are source pixels.
+    """
+
+    index: np.ndarray
+    fy: np.ndarray | None
+    fx: np.ndarray | None
+
+
+def pixel_taps(level: PyramidLevel, ys: np.ndarray, xs: np.ndarray) -> PixelTaps:
+    """Taps of level pixels (ys[k], xs[k]), indexed out of the full-axis taps,
+    so a gather equals the same pixels of ``level.frame``."""
+    src_h, src_w = level.sources[0].shape[:2]
+    ys = ys.astype(np.intp)
+    xs = xs.astype(np.intp)
+    if (src_h, src_w) == (level.height, level.width):
+        return PixelTaps((ys * src_w + xs)[None], None, None)
+    y0, y1, fy = _axis_taps(src_h, level.height)
+    x0, x1, fx = _axis_taps(src_w, level.width)
+    r0 = y0[ys] * src_w
+    r1 = y1[ys] * src_w
+    c0 = x0[xs]
+    c1 = x1[xs]
+    index = np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1])
+    return PixelTaps(index, fy[ys, None], fx[xs, None])
+
+
+def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:
+    """The (N, 3) uint8 level pixels behind ``taps``, from one source frame."""
+    corners = src.reshape(-1, 3).take(taps.index, axis=0)
+    if taps.fy is None:
+        return corners[0]
+    c = corners.astype(np.float32)
+    return _lerp_core(c[0], c[1], c[2], c[3], taps.fy, taps.fx)
+
+
 def bilinear_resize(frame: FrameBuffer, out_h: int, out_w: int) -> FrameBuffer:
     return FrameBuffer(resize_rgb(frame.data, out_h, out_w))
 
 
 class PyramidLevel:
-    """One pyramid level; frames resize on first access and are memoized."""
+    """One pyramid level: target dims over shared source frames.
+
+    The sampler reads a level through ``pixel_taps``/``gather_taps`` and
+    never materializes it. ``frame`` resizes a whole frame on first access
+    and memoizes it; ``rect`` resizes one window. Both are kept for callers
+    outside the sampler.
+    """
 
     def __init__(self, scale_id: int, sources: list[np.ndarray], height: int, width: int):
         self.scale_id = scale_id

@@ -261,3 +261,19 @@ def test_cli_determinism_across_processes(clip_dir, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_closed_stdout_exits_quietly_with_sigpipe_status():
+    """A reader that stops after one line is not an I/O failure."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")  # each line reaches the pipe at once
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sama.cli", "verify"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first.startswith(b"PASS")
+    assert stderr == b""

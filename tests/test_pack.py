@@ -206,6 +206,19 @@ def test_audit_progressive_shares():
         assert share == pytest.approx(2 / 32)
 
 
+def test_scale_shares_match_unique_counts_over_gapped_ids():
+    t = _tiny_tensor(side=16)
+    scales = np.random.default_rng(5).choice([0, 3, 4, 9, 255], size=(1, 16, 16))
+    scales[0, 0, :3] = 255  # the top id, present at least once
+    t.provenance["scale"] = scales
+    ids, counts = np.unique(t.provenance["scale"], return_counts=True)
+    expected = {int(s): int(c) / t.provenance.size for s, c in zip(ids, counts)}
+    shares = t.scale_shares()
+    assert list(shares) == [0, 3, 4, 9, 255]
+    assert shares == expected
+    assert all(type(k) is int and type(v) is float for k, v in shares.items())
+
+
 def _one_pixel_case(value):
     """A 3x3 source, a 2x2 level, and one output pixel that records level
     pixel (y=1, x=0)."""
@@ -245,10 +258,9 @@ def test_audit_catches_an_interpolation_fault(monkeypatch):
     """A resize that truncates instead of rounding must not audit clean."""
 
     def truncating_lerp(p00, p01, p10, p11, fy, fx):
-        fxc = fx[None, :, None]
-        top = p00 + fxc * (p01 - p00)
-        bot = p10 + fxc * (p11 - p10)
-        val = top + fy[:, None, None] * (bot - top)
+        top = p00 + fx * (p01 - p00)
+        bot = p10 + fx * (p11 - p10)
+        val = top + fy * (bot - top)
         return np.floor(val).clip(0, 255).astype(np.uint8)
 
     monkeypatch.setattr(sama.pyramid, "_lerp_core", truncating_lerp)
@@ -271,7 +283,7 @@ def test_audit_shares_no_code_with_the_resize_path():
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     resize_code = {
         "_axis_taps", "_lerp_core", "_lerp_gather", "_lerp_gather_sparse",
-        "resize_rgb", "resize_rect",
+        "resize_rgb", "resize_rect", "pixel_taps", "gather_taps",
     }
     assert not (attrs | names) & resize_code
     assert not attrs & {"frame", "frames", "rect", "_sources"}  # PyramidLevel's
