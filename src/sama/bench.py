@@ -1,9 +1,10 @@
 """Per-stage timing harness and synthetic inputs.
 
 Stages are timed where the pipeline does the work: decode (PPM bytes to
-pixels), pyramid (schedule + interpolation), fragments (grid, offsets,
-source maps), compose (the masked gather), and pack (container
-serialization, in memory so disk noise stays out of the numbers).
+pixels), pyramid (schedule, interpolation taps and the per-frame
+gathers), fragments (grid, offsets, source maps, frame plans), compose
+(the provenance fill), and pack (container serialization, in memory so
+disk noise stays out of the numbers).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ A level is cut into grid_rows x grid_cols cells; each cell contributes one
 frag_h x frag_w patch copied byte-for-byte (pure gather, no resampling).
 Offsets are drawn per (seed, level, row, col), so cells and frames can be
 processed in any order. For clips the same offsets apply to every frame,
-keeping the mosaic temporally aligned.
+keeping the mosaic temporally aligned. ``plan_level`` makes every
+placement decision of a level; the sampler and ``sample_fragments`` both
+read it.
 """
 
 from __future__ import annotations
@@ -127,6 +129,34 @@ def source_coord_maps(
 
 
 @dataclass(frozen=True)
+class LevelPlan:
+    """Offsets and per-pixel source coordinates for one pyramid level."""
+
+    scale_id: int
+    offsets: np.ndarray  # (grid_rows, grid_cols, 2)
+    src_y: np.ndarray  # (H, W) uint32
+    src_x: np.ndarray  # (H, W) uint32
+
+
+def plan_level(level: PyramidLevel, config: SamplerConfig) -> LevelPlan:
+    """Cut a level into the config's grid, place one fragment per cell and
+    map every mosaic pixel to its level coordinates."""
+    cells = grid_partition(level.height, level.width, config.grid_rows, config.grid_cols)
+    offs = choose_offsets(
+        cells,
+        config.frag_h,
+        config.frag_w,
+        config.offset_policy,
+        config.seed,
+        scale_id=level.scale_id,
+        aligned=config.aligned_offsets,
+    )
+    offsets = offsets_array(offs, config.grid_rows, config.grid_cols)
+    src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
+    return LevelPlan(level.scale_id, offsets, src_y, src_x)
+
+
+@dataclass(frozen=True)
 class FragmentMosaic:
     """Fixed-size mosaic gathered from one pyramid level.
 
@@ -180,7 +210,6 @@ def gather_mosaic_frame(
 def sample_fragments(
     level: PyramidLevel,
     config: SamplerConfig,
-    seed: int | None = None,
     frame_indices: Sequence[int] | None = None,
 ) -> FragmentMosaic:
     """Build the fragment mosaic of one pyramid level.
@@ -188,34 +217,21 @@ def sample_fragments(
     For clips the same per-cell offsets are reused for every frame, so a
     static clip yields a static mosaic.
     """
-    if seed is None:
-        seed = config.seed
-    cells = grid_partition(level.height, level.width, config.grid_rows, config.grid_cols)
-    offs = choose_offsets(
-        cells,
-        config.frag_h,
-        config.frag_w,
-        config.offset_policy,
-        seed,
-        scale_id=level.scale_id,
-        aligned=config.aligned_offsets,
-    )
-    offsets = offsets_array(offs, config.grid_rows, config.grid_cols)
+    plan = plan_level(level, config)
     if frame_indices is None:
         frame_indices = range(level.frame_count)
     indices = np.asarray(list(frame_indices), dtype=np.int64)
     frames = np.stack(
         [
-            gather_mosaic_frame(level.frame(int(i)), offsets, config.frag_h, config.frag_w)
+            gather_mosaic_frame(level.frame(int(i)), plan.offsets, config.frag_h, config.frag_w)
             for i in indices
         ]
     )
-    src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
     return FragmentMosaic(
         scale_id=level.scale_id,
         frames=frames,
         frame_indices=indices,
-        offsets=offsets,
-        src_y=src_y,
-        src_x=src_x,
+        offsets=plan.offsets,
+        src_y=plan.src_y,
+        src_x=plan.src_x,
     )

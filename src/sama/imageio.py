@@ -10,6 +10,7 @@ decode quickly everywhere.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -120,13 +121,21 @@ def decode_png(data: bytes) -> np.ndarray:
         )
     if not idat:
         raise CorruptFile("PNG missing IDAT")
-    try:
-        raw = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise CorruptFile(f"PNG deflate stream corrupt: {exc}") from exc
     channels = 3 if color == 2 else 4
     nbytes = depth // 8
-    flat = _unfilter(raw, height, width, channels * nbytes)
+    bpp = channels * nbytes
+    # Inflate at most one byte past the size IHDR implies, so a small file
+    # cannot expand to gigabytes before the size check rejects it. The cap
+    # is clamped because declared dims can exceed what zlib can be asked for.
+    expected = height * (width * bpp + 1)
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(bytes(idat), min(expected + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise CorruptFile(f"PNG deflate stream corrupt: {exc}") from exc
+    if not inflater.eof:  # also unset when the Adler-32 trailer is missing
+        raise CorruptFile("PNG deflate stream is truncated or longer than its dimensions")
+    flat = _unfilter(raw, height, width, bpp)
     pixels = flat.reshape(height, width, channels, nbytes)
     # 16-bit samples are big-endian; keep the high byte
     rgb = pixels[:, :, :3, 0]

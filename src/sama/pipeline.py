@@ -1,5 +1,9 @@
 """End-to-end sampling: pyramid -> plan -> one gather per (frame, level).
 
+An image is a one-frame clip: ``sample_image`` and ``sample_video`` run
+the same selection, pyramid, plan and gather, and differ only in the
+validation they apply and the number of output frames.
+
 Every mode reduces to the same two steps. The plan of an output frame is
 its per-pixel (scale, y, x): which level owns each pixel and where in that
 level it lies. Single-scale frames, temporal schedules, spatial window and
@@ -26,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .fragments import (
-    choose_offsets,
-    grid_partition,
-    offsets_array,
-    source_coord_maps,
-)
+from .fragments import LevelPlan, plan_level
 from .masks import make_spatial_mask, make_temporal_mask
 from .media import (
     PROVENANCE_DTYPE,
@@ -55,50 +53,13 @@ def thread_count() -> int:
     return max(n, 1)
 
 
-def _parallel_map(fn, items: list) -> tuple[list, float | None]:
-    """``[fn(x) for x in items]`` on up to SAMA_THREADS threads.
-
-    Also returns the summed duration of the calls when they ran on threads,
-    where they overlap in wall-clock time; None when they ran serially.
-    """
+def _parallel_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]`` on up to SAMA_THREADS threads."""
     n = thread_count()
     if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items], None
-
-    def timed(x):
-        t0 = time.perf_counter()
-        out = fn(x)
-        return out, time.perf_counter() - t0
-
+        return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=n) as ex:
-        pairs = list(ex.map(timed, items))
-    return [out for out, _ in pairs], sum(d for _, d in pairs)
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    """Offsets and per-pixel source coordinates for one pyramid level."""
-
-    scale_id: int
-    offsets: np.ndarray  # (grid_rows, grid_cols, 2)
-    src_y: np.ndarray  # (H, W) uint32
-    src_x: np.ndarray  # (H, W) uint32
-
-
-def plan_level(level: PyramidLevel, config: SamplerConfig) -> LevelPlan:
-    cells = grid_partition(level.height, level.width, config.grid_rows, config.grid_cols)
-    offs = choose_offsets(
-        cells,
-        config.frag_h,
-        config.frag_w,
-        config.offset_policy,
-        config.seed,
-        scale_id=level.scale_id,
-        aligned=config.aligned_offsets,
-    )
-    offsets = offsets_array(offs, config.grid_rows, config.grid_cols)
-    src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
-    return LevelPlan(level.scale_id, offsets, src_y, src_x)
+        return list(ex.map(fn, items))
 
 
 @dataclass
@@ -189,15 +150,19 @@ def _render(
 
     t0 = time.perf_counter()
     n_frames = len(frame_levels)
-    data = np.empty((n_frames, config.out_h, config.out_w, 3), dtype=np.uint8)
     prov = np.empty((n_frames, config.out_h, config.out_w), dtype=PROVENANCE_DTYPE)
     records = prov.view(np.uint8)  # raw copies: ~25x faster than field-wise
     for t, levels in enumerate(frame_levels):
         records[t] = frame_plans[levels].view(np.uint8)
     prov["frame"] = np.arange(n_frames)[:, None, None]
+    timings["compose"] = time.perf_counter() - t0
 
-    def one_frame(t: int) -> float:
-        t1 = time.perf_counter()
+    # Gathers get their own span: threaded frames overlap in wall time, so
+    # only a span around all of them is a disjoint share of the call.
+    t0 = time.perf_counter()
+    data = np.empty((n_frames, config.out_h, config.out_w, 3), dtype=np.uint8)
+
+    def one_frame(t: int) -> None:
         out = data[t].view(_RGB).reshape(-1)
         for owner in owners[frame_levels[t]]:
             pixels = gather_taps(owner.level.sources[t], owner.taps).view(_RGB).reshape(-1)
@@ -205,83 +170,47 @@ def _render(
                 out[:] = pixels
             else:
                 out[owner.owned] = pixels
-        return time.perf_counter() - t1
 
-    gathers, busy = _parallel_map(one_frame, list(range(n_frames)))
-    span = time.perf_counter() - t0
-    # Serially, each frame's gather is a disjoint part of this span. Threaded
-    # frames overlap, so the span is split by the gather share of the summed
-    # per-frame time instead.
-    gather = sum(gathers)
-    if busy:
-        gather = span * (gather / busy)
-    timings["pyramid"] += gather
-    timings["compose"] = span - gather
+    _parallel_map(one_frame, list(range(n_frames)))
+    timings["pyramid"] += time.perf_counter() - t0
     return data, prov
 
 
 # ---------------------------------------------------------------------------
-# Image and video entry points
+# Entry points: an image is a one-frame clip
 
 
-def sample_image(frame: FrameBuffer, config: SamplerConfig) -> SampleResult:
-    """Sample one image into a (1, out_h, out_w, 3) tensor with provenance."""
-    config.validate("image")
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    pyramid = build_pyramid(frame, config)
-    timings["pyramid"] = time.perf_counter() - t0
-    levels = (0,) if config.spatial_mask == "none" else (0, config.n_scales - 1)
-    data, prov = _render(pyramid, config, [levels], timings)
-    tensor = SampledTensor(
-        kind="image",
-        data=data,
-        n_scales=config.n_scales,
-        spatial_mask=config.spatial_mask,
-        temporal_mask="none",
-        seed=config.seed,
-        schedule=(),
-        provenance=prov,
-        grid=(config.grid_rows, config.grid_cols),
-    )
-    return SampleResult(tensor=tensor, pyramid=pyramid, timings=timings)
-
-
-def sample_video(clip: MediaClip, config: SamplerConfig) -> SampleResult:
-    """Select frames, pyramid them, and interlace scales over time/space."""
-    config.validate("video")
-    frames_out = config.frames_out
-    selected = select_frames(clip, frames_out, config.seed, config.offset_policy)
-
+def _frame_levels(
+    config: SamplerConfig, frames_out: int
+) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """The pyramid levels each output frame draws from, and the temporal
+    schedule (empty without a temporal mask)."""
     spatial = config.spatial_mask != "none"
-    temporal = config.temporal_mask != "none"
-    schedule: tuple[int, ...] = ()
-    if temporal:
-        tmask = make_temporal_mask(config.temporal_mask, frames_out, config.n_scales)
-        schedule = tmask.schedule
-        frame_scales = [int(s) for s in tmask.frame_scales()]
-    elif not spatial and config.n_scales != 1:
-        raise ConfigError("video without masks must be single-scale")
-    else:
-        frame_scales = [0] * frames_out
+    if config.temporal_mask == "none":
+        levels = (0, config.n_scales - 1) if spatial else (0,)
+        return [levels] * frames_out, ()
+    tmask = make_temporal_mask(config.temporal_mask, frames_out, config.n_scales)
+    frame_scales = [int(s) for s in tmask.frame_scales()]
+    if not spatial:
+        return [(s,) for s in frame_scales], tmask.schedule
+    # experimental: interlace each frame pair between its scheduled level
+    # and the next-coarser one (clamped at the top)
+    top = config.n_scales - 1
+    return [(a,) if a == top else (a, a + 1) for a in frame_scales], tmask.schedule
 
-    if temporal and spatial:
-        # experimental: interlace each frame pair between its scheduled
-        # level and the next-coarser one (clamped at the top)
-        top = config.n_scales - 1
-        frame_levels = [(a,) if a == top else (a, a + 1) for a in frame_scales]
-    elif spatial:  # spatial-only: every frame interlaces levels 0 and n-1
-        frame_levels = [(0, config.n_scales - 1)] * frames_out
-    else:
-        frame_levels = [(s,) for s in frame_scales]
 
+def _sample(kind: str, clip: MediaClip, config: SamplerConfig, frames_out: int) -> SampleResult:
+    """Select ``frames_out`` frames of ``clip``, pyramid them and render each
+    output frame from its levels; ``config`` is already validated for ``kind``."""
+    selected = select_frames(clip, frames_out, config.seed, config.offset_policy)
+    frame_levels, schedule = _frame_levels(config, frames_out)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     pyramid = build_pyramid(selected, config)
     timings["pyramid"] = time.perf_counter() - t0
     data, prov = _render(pyramid, config, frame_levels, timings)
     tensor = SampledTensor(
-        kind="video",
+        kind=kind,
         data=data,
         n_scales=config.n_scales,
         spatial_mask=config.spatial_mask,
@@ -292,6 +221,22 @@ def sample_video(clip: MediaClip, config: SamplerConfig) -> SampleResult:
         grid=(config.grid_rows, config.grid_cols),
     )
     return SampleResult(tensor=tensor, pyramid=pyramid, timings=timings)
+
+
+def sample_image(frame: FrameBuffer, config: SamplerConfig) -> SampleResult:
+    """Sample one image into a (1, out_h, out_w, 3) tensor with provenance.
+
+    The image is sampled as a one-frame clip; ``config.frames_out`` is
+    ignored.
+    """
+    config.validate("image")
+    return _sample("image", MediaClip((frame,)), config, 1)
+
+
+def sample_video(clip: MediaClip, config: SamplerConfig) -> SampleResult:
+    """Select frames, pyramid them, and interlace scales over time/space."""
+    config.validate("video")
+    return _sample("video", clip, config, config.frames_out)
 
 
 def sample_media(media, config: SamplerConfig) -> SampleResult:

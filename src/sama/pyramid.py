@@ -116,7 +116,7 @@ def _lerp_core(p00, p01, p10, p11, fy, fx):
 
 
 def _lerp_gather(src, y0, y1, fy, x0, x1, fx):
-    # row slabs then column picks: efficient when most columns are used
+    # row slabs then column picks; for a window, only the window's taps
     rows0 = src[y0]
     rows1 = src[y1]
     return _lerp_core(
@@ -124,23 +124,6 @@ def _lerp_gather(src, y0, y1, fy, x0, x1, fx):
         rows0[:, x1].astype(np.float32),
         rows1[:, x0].astype(np.float32),
         rows1[:, x1].astype(np.float32),
-        fy[:, None, None],
-        fx[None, :, None],
-    )
-
-
-def _lerp_gather_sparse(src, y0, y1, fy, x0, x1, fx):
-    # corner picks via broadcast indexing: efficient for small windows of
-    # a large source; gathers the same values as _lerp_gather
-    yc0 = y0[:, None]
-    yc1 = y1[:, None]
-    xc0 = x0[None, :]
-    xc1 = x1[None, :]
-    return _lerp_core(
-        src[yc0, xc0].astype(np.float32),
-        src[yc0, xc1].astype(np.float32),
-        src[yc1, xc0].astype(np.float32),
-        src[yc1, xc1].astype(np.float32),
         fy[:, None, None],
         fx[None, :, None],
     )
@@ -173,7 +156,7 @@ def resize_rect(
     """
     ty0, ty1, tfy = _axis_taps(src.shape[0], out_h, y0, h)
     tx0, tx1, tfx = _axis_taps(src.shape[1], out_w, x0, w)
-    return _lerp_gather_sparse(src, ty0, ty1, tfy, tx0, tx1, tfx)
+    return _lerp_gather(src, ty0, ty1, tfy, tx0, tx1, tfx)
 
 
 @dataclass(frozen=True)
@@ -281,40 +264,29 @@ class PyramidLevel:
         return resize_rect(src, self.height, self.width, y0, x0, h, w)
 
 
-def _media_arrays(media) -> list[np.ndarray]:
-    if isinstance(media, FrameBuffer):
-        return [media.data]
-    if isinstance(media, MediaClip):
-        return [f.data for f in media.frames]
-    raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
-
-
 def upscale_if_small(media, target_min: int):
     """Bilinearly upscale so the min-side reaches ``target_min``; else identity."""
+    if not isinstance(media, (FrameBuffer, MediaClip)):
+        raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
+    if min(media.height, media.width) >= target_min:
+        return media
+    h, w = _dims_for_min_side(media.height, media.width, target_min)
     if isinstance(media, FrameBuffer):
-        if min(media.height, media.width) >= target_min:
-            return media
-        h, w = _dims_for_min_side(media.height, media.width, target_min)
         return bilinear_resize(media, h, w)
-    if isinstance(media, MediaClip):
-        if min(media.height, media.width) >= target_min:
-            return media
-        h, w = _dims_for_min_side(media.height, media.width, target_min)
-        return MediaClip(
-            tuple(bilinear_resize(f, h, w) for f in media.frames), media.nominal_fps
-        )
-    raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
+    return MediaClip(tuple(bilinear_resize(f, h, w) for f in media.frames), media.nominal_fps)
 
 
 def build_pyramid(media, config: SamplerConfig, levels: int | None = None) -> list[PyramidLevel]:
     """Upscale if needed, then lay out ``levels`` lazily-resized levels.
 
-    Level 0 always shares the (possibly upscaled) raw pixels. For clips,
-    every frame of a level gets the same target dims.
+    Level 0 always shares the (possibly upscaled) raw pixels. A
+    ``FrameBuffer`` is read as a one-frame clip; every frame of a level
+    gets the same target dims.
     """
     n_levels = config.n_scales if levels is None else levels
     media = upscale_if_small(media, config.target_min)
-    arrays = _media_arrays(media)
+    frames = (media,) if isinstance(media, FrameBuffer) else media.frames
+    arrays = [f.data for f in frames]
     raw_h, raw_w = arrays[0].shape[:2]
     schedule = scale_schedule(raw_h, raw_w, config.target_min, n_levels)
     return [

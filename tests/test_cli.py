@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -277,3 +278,49 @@ def test_closed_stdout_exits_quietly_with_sigpipe_status():
     assert proc.wait(timeout=120) == 141
     assert first.startswith(b"PASS")
     assert stderr == b""
+
+
+# Names that an out-of-process tracer wraps to attribute time to layers. It
+# patches the module attribute, so each must be looked up there at call time;
+# a refactor that binds one at import makes its layer read zero.
+TRACED_NAMES = (
+    "sama.pipeline.select_frames",
+    "sama.pipeline.build_pyramid",
+    "sama.pipeline.plan_level",
+    "sama.pipeline.make_spatial_mask",
+    "sama.pipeline.make_temporal_mask",
+    "sama.cli.sample_image",
+    "sama.cli.sample_video",
+)
+
+
+def _spy_on(monkeypatch, names):
+    reached = set()
+    for name in names:
+        module, attr = name.rsplit(".", 1)
+        mod = importlib.import_module(module)
+        real = getattr(mod, attr)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            reached.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, spy)
+    return reached
+
+
+def test_traced_names_are_looked_up_at_call_time(monkeypatch, image_file, clip_dir, tmp_path):
+    reached = _spy_on(monkeypatch, TRACED_NAMES)
+    assert main(["sample-image", str(image_file), "--out", str(tmp_path / "i.sama")]) == 0
+    assert reached == set(TRACED_NAMES) - {
+        "sama.pipeline.make_temporal_mask", "sama.cli.sample_video",
+    }
+    reached.clear()
+    with pytest.warns(UserWarning, match="experimental"):
+        rc = main([
+            "sample-video", str(clip_dir), "--frames", "8", "--scales", "4",
+            "--temporal-mask", "progressive", "--spatial-mask", "window",
+            "--out", str(tmp_path / "v.sama"),
+        ])
+    assert rc == 0
+    assert reached == set(TRACED_NAMES) - {"sama.cli.sample_image"}

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -84,8 +85,9 @@ def test_png_full_hd_dimensions_pass_through():
     assert np.array_equal(decoded, arr)
 
 
-def _raw_png(width, height, depth, color, rows, interlace=0):
-    """Hand-assembled PNG for decoder tests; rows are pre-filtered bytes."""
+def _raw_png(width, height, depth, color, rows, interlace=0, idat=None):
+    """Hand-assembled PNG for decoder tests; rows are pre-filtered bytes,
+    deflated unless ``idat`` gives the image data stream itself."""
     out = bytearray(imageio.PNG_SIGNATURE)
 
     def chunk(ctype, payload):
@@ -95,7 +97,7 @@ def _raw_png(width, height, depth, color, rows, interlace=0):
         out.extend(struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF))
 
     chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, depth, color, 0, 0, interlace))
-    chunk(b"IDAT", zlib.compress(bytes(rows)))
+    chunk(b"IDAT", zlib.compress(bytes(rows)) if idat is None else idat)
     chunk(b"IEND", b"")
     return bytes(out)
 
@@ -207,6 +209,31 @@ def test_png_corrupt_deflate():
     chunk(b"IEND", b"")
     with pytest.raises(CorruptFile):
         imageio.decode_png(bytes(out))
+
+
+def test_png_inflate_bomb_is_rejected_within_bounded_memory():
+    # declares 1x1 RGB (4 bytes of image data) but inflates to 64 MiB
+    bomb = _raw_png(1, 1, 8, 2, b"", idat=zlib.compress(bytes(64 << 20), 9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFile):
+            imageio.decode_png(bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_png_largest_declared_dimensions_are_corrupt_not_an_overflow():
+    rows = bytearray([0, 1, 2, 3])
+    with pytest.raises(CorruptFile):
+        imageio.decode_png(_raw_png(2**32 - 1, 2**32 - 1, 16, 6, rows))
+
+
+def test_png_deflate_stream_missing_its_checksum():
+    rows = bytearray([0, 1, 2, 3])
+    with pytest.raises(CorruptFile):
+        imageio.decode_png(_raw_png(1, 1, 8, 2, rows, idat=zlib.compress(bytes(rows))[:-4]))
 
 
 # ---------------------------------------------------------------------------

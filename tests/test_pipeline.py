@@ -1,8 +1,11 @@
+import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sama.bench import synthetic_clip
 from sama.errors import ConfigError
 from sama.fragments import sample_fragments
 from sama.masks import compose_spatial, compose_temporal, make_spatial_mask, make_temporal_mask
@@ -92,6 +95,25 @@ def test_aligned_offsets_image_matches_reference():
     mask = make_spatial_mask("window", cfg.out_h, cfg.out_w)
     assert_tensors_equal(fused, compose_spatial(m0, m1, mask, cfg))
     assert provenance_audit(fused, pyramid).ok
+
+
+@pytest.mark.parametrize("cfg", [
+    SamplerConfig.iqa_default(offset_policy="random", seed=41),
+    SamplerConfig.iqa_default(spatial_mask="patch", seed=42),
+    SamplerConfig.iqa_default(spatial_mask="none", n_scales=1, seed=43),
+], ids=["window", "patch", "single-scale"])
+def test_image_is_a_one_frame_clip(cfg):
+    frame = coordinate_frame(300, 520)
+    image = sample_image(frame, cfg).tensor
+    video = sample_video(MediaClip((frame,)), replace(cfg, frames_out=1)).tensor
+    assert image.kind == "image"
+    assert_tensors_equal(image, video)
+
+
+def test_image_ignores_frames_out():
+    res = sample_image(coordinate_frame(300, 300), SamplerConfig.iqa_default(frames_out=8))
+    assert res.tensor.data.shape == (1, 256, 256, 3)
+    assert (res.tensor.provenance["frame"] == 0).all()
 
 
 def test_single_scale_image_is_plain_mosaic():
@@ -240,3 +262,17 @@ def test_video_timings_are_disjoint_wall_spans(monkeypatch, threads):
     assert set(res.timings) == {"pyramid", "fragments", "compose"}
     assert all(t >= 0 for t in res.timings.values())
     assert sum(res.timings.values()) <= wall
+
+
+def test_threaded_compose_time_is_not_booked_as_gathers(monkeypatch):
+    """The provenance fill takes as long at any thread count, so threads must
+    not move it into ``pyramid``."""
+    clip = synthetic_clip(1080, 1920, 4, seed=3)
+
+    def compose_time(threads: str) -> float:
+        monkeypatch.setenv("SAMA_THREADS", threads)
+        return statistics.median(sample_video(clip, SamplerConfig()).timings["compose"]
+                                 for _ in range(3))
+
+    serial = compose_time("1")
+    assert compose_time("4") >= 0.5 * serial

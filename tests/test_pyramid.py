@@ -11,6 +11,7 @@ from sama.pyramid import (
     PyramidLevel,
     bilinear_resize,
     build_pyramid,
+    resize_rect,
     resize_rgb,
     scale_schedule,
     upscale_if_small,
@@ -159,6 +160,20 @@ def test_resize_gradient_plane_within_one_step():
             sx = min(max((dx + 0.5) * 64 / 40 - 0.5, 0.0), 63.0)
             ox = min(max((sx + 0.5) * 16 / 64 - 0.5, 0.0), 15.0)
             assert abs(int(down[dy, dx, 0]) - (2 * oy + 3 * ox)) <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("src_hw, out_hw", [
+    ((540, 960), (350, 622)),  # downscale
+    ((300, 300), (224, 224)),
+    ((150, 170), (224, 254)),  # upscale
+])
+def test_resize_rect_is_a_window_of_the_full_resize(src_hw, out_hw):
+    src = coordinate_frame(*src_hw).data
+    full = resize_rgb(src, *out_hw)
+    h, w = out_hw
+    for y0, x0 in ((0, 0), (0, w - 32), (h - 32, 0), (h - 32, w - 32), (h // 3, w // 2)):
+        window = resize_rect(src, h, w, y0, x0, 32, 32)
+        assert np.array_equal(window, full[y0 : y0 + 32, x0 : x0 + 32])
 
 
 # ---------------------------------------------------------------------------
