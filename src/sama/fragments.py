@@ -5,8 +5,7 @@ frag_h x frag_w patch copied byte-for-byte (pure gather, no resampling).
 Offsets are drawn per (seed, level, row, col), so cells and frames can be
 processed in any order. For clips the same offsets apply to every frame,
 keeping the mosaic temporally aligned. ``plan_level`` makes every
-placement decision of a level; the sampler and ``sample_fragments`` both
-read it.
+placement decision of a level; the sampler reads it.
 """
 
 from __future__ import annotations
@@ -154,84 +153,3 @@ def plan_level(level: PyramidLevel, config: SamplerConfig) -> LevelPlan:
     offsets = offsets_array(offs, config.grid_rows, config.grid_cols)
     src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
     return LevelPlan(level.scale_id, offsets, src_y, src_x)
-
-
-@dataclass(frozen=True)
-class FragmentMosaic:
-    """Fixed-size mosaic gathered from one pyramid level.
-
-    ``frames`` holds the gathered frames for ``frame_indices`` (a subset of
-    the level's frames is allowed; offsets never depend on which frames are
-    gathered). ``src_y``/``src_x`` map every mosaic pixel back to its level
-    coordinates.
-    """
-
-    scale_id: int
-    frames: np.ndarray  # (F, grid_rows*frag_h, grid_cols*frag_w, 3) uint8
-    frame_indices: np.ndarray  # (F,) level frame indices
-    offsets: np.ndarray  # (grid_rows, grid_cols, 2) per-cell (y, x)
-    src_y: np.ndarray  # (H, W) uint32
-    src_x: np.ndarray  # (H, W) uint32
-
-    @property
-    def height(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[2]
-
-    def frame_position(self, frame_index: int) -> int:
-        """Position of a level frame index inside ``frames``."""
-        pos = np.nonzero(self.frame_indices == frame_index)[0]
-        if pos.size == 0:
-            raise KeyError(f"frame {frame_index} was not gathered for this mosaic")
-        return int(pos[0])
-
-
-def gather_mosaic_frame(
-    level_frame: np.ndarray,
-    offsets: np.ndarray,
-    frag_h: int,
-    frag_w: int,
-) -> np.ndarray:
-    """Copy one fragment per cell out of a level frame (slice copies)."""
-    grid_rows, grid_cols = offsets.shape[:2]
-    out = np.empty((grid_rows * frag_h, grid_cols * frag_w, 3), dtype=np.uint8)
-    for r in range(grid_rows):
-        for c in range(grid_cols):
-            y, x = offsets[r, c]
-            out[r * frag_h : (r + 1) * frag_h, c * frag_w : (c + 1) * frag_w] = (
-                level_frame[y : y + frag_h, x : x + frag_w]
-            )
-    return out
-
-
-def sample_fragments(
-    level: PyramidLevel,
-    config: SamplerConfig,
-    frame_indices: Sequence[int] | None = None,
-) -> FragmentMosaic:
-    """Build the fragment mosaic of one pyramid level.
-
-    For clips the same per-cell offsets are reused for every frame, so a
-    static clip yields a static mosaic.
-    """
-    plan = plan_level(level, config)
-    if frame_indices is None:
-        frame_indices = range(level.frame_count)
-    indices = np.asarray(list(frame_indices), dtype=np.int64)
-    frames = np.stack(
-        [
-            gather_mosaic_frame(level.frame(int(i)), plan.offsets, config.frag_h, config.frag_w)
-            for i in indices
-        ]
-    )
-    return FragmentMosaic(
-        scale_id=level.scale_id,
-        frames=frames,
-        frame_indices=indices,
-        offsets=plan.offsets,
-        src_y=plan.src_y,
-        src_x=plan.src_x,
-    )

@@ -1,28 +1,20 @@
-"""Scale-interlacing masks and mosaic composition.
+"""Scale-interlacing masks.
 
 Spatial masks are block checkerboards (tile (0, 0) takes the raw scale):
 32-pixel blocks matching the attention window, or 4-pixel blocks matching
 the embedding patch. Temporal masks assign one pyramid level per two-frame
 block. The multi-scale interlace staggers 3 or 4 levels along tile
 diagonals, the way a color filter array staggers its channels.
-
-Composition is a pure select: every output pixel is copied from exactly
-one mosaic, never blended, so byte equality against the pyramid holds end
-to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadArity, DimMismatch, IndivisibleDims
-from .fragments import FragmentMosaic
-from .media import PROVENANCE_DTYPE, SamplerConfig
-from .pack import SampledTensor
+from .errors import BadArity, IndivisibleDims
 
 WINDOW_BLOCK = 32  # attention window, pixels
 PATCH_BLOCK = 4  # embedding patch, pixels
@@ -160,106 +152,3 @@ def make_temporal_mask(kind: str, frames: int, n_levels: int) -> TemporalMask:
     else:
         raise ValueError(f"unknown temporal mask kind {kind!r}")
     return TemporalMask(kind=kind, schedule=schedule, n_levels=n_levels)
-
-
-# ---------------------------------------------------------------------------
-# Composition (reference path on materialized mosaics)
-
-
-def _mosaic_provenance(m: FragmentMosaic, stored: int) -> np.ndarray:
-    prov = np.empty(m.frames.shape[1:3], dtype=PROVENANCE_DTYPE)
-    prov["scale"] = m.scale_id
-    prov["frame"] = m.frame_indices[stored]
-    prov["y"] = m.src_y
-    prov["x"] = m.src_x
-    return prov
-
-
-def compose_spatial(
-    m0: FragmentMosaic,
-    m1: FragmentMosaic,
-    mask: SpatialMask,
-    config: SamplerConfig | None = None,
-    kind: str | None = None,
-) -> SampledTensor:
-    """Select per pixel between the raw mosaic (mask 1) and the scaled one."""
-    if m0.scale_id != 0:
-        raise DimMismatch("first mosaic must be the raw level (scale 0)")
-    if m0.frames.shape != m1.frames.shape:
-        raise DimMismatch("mosaics differ in shape")
-    if (mask.height, mask.width) != (m0.height, m0.width):
-        raise DimMismatch("mask does not match the mosaic dims")
-    if not np.array_equal(m0.frame_indices, m1.frame_indices):
-        raise DimMismatch("mosaics cover different frames")
-    n_frames = m0.frames.shape[0]
-    pick0 = mask.bitmap.astype(bool)
-    data = np.where(pick0[None, :, :, None], m0.frames, m1.frames)
-    prov = np.empty((n_frames, m0.height, m0.width), dtype=PROVENANCE_DTYPE)
-    for f in range(n_frames):
-        p0 = _mosaic_provenance(m0, f)
-        p1 = _mosaic_provenance(m1, f)
-        # np.where does not handle structured dtypes; select per field
-        for name in PROVENANCE_DTYPE.names:
-            prov[f][name] = np.where(pick0, p0[name], p1[name])
-    if kind is None:
-        kind = "image" if n_frames == 1 else "video"
-    grid = None if config is None else (config.grid_rows, config.grid_cols)
-    return SampledTensor(
-        kind=kind,
-        data=data,
-        n_scales=2 if config is None else config.n_scales,
-        spatial_mask=mask.kind,
-        temporal_mask="none" if config is None else config.temporal_mask,
-        seed=0 if config is None else config.seed,
-        schedule=(),
-        provenance=prov,
-        grid=grid,
-    )
-
-
-def compose_temporal(
-    mosaics: Mapping[int, FragmentMosaic] | Sequence[FragmentMosaic],
-    mask: TemporalMask,
-    config: SamplerConfig | None = None,
-) -> SampledTensor:
-    """Copy each frame pair from the level its schedule entry names.
-
-    Frame indices are preserved: output frame t is frame t of the chosen
-    level's mosaic, so scale changes over time but time never repeats.
-    """
-    if isinstance(mosaics, Mapping):
-        by_scale = dict(mosaics)
-    else:
-        by_scale = {m.scale_id: m for m in mosaics}
-    frames = mask.frames
-    first = next(iter(by_scale.values()))
-    out_h, out_w = first.height, first.width
-    data = np.empty((frames, out_h, out_w, 3), dtype=np.uint8)
-    prov = np.empty((frames, out_h, out_w), dtype=PROVENANCE_DTYPE)
-    for k, scale in enumerate(mask.schedule):
-        m = by_scale.get(scale)
-        if m is None:
-            raise BadArity(f"schedule needs level {scale} but no mosaic covers it")
-        if (m.height, m.width) != (out_h, out_w):
-            raise DimMismatch("mosaics differ in shape")
-        for t in (2 * k, 2 * k + 1):
-            try:
-                stored = m.frame_position(t)
-            except KeyError as exc:
-                raise BadArity(
-                    f"level {scale} mosaic lacks frame {t} required by the schedule"
-                ) from exc
-            data[t] = m.frames[stored]
-            prov[t] = _mosaic_provenance(m, stored)
-    grid = None if config is None else (config.grid_rows, config.grid_cols)
-    return SampledTensor(
-        kind="video",
-        data=data,
-        n_scales=mask.n_levels if config is None else config.n_scales,
-        spatial_mask="none" if config is None else config.spatial_mask,
-        temporal_mask=mask.kind,
-        seed=0 if config is None else config.seed,
-        schedule=mask.schedule,
-        provenance=prov,
-        grid=grid,
-    )

@@ -11,21 +11,15 @@ patch masks and their combination differ only in the plan. A plan is built
 once per distinct level or level pair, and each level it draws on gets its
 full-axis bilinear taps, indexed by the plan, once per call. Each (frame,
 level) then runs one gather straight into the preallocated output, and the
-provenance is the plans with the frame index broadcast in. The bytes equal
-composing full per-level mosaics with the reference operations in
-``masks``, and the gather cost does not grow with the number of levels
-interlaced.
-
-Set SAMA_THREADS to parallelize per-frame work; results are bit-identical
-at any thread count because every draw is counter-based and every frame
-writes its own output slice.
+provenance is the plans with the frame index broadcast in. The gather
+cost does not grow with the number of levels interlaced. The tests check
+the bytes against a reference that materializes whole per-level mosaics
+and composes them by mask.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,25 +35,6 @@ from .media import (
 )
 from .pack import SampledTensor
 from .pyramid import PixelTaps, PyramidLevel, build_pyramid, gather_taps, pixel_taps
-
-
-def thread_count() -> int:
-    """Worker cap from SAMA_THREADS; anything unset/invalid means serial."""
-    raw = os.environ.get("SAMA_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
-def _parallel_map(fn, items: list) -> list:
-    """``[fn(x) for x in items]`` on up to SAMA_THREADS threads."""
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass
@@ -157,21 +132,16 @@ def _render(
     prov["frame"] = np.arange(n_frames)[:, None, None]
     timings["compose"] = time.perf_counter() - t0
 
-    # Gathers get their own span: threaded frames overlap in wall time, so
-    # only a span around all of them is a disjoint share of the call.
     t0 = time.perf_counter()
     data = np.empty((n_frames, config.out_h, config.out_w, 3), dtype=np.uint8)
-
-    def one_frame(t: int) -> None:
+    for t, levels in enumerate(frame_levels):
         out = data[t].view(_RGB).reshape(-1)
-        for owner in owners[frame_levels[t]]:
+        for owner in owners[levels]:
             pixels = gather_taps(owner.level.sources[t], owner.taps).view(_RGB).reshape(-1)
             if owner.owned is None:
                 out[:] = pixels
             else:
                 out[owner.owned] = pixels
-
-    _parallel_map(one_frame, list(range(n_frames)))
     timings["pyramid"] += time.perf_counter() - t0
     return data, prov
 

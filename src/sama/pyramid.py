@@ -4,16 +4,15 @@ Levels hold references to the source frames and never resize eagerly.
 The sampler turns the level pixels its plan needs into ``PixelTaps`` once
 (``pixel_taps``) and runs one ``gather_taps`` per (frame, level): one flat
 take of the four corner pixels and one blend. Whole frames
-(``PyramidLevel.frame``, memoized) and windows (``PyramidLevel.rect``) are
-kept for callers outside the sampler. Every path blends with ``_lerp_core``
-on taps from ``_axis_taps``, so they agree byte for byte, and access order
-never changes results.
+(``PyramidLevel.frame``, memoized) serve the pyramid-cost gate in
+``bench`` and the tests' reference sampler. Every path blends with
+``_lerp_core`` on taps from ``_axis_taps``, so they agree byte for byte,
+and access order never changes results.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +144,8 @@ def resize_rgb(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return _lerp_gather(src, y0, y1, fy, x0, x1, fx)
 
 
+# Nothing in the library calls resize_rect; it stays only because the
+# benchmark trace wraps it by name, until ROADMAP item 5 retargets the trace.
 def resize_rect(
     src: np.ndarray, out_h: int, out_w: int, y0: int, x0: int, h: int, w: int
 ) -> np.ndarray:
@@ -210,8 +211,7 @@ class PyramidLevel:
 
     The sampler reads a level through ``pixel_taps``/``gather_taps`` and
     never materializes it. ``frame`` resizes a whole frame on first access
-    and memoizes it; ``rect`` resizes one window. Both are kept for callers
-    outside the sampler.
+    and memoizes it; ``rect`` resizes one window.
     """
 
     def __init__(self, scale_id: int, sources: list[np.ndarray], height: int, width: int):
@@ -220,7 +220,6 @@ class PyramidLevel:
         self.width = width
         self._sources = sources
         self._cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @property
     def frame_count(self) -> int:
@@ -237,18 +236,12 @@ class PyramidLevel:
         if src.shape[:2] == (self.height, self.width):
             return src  # raw level (or degenerate schedule) shares pixels
         key = id(src)
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out = resize_rgb(src, self.height, self.width)
-        with self._lock:
-            return self._cache.setdefault(key, out)
+        if key not in self._cache:
+            self._cache[key] = resize_rgb(src, self.height, self.width)
+        return self._cache[key]
 
-    def frames(self) -> np.ndarray:
-        """Materialize every frame as one (T, height, width, 3) array."""
-        return np.stack([self.frame(i) for i in range(self.frame_count)])
-
+    # Nothing in the library calls rect; it stays only because the benchmark
+    # trace wraps it by name, until ROADMAP item 5 retargets the trace.
     def rect(self, i: int, y0: int, x0: int, h: int, w: int) -> np.ndarray:
         """The (h, w, 3) window of frame ``i`` without materializing it.
 
@@ -257,8 +250,7 @@ class PyramidLevel:
         src = self._sources[i]
         if src.shape[:2] == (self.height, self.width):
             return src[y0 : y0 + h, x0 : x0 + w]
-        with self._lock:
-            cached = self._cache.get(id(src))
+        cached = self._cache.get(id(src))
         if cached is not None:
             return cached[y0 : y0 + h, x0 : x0 + w]
         return resize_rect(src, self.height, self.width, y0, x0, h, w)

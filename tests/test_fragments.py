@@ -4,18 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sama.errors import CellSmallerThanFragment, GridTooFine
-from sama.fragments import (
-    FragmentMosaic,
-    GridCell,
-    choose_offsets,
-    grid_partition,
-    sample_fragments,
-    source_coord_maps,
-)
+from sama.fragments import GridCell, choose_offsets, grid_partition, source_coord_maps
 from sama.media import SamplerConfig
 from sama.pyramid import PyramidLevel, build_pyramid
 
 from conftest import constant_frame, coordinate_clip, coordinate_frame
+from oracle import sample_fragments
 
 # chi2.ppf(0.99, dof=48); frozen so the test needs no scipy
 CHI2_99_DOF48 = 73.6826
@@ -143,7 +137,7 @@ def test_offset_histogram_uniform_chi_square():
 
 
 # ---------------------------------------------------------------------------
-# sample_fragments
+# sample_fragments (the oracle's mosaic builder)
 
 
 def _config(**kw):

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from sama.errors import BadArity, DimMismatch, IndivisibleDims
-from sama.fragments import FragmentMosaic, sample_fragments, source_coord_maps
+from sama.fragments import source_coord_maps
 from sama.masks import (
     SpatialMask,
     TemporalMask,
-    compose_spatial,
-    compose_temporal,
     make_interlace_mask,
     make_spatial_mask,
     make_temporal_mask,
@@ -16,6 +14,7 @@ from sama.media import SamplerConfig
 from sama.pyramid import PyramidLevel
 
 from conftest import coordinate_frame
+from oracle import FragmentMosaic, compose_spatial, compose_temporal, sample_fragments
 
 
 def checkerboard_count_oracle(tiles_h, tiles_w):

@@ -1,20 +1,18 @@
-import statistics
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sama.bench import synthetic_clip
 from sama.errors import ConfigError
-from sama.fragments import sample_fragments
-from sama.masks import compose_spatial, compose_temporal, make_spatial_mask, make_temporal_mask
+from sama.masks import make_spatial_mask, make_temporal_mask
 from sama.media import MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
-from sama.pipeline import sample_image, sample_media, sample_video, thread_count
+from sama.pipeline import sample_image, sample_media, sample_video
 from sama.pyramid import build_pyramid
 
 from conftest import constant_frame, coordinate_clip, coordinate_frame
+from oracle import compose_spatial, compose_temporal, sample_fragments
 
 
 def assert_tensors_equal(a, b):
@@ -25,7 +23,7 @@ def assert_tensors_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Fused pipeline == reference composition of the public mosaic operations
+# Fused pipeline == reference composition of whole-level mosaics (oracle)
 
 
 @pytest.mark.parametrize("kind", ["window", "patch"])
@@ -201,25 +199,6 @@ def test_small_input_upscaled_video():
     assert provenance_audit(res.tensor, res.pyramid).ok
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("SAMA_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SAMA_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("SAMA_THREADS", "junk")
-    assert thread_count() == 1
-
-
-def test_threaded_run_is_bit_identical(monkeypatch):
-    clip = coordinate_clip(260, 340, 6)
-    cfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=17)
-    monkeypatch.setenv("SAMA_THREADS", "1")
-    serial = container_bytes(sample_video(clip, cfg).tensor)
-    monkeypatch.setenv("SAMA_THREADS", "4")
-    threaded = container_bytes(sample_video(clip, cfg).tensor)
-    assert serial == threaded
-
-
 def test_repeat_runs_bit_identical():
     frame = coordinate_frame(600, 450)
     cfg = SamplerConfig.iqa_default(offset_policy="random", seed=99)
@@ -251,9 +230,7 @@ def test_timings_reported():
     assert all(t >= 0 for t in res.timings.values())
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_video_timings_are_disjoint_wall_spans(monkeypatch, threads):
-    monkeypatch.setenv("SAMA_THREADS", threads)
+def test_video_timings_are_disjoint_wall_spans():
     clip = coordinate_clip(260, 340, 6)
     cfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=17)
     t0 = time.perf_counter()
@@ -263,16 +240,3 @@ def test_video_timings_are_disjoint_wall_spans(monkeypatch, threads):
     assert all(t >= 0 for t in res.timings.values())
     assert sum(res.timings.values()) <= wall
 
-
-def test_threaded_compose_time_is_not_booked_as_gathers(monkeypatch):
-    """The provenance fill takes as long at any thread count, so threads must
-    not move it into ``pyramid``."""
-    clip = synthetic_clip(1080, 1920, 4, seed=3)
-
-    def compose_time(threads: str) -> float:
-        monkeypatch.setenv("SAMA_THREADS", threads)
-        return statistics.median(sample_video(clip, SamplerConfig()).timings["compose"]
-                                 for _ in range(3))
-
-    serial = compose_time("1")
-    assert compose_time("4") >= 0.5 * serial

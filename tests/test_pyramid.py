@@ -229,7 +229,8 @@ def test_pyramid_video_conserves_frames():
     assert len(levels) == 4
     for lvl in levels:
         assert lvl.frame_count == 8
-        assert lvl.frames().shape == (8, lvl.height, lvl.width, 3)
+        for i in range(lvl.frame_count):
+            assert lvl.frame(i).shape == (lvl.height, lvl.width, 3)
     assert levels[-1].height == 224
 
 
