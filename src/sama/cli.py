@@ -22,9 +22,11 @@ import numpy as np
 from . import bench as bench_mod
 from . import imageio
 from .errors import (
+    BadArity,
     ConfigError,
     CorruptFile,
     EmptyClip,
+    IndivisibleDims,
     InsufficientFrames,
     MixedDimensions,
     SamaError,
@@ -284,32 +286,36 @@ def cmd_masks(args) -> int:
     if args.action != "dump":
         raise ConfigError(f"unknown masks action {args.action!r}")
     out_h, out_w = _parse_pair(args.size, "--size")
+    # every mask is built before anything is written: a flag value no mask
+    # accepts is a configuration error and leaves no files behind
+    tmask = None
+    try:
+        if args.scales is None:
+            kind = args.spatial_mask or "window"
+            if kind == "none":
+                raise ConfigError("nothing to dump for spatial mask 'none'")
+            mask = make_spatial_mask(kind, out_h, out_w)
+            indices = np.where(mask.bitmap == 1, 0, 1).astype(np.uint8)
+            n_scales = 2
+            tag = kind
+        else:
+            mask = make_interlace_mask(args.scales, out_h, out_w, args.block)
+            indices = mask.indices
+            n_scales = args.scales
+            tag = f"interlace{args.scales}"
+        if args.temporal_mask and args.temporal_mask != "none":
+            levels = _default_scales("none", args.temporal_mask, args.frames)
+            tmask = make_temporal_mask(args.temporal_mask, args.frames, levels)
+    except (BadArity, IndivisibleDims) as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if args.scales is None:
-        kind = args.spatial_mask or "window"
-        if kind == "none":
-            raise ConfigError("nothing to dump for spatial mask 'none'")
-        mask = make_spatial_mask(kind, out_h, out_w)
-        indices = np.where(mask.bitmap == 1, 0, 1).astype(np.uint8)
-        n_scales = 2
-        tag = kind
-    else:
-        mask = make_interlace_mask(args.scales, out_h, out_w, args.block)
-        indices = mask.indices
-        n_scales = args.scales
-        tag = f"interlace{args.scales}"
     for s in range(n_scales):
         indicator = np.where(indices == s, 255, 0).astype(np.uint8)
         path = out_dir / f"mask_{tag}_scale{s}.pgm"
         path.write_bytes(imageio.encode_pgm(indicator))
-        written.append(path)
-    for path in written:
         print(f"wrote {path}")
-    if args.temporal_mask and args.temporal_mask != "none":
-        levels = _default_scales("none", args.temporal_mask, args.frames)
-        tmask = make_temporal_mask(args.temporal_mask, args.frames, levels)
+    if tmask is not None:
         print(f"{args.temporal_mask} schedule (per frame pair): {list(tmask.schedule)}")
     return 0
 

@@ -5,12 +5,17 @@ truncated to the high byte), binary PPM (P6, maxval 255), and a P5 PGM
 writer for mask dumps. Anything else raises UnsupportedFormat. The PNG
 encoder always emits 8-bit RGB with filter type 0, so files written here
 decode quickly everywhere.
+
+``probe_image`` reads only a file's header: its format, dimensions and,
+for PPM, that the file is long enough for its raster. ``read_image``
+decodes; a PPM file is read once, straight into numpy memory, and its
+pixels are a view of that buffer.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-import sys
 import zlib
 from pathlib import Path
 
@@ -19,6 +24,10 @@ import numpy as np
 from .errors import CorruptFile, UnsupportedFormat
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+# Largest pixel count a PNG may declare (8K UHD, 7680x4320, fits); checked
+# before anything is inflated.
+MAX_PIXELS = 1 << 25
 
 
 # ---------------------------------------------------------------------------
@@ -92,24 +101,17 @@ def _unfilter(raw: bytes, height: int, width: int, bpp: int) -> np.ndarray:
     return out
 
 
-def decode_png(data: bytes) -> np.ndarray:
-    """Decode PNG bytes to an (H, W, 3) uint8 RGB array."""
-    if not data.startswith(PNG_SIGNATURE):
-        raise UnsupportedFormat("not a PNG file")
-    header = None
-    idat = bytearray()
-    for ctype, payload in _png_chunks(data):
-        if ctype == b"IHDR":
-            if len(payload) != 13:
-                raise CorruptFile("bad IHDR length")
-            header = struct.unpack(">IIBBBBB", payload)
-        elif ctype == b"IDAT":
-            idat.extend(payload)
-    if header is None:
-        raise CorruptFile("PNG missing IHDR")
-    width, height, depth, color, comp, filt, interlace = header
+def _ihdr(payload: bytes) -> tuple[int, int, int, int]:
+    """Check an IHDR payload; returns (width, height, channels, bytes per sample)."""
+    if len(payload) != 13:
+        raise CorruptFile("bad IHDR length")
+    width, height, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
     if width < 1 or height < 1:
         raise CorruptFile("non-positive PNG dimensions")
+    if width * height > MAX_PIXELS:
+        raise CorruptFile(
+            f"PNG declares {width}x{height} pixels, more than the {MAX_PIXELS} allowed"
+        )
     if comp != 0 or filt != 0:
         raise UnsupportedFormat("nonstandard PNG compression/filter method")
     if interlace != 0:
@@ -119,18 +121,42 @@ def decode_png(data: bytes) -> np.ndarray:
             f"unsupported PNG color type {color} / bit depth {depth}; "
             "need 8/16-bit RGB or RGBA"
         )
+    return width, height, 3 if color == 2 else 4, depth // 8
+
+
+def _probe_png(head: bytes) -> tuple[int, int]:
+    """(height, width) from the IHDR chunk, which must come first."""
+    ctype, payload = next(_png_chunks(head))
+    if ctype != b"IHDR":
+        raise CorruptFile("PNG does not start with an IHDR chunk")
+    width, height, _, _ = _ihdr(payload)
+    return height, width
+
+
+def decode_png(data: bytes) -> np.ndarray:
+    """Decode PNG bytes to an (H, W, 3) uint8 RGB array."""
+    if not data.startswith(PNG_SIGNATURE):
+        raise UnsupportedFormat("not a PNG file")
+    header = None
+    idat = bytearray()
+    for ctype, payload in _png_chunks(data):
+        if ctype == b"IHDR":
+            header = _ihdr(payload)
+        elif ctype == b"IDAT":
+            idat.extend(payload)
+    if header is None:
+        raise CorruptFile("PNG missing IHDR")
     if not idat:
         raise CorruptFile("PNG missing IDAT")
-    channels = 3 if color == 2 else 4
-    nbytes = depth // 8
+    width, height, channels, nbytes = header
     bpp = channels * nbytes
     # Inflate at most one byte past the size IHDR implies, so a small file
-    # cannot expand to gigabytes before the size check rejects it. The cap
-    # is clamped because declared dims can exceed what zlib can be asked for.
+    # cannot expand past its declared dims (themselves capped by MAX_PIXELS)
+    # before the size check rejects it.
     expected = height * (width * bpp + 1)
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), min(expected + 1, sys.maxsize))
+        raw = inflater.decompress(bytes(idat), expected + 1)
     except zlib.error as exc:
         raise CorruptFile(f"PNG deflate stream corrupt: {exc}") from exc
     if not inflater.eof:  # also unset when the Adler-32 trailer is missing
@@ -168,48 +194,77 @@ def _append_chunk(out: bytearray, ctype: bytes, payload: bytes) -> None:
 # PPM / PGM
 
 
-def _parse_netpbm_header(data: bytes, magic: bytes) -> tuple[list[int], int]:
-    """Parse '<magic> w h maxval' allowing comments; returns (fields, offset)."""
-    if not data.startswith(magic):
+_WHITESPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() accepts
+
+
+class _TruncatedHeader(CorruptFile):
+    """The header runs past the end of the bytes given; more may complete it."""
+
+
+def _parse_netpbm_header(data, magic: bytes) -> tuple[list[int], int]:
+    """Parse '<magic> w h maxval' allowing comments; returns (fields, offset).
+
+    ``data`` is bytes or a 1-D uint8 array; it is read in place, not copied.
+    """
+    view = memoryview(data)
+    if bytes(view[: len(magic)]) != magic:
         raise UnsupportedFormat(f"not a {magic.decode()} file")
     fields: list[int] = []
     pos = len(magic)
+    end = len(view)
     while len(fields) < 3:
-        if pos >= len(data):
-            raise CorruptFile("truncated header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
+        if pos >= end:
+            raise _TruncatedHeader("truncated header")
+        ch = view[pos]
+        if ch == ord("#"):
+            while pos < end and view[pos] not in b"\r\n":
                 pos += 1
-        elif ch.isspace():
+        elif ch in _WHITESPACE:
             pos += 1
-        elif ch.isdigit():
+        elif ord("0") <= ch <= ord("9"):
             start = pos
-            while pos < len(data) and data[pos : pos + 1].isdigit():
+            while pos < end and ord("0") <= view[pos] <= ord("9"):
                 pos += 1
-            fields.append(int(data[start:pos]))
+            fields.append(int(bytes(view[start:pos])))
         else:
-            raise CorruptFile(f"unexpected byte {ch!r} in header")
+            raise CorruptFile(f"unexpected byte {bytes([ch])!r} in header")
     # exactly one whitespace byte separates maxval from the raster
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
+    if pos >= end:
+        raise _TruncatedHeader("header not terminated by whitespace")
+    if view[pos] not in _WHITESPACE:
         raise CorruptFile("header not terminated by whitespace")
     return fields, pos + 1
 
 
-def decode_ppm(data: bytes) -> np.ndarray:
-    """Decode binary PPM (P6, maxval 255) to an (H, W, 3) uint8 array."""
+def _ppm_header(data) -> tuple[int, int, int]:
+    """Check a P6 header; returns (width, height, raster offset)."""
     (width, height, maxval), offset = _parse_netpbm_header(data, b"P6")
     if maxval != 255:
         raise UnsupportedFormat(f"PPM maxval {maxval}; only 255 is supported")
     if width < 1 or height < 1:
         raise CorruptFile("non-positive PPM dimensions")
+    return width, height, offset
+
+
+def _check_raster(width: int, height: int, found: int) -> int:
+    """The raster's byte count; raises if fewer than that were found."""
     need = width * height * 3
-    payload = data[offset : offset + need]
-    if len(payload) < need:
-        raise CorruptFile(
-            f"PPM raster truncated: expected {need} bytes, found {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+    if found < need:
+        raise CorruptFile(f"PPM raster truncated: expected {need} bytes, found {found}")
+    return need
+
+
+def decode_ppm(data) -> np.ndarray:
+    """Decode binary PPM (P6, maxval 255) to an (H, W, 3) uint8 array.
+
+    ``data`` is bytes or a 1-D uint8 array. The result is a view of it at
+    the raster offset, not a copy (read-only when ``data`` is bytes).
+    """
+    width, height, offset = _ppm_header(data)
+    need = _check_raster(width, height, len(data) - offset)
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=offset).reshape(
+        height, width, 3
+    )
 
 
 def encode_ppm(rgb: np.ndarray) -> bytes:
@@ -237,17 +292,67 @@ def _require_rgb(arr: np.ndarray) -> np.ndarray:
 # File-level helpers
 
 
+_UNRECOGNISED = "unrecognised image format (need PNG or binary PPM)"
+
+
 def decode_image_bytes(data: bytes) -> np.ndarray:
     """Dispatch on magic bytes; PNG and P6 PPM only."""
     if data.startswith(PNG_SIGNATURE):
         return decode_png(data)
     if data.startswith(b"P6"):
         return decode_ppm(data)
-    raise UnsupportedFormat("unrecognised image format (need PNG or binary PPM)")
+    raise UnsupportedFormat(_UNRECOGNISED)
+
+
+def probe_image(path: str | Path) -> tuple[int, int]:
+    """(height, width) of a PNG or binary-PPM file, from its header alone.
+
+    Checks the format, the dimensions (a PNG's IHDR length and CRC, and
+    the pixel cap; a PPM's maxval) and that a PPM file holds its whole
+    raster. PNG pixel data is not read, so its corruption shows only when
+    the file is decoded.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(64)
+        if head.startswith(PNG_SIGNATURE):
+            return _probe_png(head)
+        if not head.startswith(b"P6"):
+            raise UnsupportedFormat(_UNRECOGNISED)
+        size = os.fstat(fh.fileno()).st_size
+        while True:  # a comment can make the header any length
+            try:
+                width, height, offset = _ppm_header(head)
+                break
+            except _TruncatedHeader:
+                if len(head) >= size:
+                    raise
+                head += fh.read(4 * len(head))
+    _check_raster(width, height, size - offset)
+    return height, width
 
 
 def read_image(path: str | Path) -> np.ndarray:
-    return decode_image_bytes(Path(path).read_bytes())
+    """Decode a PNG or binary-PPM file to an (H, W, 3) uint8 array.
+
+    A PPM file is read once, into a numpy buffer sized by ``fstat``, and
+    its pixels are a view of that buffer: one copy from the page cache.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        magic = fh.read(len(PNG_SIGNATURE))
+        fh.seek(0)
+        if magic.startswith(PNG_SIGNATURE):
+            return decode_png(fh.readall())
+        if not magic.startswith(b"P6"):
+            raise UnsupportedFormat(_UNRECOGNISED)
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        view = memoryview(buf)
+        filled = 0
+        while filled < len(buf):
+            n = fh.readinto(view[filled:])
+            if not n:
+                break
+            filled += n
+    return decode_ppm(buf[:filled])
 
 
 def write_image(path: str | Path, rgb: np.ndarray) -> None:

@@ -1,9 +1,16 @@
-"""Core media types, clip loading, frame selection, and sampler configuration."""
+"""Core media types, clip loading, frame selection, and sampler configuration.
+
+A clip from ``load_clip`` is lazy: loading lists the frames and checks
+each header, and a frame's pixels are decoded the first time it is
+indexed, then kept. Selecting frames therefore decodes only the frames
+selected, once each.
+"""
 
 from __future__ import annotations
 
 import re
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,33 +56,73 @@ class FrameBuffer:
         return self.data.shape[1]
 
 
+class _LazyFrames(Sequence):
+    """The frames of a clip directory, each decoded on first access and kept.
+
+    Holds the frame paths and the (height, width) each header declares. A
+    frame whose decoded dims differ (the file changed after listing)
+    raises MixedDimensions.
+    """
+
+    def __init__(self, paths: tuple[Path, ...], dims: tuple[tuple[int, int], ...]):
+        self.paths = paths
+        self.dims = dims
+        self._decoded: dict[int, FrameBuffer] = {}
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = range(len(self.paths))[index]  # negative indices, IndexError
+        frame = self._decoded.get(i)
+        if frame is None:
+            frame = load_image(self.paths[i])
+            h, w = self.dims[i]
+            if (frame.height, frame.width) != (h, w):
+                raise MixedDimensions(
+                    f"{self.paths[i].name} is {frame.height}x{frame.width}, "
+                    f"its header said {h}x{w}"
+                )
+            self._decoded[i] = frame
+        return frame
+
+
 @dataclass(frozen=True)
 class MediaClip:
-    """An ordered run of frames sharing one resolution."""
+    """An ordered run of frames sharing one resolution.
 
-    frames: tuple[FrameBuffer, ...]
+    ``frames`` is a tuple of FrameBuffers, or the lazy sequence
+    ``load_clip`` returns; ``height``, ``width`` and ``len`` never decode.
+    """
+
+    frames: Sequence[FrameBuffer]
     nominal_fps: float | None = None
 
     def __post_init__(self):
         if len(self.frames) < 1:
             raise EmptyClip("clip has no frames")
-        h, w = self.frames[0].height, self.frames[0].width
-        for i, f in enumerate(self.frames):
-            if (f.height, f.width) != (h, w):
-                raise MixedDimensions(
-                    f"frame {i} is {f.height}x{f.width}, expected {h}x{w}"
-                )
+        if isinstance(self.frames, _LazyFrames):
+            dims = self.frames.dims
+        else:
+            dims = [(f.height, f.width) for f in self.frames]
+        h, w = dims[0]
+        for i, (fh, fw) in enumerate(dims):
+            if (fh, fw) != (h, w):
+                raise MixedDimensions(f"frame {i} is {fh}x{fw}, expected {h}x{w}")
+        object.__setattr__(self, "_dims", (h, w))
 
     def __len__(self) -> int:
         return len(self.frames)
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
+        return self._dims[0]
 
     @property
     def width(self) -> int:
-        return self.frames[0].width
+        return self._dims[1]
 
 
 @dataclass(frozen=True)
@@ -223,7 +270,13 @@ def load_image(path: str | Path) -> FrameBuffer:
 
 
 def load_clip(directory: str | Path) -> MediaClip:
-    """Load a frame directory (frame_000001.png, ...) ordered by index."""
+    """List a frame directory (frame_000001.png, ...) ordered by index.
+
+    Every frame's header is checked here: its format, that all frames
+    share one resolution, and that a PPM file holds its whole raster.
+    Pixels are decoded when a frame is first indexed, so corrupt PNG pixel
+    data in a frame that is never selected goes unnoticed.
+    """
     directory = Path(directory)
     entries = []
     for p in directory.iterdir():
@@ -233,8 +286,8 @@ def load_clip(directory: str | Path) -> MediaClip:
     if not entries:
         raise EmptyClip(f"no frame_NNNNNN.(png|ppm) files in {directory}")
     entries.sort()
-    frames = tuple(load_image(p) for _, _, p in entries)
-    return MediaClip(frames)
+    paths = tuple(p for _, _, p in entries)
+    return MediaClip(_LazyFrames(paths, tuple(imageio.probe_image(p) for p in paths)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sama import imageio
 from sama.media import FrameBuffer, MediaClip
 
 
@@ -36,3 +37,30 @@ def coord_frame():
 @pytest.fixture
 def coord_clip():
     return coordinate_clip
+
+
+def write_clip(directory, frames: int, height: int = 8, width: int = 8, suffix: str = "ppm"):
+    """Write ``frames`` coordinate frames as frame_NNNNNN files; returns their paths."""
+    encode = imageio.encode_png if suffix == "png" else imageio.encode_ppm
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for t in range(frames):
+        path = directory / f"frame_{t:06d}.{suffix}"
+        path.write_bytes(encode(coordinate_frame(height, width, tag=t).data))
+        paths.append(path)
+    return paths
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The decoder calls made, spied on through ``sama.imageio`` attributes."""
+    calls = []
+    for name in ("decode_ppm", "decode_png"):
+        real = getattr(imageio, name)
+
+        def spy(data, _real=real, _name=name):
+            calls.append(_name)
+            return _real(data)
+
+        monkeypatch.setattr(imageio, name, spy)
+    return calls

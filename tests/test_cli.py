@@ -12,7 +12,7 @@ from sama import imageio
 from sama.cli import main
 from sama.pack import read_container
 
-from conftest import coordinate_clip, coordinate_frame
+from conftest import coordinate_clip, coordinate_frame, write_clip
 
 
 @pytest.fixture
@@ -182,6 +182,39 @@ def test_sample_video_infer_snippets(clip_dir, tmp_path):
     assert not out.exists()  # only snippet containers are written
 
 
+def test_sample_video_infer_decodes_only_its_pool(tmp_path, decodes):
+    write_clip(tmp_path / "clip", 256)
+    out = tmp_path / "v.sama"
+    assert main(["sample-video", str(tmp_path / "clip"), "--infer", "--out", str(out)]) == 0
+    assert decodes == ["decode_ppm"] * 128
+
+
+def test_truncated_ppm_in_an_unselected_frame_fails_at_load(tmp_path, decodes, capsys):
+    paths = write_clip(tmp_path / "clip", 64)
+    paths[0].write_bytes(paths[0].read_bytes()[:-1])  # the VQA default keeps odd frames
+    rc = main(["sample-video", str(tmp_path / "clip"), "--out", str(tmp_path / "v.sama")])
+    assert rc == 2
+    assert "PPM raster truncated" in capsys.readouterr().err
+    assert decodes == []
+
+
+@pytest.mark.parametrize("index, code", [(0, 0), (1, 2)], ids=["unselected", "selected"])
+def test_corrupt_png_pixel_data_shows_only_when_its_frame_is_selected(
+    tmp_path, index, code, capsys
+):
+    # two of four frames are kept, 1 and 3; IHDR is checked at load, IDAT at decode
+    paths = write_clip(tmp_path / "clip", 4, 32, 32, suffix="png")
+    blob = bytearray(paths[index].read_bytes())
+    blob[blob.index(b"IDAT") + 8] ^= 0xFF
+    paths[index].write_bytes(bytes(blob))
+    rc = main([
+        "sample-video", str(tmp_path / "clip"), "--frames", "2", "--scales", "1",
+        "--temporal-mask", "none", "--out", str(tmp_path / "v.sama"),
+    ])
+    assert rc == code
+    assert ("bad CRC in b'IDAT'" in capsys.readouterr().err) == (code == 2)
+
+
 def test_sample_video_preview_writes_frames(clip_dir, tmp_path):
     out = tmp_path / "vid.sama"
     rc = main([
@@ -245,6 +278,18 @@ def test_masks_dump_interlace(tmp_path):
     ])
     assert rc == 0
     assert len(list((tmp_path / "m").glob("*.pgm"))) == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["--temporal-mask", "progressive", "--frames", "3"],
+    ["--temporal-mask", "mixed", "--frames", "6"],
+    ["--scales", "3", "--size", "100x100"],
+], ids="_".join)
+def test_masks_dump_flag_values_no_mask_accepts_write_nothing(flags, tmp_path, capsys):
+    out = tmp_path / "m"
+    assert main(["masks", "dump", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_attn_check(capsys):

@@ -41,6 +41,43 @@ def test_ppm_header_comments_and_whitespace():
     assert arr.reshape(-1).tolist() == list(range(6))
 
 
+def test_ppm_header_comment_longer_than_any_read_prefix(tmp_path):
+    # the file paths read headers in growing prefixes; a long comment spans many
+    data = b"P6\n#" + b"x" * 100_000 + b"\n2 1\n# tail\n255\n" + bytes(range(6))
+    assert imageio.decode_ppm(data).reshape(-1).tolist() == list(range(6))
+    path = tmp_path / "long.ppm"
+    path.write_bytes(data)
+    assert imageio.probe_image(path) == (1, 2)
+    assert imageio.read_image(path).reshape(-1).tolist() == list(range(6))
+
+
+def test_ppm_decode_is_a_view_of_its_buffer():
+    arr = coordinate_frame(3, 4).data
+    buf = np.frombuffer(imageio.encode_ppm(arr), dtype=np.uint8).copy()
+    decoded = imageio.decode_ppm(buf)
+    assert np.array_equal(decoded, arr)
+    assert np.shares_memory(decoded, buf)
+
+
+def test_ppm_probe_checks_the_raster_length_without_reading_it(tmp_path):
+    path = tmp_path / "a.ppm"
+    data = imageio.encode_ppm(coordinate_frame(5, 7).data)
+    path.write_bytes(data)
+    assert imageio.probe_image(path) == (5, 7)
+    path.write_bytes(data[:-1])
+    with pytest.raises(CorruptFile, match="expected 105 bytes, found 104"):
+        imageio.probe_image(path)
+    for blob, error in (
+        (b"P6\n1 1\n65535\n" + bytes(6), UnsupportedFormat),
+        (b"P6\n0 1\n255\n", CorruptFile),
+        (b"P6\n1 1", CorruptFile),
+        (b"GIF89a", UnsupportedFormat),
+    ):
+        path.write_bytes(blob)
+        with pytest.raises(error):
+            imageio.probe_image(path)
+
+
 def test_ppm_truncated_payload():
     # declared 2x2 but only 3 pixels present
     data = b"P6\n2 2\n255\n" + bytes(9)
@@ -234,6 +271,60 @@ def test_png_deflate_stream_missing_its_checksum():
     rows = bytearray([0, 1, 2, 3])
     with pytest.raises(CorruptFile):
         imageio.decode_png(_raw_png(1, 1, 8, 2, rows, idat=zlib.compress(bytes(rows))[:-4]))
+
+
+def _png_file(tmp_path, blob):
+    path = tmp_path / "img.png"
+    path.write_bytes(blob)
+    return path
+
+
+def test_png_declared_pixels_over_the_cap_fail_before_inflating(tmp_path):
+    # declares 65536x65536 RGB; the IDAT would inflate to 64 MiB of zeros
+    bomb = _raw_png(65536, 65536, 8, 2, b"", idat=zlib.compress(bytes(64 << 20), 9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFile, match="more than the"):
+            imageio.decode_png(bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(CorruptFile, match="more than the"):
+        imageio.probe_image(_png_file(tmp_path, bomb))
+
+
+def test_png_pixel_cap_admits_8k_uhd(tmp_path):
+    width, height = 7680, 4320
+    assert width * height <= imageio.MAX_PIXELS < 8192 * 4097
+    rows = bytes(height * (width * 3 + 1))  # filter 0, black
+    blob = _raw_png(width, height, 8, 2, b"", idat=zlib.compress(rows, 1))
+    del rows
+    assert imageio.probe_image(_png_file(tmp_path, blob)) == (height, width)
+    arr = imageio.decode_png(blob)
+    assert arr.shape == (height, width, 3) and not arr.any()
+    with pytest.raises(CorruptFile, match="more than the"):
+        imageio.probe_image(_png_file(tmp_path, _raw_png(8192, 4097, 8, 2, b"")))
+
+
+def test_png_probe_checks_ihdr_but_not_pixel_data(tmp_path):
+    good = imageio.encode_png(coordinate_frame(6, 9).data)
+    assert imageio.probe_image(_png_file(tmp_path, good)) == (6, 9)
+    idat = good.index(b"IDAT") + 8
+    corrupt_pixels = good[:idat] + bytes([good[idat] ^ 0xFF]) + good[idat + 1 :]
+    assert imageio.probe_image(_png_file(tmp_path, corrupt_pixels)) == (6, 9)
+    with pytest.raises(CorruptFile):
+        imageio.read_image(tmp_path / "img.png")
+    ihdr = len(imageio.PNG_SIGNATURE) + 8
+    for blob, error in (
+        (good[:ihdr] + b"\xff" + good[ihdr + 1 :], CorruptFile),  # IHDR CRC
+        (good[:ihdr - 5] + b"\x0e" + good[ihdr - 4 :], CorruptFile),  # IHDR length
+        (good[:20], CorruptFile),
+        (_raw_png(1, 1, 8, 3, b"\x00\x00"), UnsupportedFormat),
+        (_raw_png(0, 1, 8, 2, b"\x00"), CorruptFile),
+    ):
+        with pytest.raises(error):
+            imageio.probe_image(_png_file(tmp_path, blob))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """The library keeps one sampling path; the reference path lives in the tests.
 
-These checks read the source, so a second path, a thread pool or a
-dependency of ``masks`` on the sampler cannot come back unnoticed.
+These checks read the source, so a second path, a thread pool, a mapped
+file read or a dependency of ``masks`` on the sampler cannot come back
+unnoticed.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import sama
+from sama import imageio
 
 SRC = Path(sama.__file__).parent
 ORACLE = Path(__file__).with_name("oracle.py")
@@ -44,6 +48,23 @@ def test_library_runs_no_threads():
         assert not {m for m in imported if m.split(".")[0] == "threading"}, name
         assert not {m for m in imported if m.startswith("concurrent")}, name
         assert "SAMA_THREADS" not in path.read_text(), name
+
+
+def test_library_maps_no_files():
+    # file reads go through read() calls, so the bytes a run reads are
+    # counted (e2ebench's read_mb_per_op reads rchar, which page faults skip)
+    for name, path in _modules().items():
+        assert not {m for m in _imports(path) if m.split(".")[0] == "mmap"}, name
+
+
+def test_read_image_decodes_ppm_through_the_module_attribute(decodes, tmp_path):
+    # e2ebench counts decodes by wrapping sama.imageio.decode_ppm; a call
+    # bound any other way would leave its decode counters at zero
+    arr = np.zeros((2, 3, 3), dtype=np.uint8)
+    path = tmp_path / "a.ppm"
+    path.write_bytes(imageio.encode_ppm(arr))
+    assert np.array_equal(imageio.read_image(path), arr)
+    assert decodes == ["decode_ppm"]
 
 
 def test_masks_depends_on_neither_fragments_nor_pack():

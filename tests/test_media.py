@@ -15,7 +15,9 @@ from sama.media import (
     split_snippets,
 )
 
-from conftest import coordinate_frame, constant_frame
+from sama.pipeline import sample_video
+
+from conftest import coordinate_frame, constant_frame, write_clip
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,54 @@ def test_load_clip_mixed_dimensions(tmp_path):
 def test_load_clip_empty(tmp_path):
     with pytest.raises(EmptyClip):
         load_clip(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Lazy clips: only the frames selection keeps are decoded, once each
+
+
+def test_vqa_default_decodes_only_the_selected_frames(tmp_path, decodes):
+    paths = write_clip(tmp_path / "clip", 64, 16, 24)
+    clip = load_clip(tmp_path / "clip")
+    assert (len(clip), clip.height, clip.width) == (64, 16, 24)
+    assert decodes == []  # listing and dims come from the headers
+    result = sample_video(clip, SamplerConfig.vqa_default())
+    assert decodes == ["decode_ppm"] * 32
+    eager = MediaClip(tuple(load_image(p) for p in paths))
+    expected = sample_video(eager, SamplerConfig.vqa_default())
+    assert np.array_equal(result.tensor.data, expected.tensor.data)
+    assert np.array_equal(result.tensor.provenance, expected.tensor.provenance)
+
+
+def test_short_clip_decodes_each_frame_once(tmp_path, decodes):
+    write_clip(tmp_path / "clip", 5)
+    clip = load_clip(tmp_path / "clip")
+    assert decodes == []
+    sample_video(clip, SamplerConfig.vqa_default())
+    assert len(decodes) == 5
+    selected = select_frames(clip, 32)
+    assert len(decodes) == 5
+    assert selected.frames[0] is selected.frames[5] is clip.frames[0]
+    assert len({id(f) for f in selected.frames}) == 5
+
+
+def test_frame_rewritten_to_new_dims_after_listing(tmp_path):
+    paths = write_clip(tmp_path / "clip", 3)
+    clip = load_clip(tmp_path / "clip")
+    paths[2].write_bytes(imageio.encode_ppm(coordinate_frame(8, 9).data))
+    assert clip.frames[1].width == 8
+    with pytest.raises(MixedDimensions):
+        clip.frames[2]
+
+
+def test_lazy_frames_index_like_a_tuple(tmp_path):
+    write_clip(tmp_path / "clip", 4)
+    clip = load_clip(tmp_path / "clip")
+    assert clip.frames[-1] is clip.frames[3]
+    assert clip.frames[1:3] == (clip.frames[1], clip.frames[2])
+    assert [f.data[0, 0, 2] for f in clip.frames] == [t * 17 for t in range(4)]
+    with pytest.raises(IndexError):
+        clip.frames[4]
 
 
 # ---------------------------------------------------------------------------
