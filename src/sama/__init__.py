@@ -10,7 +10,6 @@ the pooling head that consume such mosaics.
 from .errors import SamaError
 from .fragments import GridCell, grid_partition
 from .masks import (
-    InterlaceMask,
     SpatialMask,
     TemporalMask,
     make_interlace_mask,
@@ -70,7 +69,6 @@ __all__ = [
     "FrameBuffer",
     "GridCell",
     "HeadParams",
-    "InterlaceMask",
     "MediaClip",
     "ProvenanceEntry",
     "PyramidLevel",

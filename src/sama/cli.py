@@ -186,10 +186,15 @@ def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
 
 
 def _default_scales(spatial: str, temporal: str, frames_out: int) -> int:
-    if temporal in ("progressive", "choppy"):
+    """The level count a temporal mask takes for ``frames_out`` frames, or
+    the two levels a spatial mask interlaces. Choppy needs two distinct
+    levels even for a single frame pair."""
+    if temporal == "progressive":
+        return frames_out // 2
+    if temporal == "choppy":
         return max(frames_out // 2, 2)
     if temporal == "mixed":
-        return max(frames_out // 4, 2)
+        return frames_out // 4
     if spatial != "none":
         return 2
     return 1
@@ -291,18 +296,11 @@ def cmd_masks(args) -> int:
     tmask = None
     try:
         if args.scales is None:
-            kind = args.spatial_mask or "window"
-            if kind == "none":
-                raise ConfigError("nothing to dump for spatial mask 'none'")
-            mask = make_spatial_mask(kind, out_h, out_w)
-            indices = np.where(mask.bitmap == 1, 0, 1).astype(np.uint8)
-            n_scales = 2
-            tag = kind
+            mask = make_spatial_mask(args.spatial_mask, out_h, out_w)
+            n_levels = 2
         else:
             mask = make_interlace_mask(args.scales, out_h, out_w, args.block)
-            indices = mask.indices
-            n_scales = args.scales
-            tag = f"interlace{args.scales}"
+            n_levels = args.scales
         if args.temporal_mask and args.temporal_mask != "none":
             levels = _default_scales("none", args.temporal_mask, args.frames)
             tmask = make_temporal_mask(args.temporal_mask, args.frames, levels)
@@ -310,9 +308,9 @@ def cmd_masks(args) -> int:
         raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for s in range(n_scales):
-        indicator = np.where(indices == s, 255, 0).astype(np.uint8)
-        path = out_dir / f"mask_{tag}_scale{s}.pgm"
+    for s in range(n_levels):
+        indicator = np.where(mask.indices == s, 255, 0).astype(np.uint8)
+        path = out_dir / f"mask_{mask.kind}_scale{s}.pgm"
         path.write_bytes(imageio.encode_pgm(indicator))
         print(f"wrote {path}")
     if tmask is not None:
@@ -396,17 +394,16 @@ def cmd_verify(args) -> int:
         f"{vreport.mismatches} mismatches over {vreport.total_pixels} pixels",
     )
 
-    # mask partitions
+    # mask partitions: the indices of an n-level mask take exactly the
+    # values 0..n-1, so every pixel has one owner and every level some pixels
     ok = True
-    for kind in ("window", "patch"):
-        mask = make_spatial_mask(kind, 224, 224)
-        ok &= bool(np.all((mask.bitmap == 0) | (mask.bitmap == 1)))
-    for n in (3, 4):
-        imask = make_interlace_mask(n, 256, 256, 32)
-        cover = np.zeros(imask.indices.shape, dtype=np.int64)
-        for s in range(n):
-            cover += (imask.indices == s).astype(np.int64)
-        ok &= bool(np.all(cover == 1))
+    for mask, n in (
+        (make_spatial_mask("window", 224, 224), 2),
+        (make_spatial_mask("patch", 224, 224), 2),
+        (make_interlace_mask(3, 256, 256, 32), 3),
+        (make_interlace_mask(4, 256, 256, 32), 4),
+    ):
+        ok &= np.array_equal(np.unique(mask.indices), np.arange(n))
     check("mask partition of unity", ok)
 
     # temporal schedules
@@ -484,7 +481,9 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=["dump"])
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--size", default="224x224", help="mask dims HxW")
-    p.add_argument("--spatial-mask", choices=("window", "patch"), dest="spatial_mask")
+    p.add_argument(
+        "--spatial-mask", choices=("window", "patch"), default="window", dest="spatial_mask"
+    )
     p.add_argument(
         "--scales", type=int, choices=(3, 4), help="dump a 3- or 4-scale interlace"
     )

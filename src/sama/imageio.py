@@ -295,15 +295,6 @@ def _require_rgb(arr: np.ndarray) -> np.ndarray:
 _UNRECOGNISED = "unrecognised image format (need PNG or binary PPM)"
 
 
-def decode_image_bytes(data: bytes) -> np.ndarray:
-    """Dispatch on magic bytes; PNG and P6 PPM only."""
-    if data.startswith(PNG_SIGNATURE):
-        return decode_png(data)
-    if data.startswith(b"P6"):
-        return decode_ppm(data)
-    raise UnsupportedFormat(_UNRECOGNISED)
-
-
 def probe_image(path: str | Path) -> tuple[int, int]:
     """(height, width) of a PNG or binary-PPM file, from its header alone.
 

@@ -1,10 +1,16 @@
 """Scale-interlacing masks.
 
-Spatial masks are block checkerboards (tile (0, 0) takes the raw scale):
-32-pixel blocks matching the attention window, or 4-pixel blocks matching
-the embedding patch. Temporal masks assign one pyramid level per two-frame
-block. The multi-scale interlace staggers 3 or 4 levels along tile
-diagonals, the way a color filter array staggers its channels.
+A mask is an owner map: it says which pyramid level owns each output
+pixel (spatial masks) or each output frame pair (temporal masks).
+
+A spatial mask's ``indices`` index into the levels an output frame draws
+from, 0 being the finest (raw). Every spatial mask staggers its levels
+over block tiles along diagonals, the way a color filter array staggers
+its channels: ``window`` (32-pixel blocks, the attention window) and
+``patch`` (4-pixel blocks, the embedding patch) are the two-level stagger,
+a checkerboard whose tile (0, 0) is raw; ``make_interlace_mask`` staggers
+3 or 4 levels. Temporal masks assign one pyramid level per two-frame
+block.
 """
 
 from __future__ import annotations
@@ -19,32 +25,35 @@ from .errors import BadArity, IndivisibleDims
 WINDOW_BLOCK = 32  # attention window, pixels
 PATCH_BLOCK = 4  # embedding patch, pixels
 
-# Diagonal stagger of scale ids over mask tiles; the middle scale is doubled
-# for the 3-scale layout (the green-channel analogy).
+_SPATIAL_BLOCKS = {"window": WINDOW_BLOCK, "patch": PATCH_BLOCK}
+
+# Diagonal stagger of level indices over mask tiles; the middle level is
+# doubled for the 3-scale layout (the green-channel analogy).
 _INTERLACE_CYCLES = {3: (0, 1, 1, 2), 4: (0, 1, 2, 3)}
 
 
 @dataclass(frozen=True)
 class SpatialMask:
-    """Binary per-pixel mask: 1 selects scale 0 (raw), 0 the scaled mosaic."""
+    """Per-pixel owner map: ``indices[y, x]`` is the index of the level that
+    owns output pixel (y, x), 0 being the finest (raw) level."""
 
     kind: str
     block: int
-    bitmap: np.ndarray  # (H, W) uint8 in {0, 1}
+    indices: np.ndarray  # (H, W) uint8
 
     @property
     def height(self) -> int:
-        return self.bitmap.shape[0]
+        return self.indices.shape[0]
 
     @property
     def width(self) -> int:
-        return self.bitmap.shape[1]
+        return self.indices.shape[1]
 
-    def tile_counts(self) -> tuple[int, int]:
-        """(# tiles selecting scale 0, # selecting scale 1)."""
-        tiles = self.bitmap[:: self.block, :: self.block]
-        ones = int((tiles == 1).sum())
-        return ones, tiles.size - ones
+    def tile_counts(self) -> dict[int, int]:
+        """{level index: number of block tiles it owns}."""
+        tiles = self.indices[:: self.block, :: self.block]
+        vals, counts = np.unique(tiles, return_counts=True)
+        return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
 @dataclass(frozen=True)
@@ -64,48 +73,8 @@ class TemporalMask:
         return np.repeat(np.asarray(self.schedule, dtype=np.int64), 2)
 
 
-@dataclass(frozen=True)
-class InterlaceMask:
-    """Multi-valued mask: pixel value is the owning scale id."""
-
-    n_scales: int
-    block: int
-    indices: np.ndarray  # (H, W) uint8 scale ids
-
-    def tile_counts(self) -> dict[int, int]:
-        tiles = self.indices[:: self.block, :: self.block]
-        vals, counts = np.unique(tiles, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
-
-@lru_cache(maxsize=64)
-def make_spatial_mask(kind: str, out_h: int, out_w: int) -> SpatialMask:
-    """Checkerboard of block x block tiles; tile (i, j) is raw iff i+j even.
-
-    Masks are pure constants, so repeated calls share one read-only array.
-    """
-    if kind == "window":
-        block = WINDOW_BLOCK
-    elif kind == "patch":
-        block = PATCH_BLOCK
-    else:
-        raise ValueError(f"unknown spatial mask kind {kind!r}")
-    if out_h % block or out_w % block:
-        raise IndivisibleDims(
-            f"{out_h}x{out_w} not divisible by the {block}-pixel block"
-        )
-    ti = np.arange(out_h) // block
-    tj = np.arange(out_w) // block
-    bitmap = ((ti[:, None] + tj[None, :]) % 2 == 0).astype(np.uint8)
-    bitmap.setflags(write=False)
-    return SpatialMask(kind=kind, block=block, bitmap=bitmap)
-
-
-def make_interlace_mask(n_scales: int, out_h: int, out_w: int, block: int) -> InterlaceMask:
-    """Stagger 3 or 4 scales over block tiles along diagonals."""
-    cycle = _INTERLACE_CYCLES.get(n_scales)
-    if cycle is None:
-        raise BadArity(f"interlace supports 3 or 4 scales, got {n_scales}")
+def _stagger(kind: str, cycle: tuple[int, ...], out_h: int, out_w: int, block: int) -> SpatialMask:
+    """Tile (i, j) of block x block pixels is owned by ``cycle[(i + j) % len(cycle)]``."""
     if block < 1:
         raise ValueError("block must be >= 1")
     if out_h % block or out_w % block:
@@ -116,7 +85,29 @@ def make_interlace_mask(n_scales: int, out_h: int, out_w: int, block: int) -> In
     tj = np.arange(out_w) // block
     lut = np.asarray(cycle, dtype=np.uint8)
     indices = lut[(ti[:, None] + tj[None, :]) % len(cycle)]
-    return InterlaceMask(n_scales=n_scales, block=block, indices=indices)
+    indices.setflags(write=False)
+    return SpatialMask(kind=kind, block=block, indices=indices)
+
+
+@lru_cache(maxsize=64)
+def make_spatial_mask(kind: str, out_h: int, out_w: int) -> SpatialMask:
+    """Two-level checkerboard of block x block tiles; tile (i, j) is raw
+    (index 0) iff i+j is even.
+
+    Masks are pure constants, so repeated calls share one read-only array.
+    """
+    block = _SPATIAL_BLOCKS.get(kind)
+    if block is None:
+        raise ValueError(f"unknown spatial mask kind {kind!r}")
+    return _stagger(kind, (0, 1), out_h, out_w, block)
+
+
+def make_interlace_mask(n_scales: int, out_h: int, out_w: int, block: int) -> SpatialMask:
+    """Stagger 3 or 4 levels over block tiles along diagonals."""
+    cycle = _INTERLACE_CYCLES.get(n_scales)
+    if cycle is None:
+        raise BadArity(f"interlace supports 3 or 4 scales, got {n_scales}")
+    return _stagger(f"interlace{n_scales}", cycle, out_h, out_w, block)
 
 
 def make_temporal_mask(kind: str, frames: int, n_levels: int) -> TemporalMask:

@@ -4,6 +4,9 @@ A clip from ``load_clip`` is lazy: loading lists the frames and checks
 each header, and a frame's pixels are decoded the first time it is
 indexed, then kept. Selecting frames therefore decodes only the frames
 selected, once each.
+
+``SamplerConfig.validate`` checks mask arity and tiling by building the
+masks a config names, so those rules live only in ``masks``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import imageio
+from . import imageio, masks
 from .errors import (
+    BadArity,
     ConfigError,
     EmptyClip,
+    IndivisibleDims,
     InsufficientFrames,
     MixedDimensions,
 )
@@ -178,7 +183,12 @@ class SamplerConfig:
         return min(self.out_h, self.out_w)
 
     def validate(self, kind: str = "video") -> None:
-        """Raise ConfigError on any inconsistent combination."""
+        """Raise ConfigError on any inconsistent combination.
+
+        The frame counts, level counts and output dims a mask accepts are
+        the mask's own rules: validate builds the masks the config names
+        and reports their BadArity or IndivisibleDims as a ConfigError.
+        """
         if kind not in ("image", "video"):
             raise ValueError(f"kind must be image|video, got {kind!r}")
         for name in ("grid_rows", "grid_cols", "frag_h", "frag_w"):
@@ -195,48 +205,30 @@ class SamplerConfig:
         if self.offset_policy not in OFFSET_POLICIES:
             raise ConfigError(f"unknown offset_policy {self.offset_policy!r}")
 
-        if kind == "image":
-            if self.temporal_mask != "none":
-                raise ConfigError("temporal masks apply to video input only")
-        else:
-            if self.frames_out < 1:
-                raise ConfigError("frames_out must be >= 1")
-            if self.temporal_mask != "none" and self.frames_out % 2 != 0:
-                raise ConfigError(
-                    "temporal masks pack scales as two-frame blocks; "
-                    "frames_out must be even"
-                )
-
         spatial = self.spatial_mask != "none"
         temporal = self.temporal_mask != "none"
+        if kind == "image" and temporal:
+            raise ConfigError("temporal masks apply to video input only")
+        if kind == "video" and self.frames_out < 1:
+            raise ConfigError("frames_out must be >= 1")
         if self.n_scales == 1:
             if spatial or temporal:
                 raise ConfigError("masks need n_scales > 1 (nothing to interlace)")
-        else:
-            if not spatial and not temporal:
-                raise ConfigError(
-                    "n_scales > 1 needs a spatial or temporal mask to pack "
-                    "the pyramid into one output"
-                )
+        elif not spatial and not temporal:
+            raise ConfigError(
+                "n_scales > 1 needs a spatial or temporal mask to pack "
+                "the pyramid into one output"
+            )
         if spatial and not temporal and self.n_scales != 2:
             raise ConfigError("spatial masks interlace exactly two scales")
-        if temporal:
-            half = self.frames_out // 2
-            if self.temporal_mask == "progressive" and self.n_scales != half:
-                raise ConfigError(
-                    f"progressive mask needs n_scales == frames_out/2 "
-                    f"({half}), got {self.n_scales}"
-                )
-            if self.temporal_mask == "mixed":
-                if self.frames_out % 4 != 0:
-                    raise ConfigError("mixed mask needs frames_out divisible by 4")
-                if self.n_scales != self.frames_out // 4:
-                    raise ConfigError(
-                        f"mixed mask needs n_scales == frames_out/4 "
-                        f"({self.frames_out // 4}), got {self.n_scales}"
-                    )
-            if self.temporal_mask == "choppy" and self.n_scales < 2:
-                raise ConfigError("choppy mask alternates two distinct scales")
+        # the masks own their arity and tiling rules: build the ones named
+        try:
+            if spatial:
+                masks.make_spatial_mask(self.spatial_mask, self.out_h, self.out_w)
+            if temporal:
+                masks.make_temporal_mask(self.temporal_mask, self.frames_out, self.n_scales)
+        except (BadArity, IndivisibleDims) as exc:
+            raise ConfigError(str(exc)) from exc
         if spatial and temporal:
             warnings.warn(
                 "combining spatial and temporal masks is experimental",

@@ -6,15 +6,18 @@ validation they apply and the number of output frames.
 
 Every mode reduces to the same two steps. The plan of an output frame is
 its per-pixel (scale, y, x): which level owns each pixel and where in that
-level it lies. Single-scale frames, temporal schedules, spatial window and
-patch masks and their combination differ only in the plan. A plan is built
-once per distinct level or level pair, and each level it draws on gets its
-full-axis bilinear taps, indexed by the plan, once per call. Each (frame,
-level) then runs one gather straight into the preallocated output, and the
-provenance is the plans with the frame index broadcast in. The gather
-cost does not grow with the number of levels interlaced. The tests check
-the bytes against a reference that materializes whole per-level mosaics
-and composes them by mask.
+level it lies. A frame draws on a tuple of levels (one level, or a level
+pair under a spatial mask), and one owner map, the spatial mask's
+``indices`` or all zeros without one, says which of them owns each pixel.
+Single-scale frames, temporal schedules, spatial window and patch masks
+and their combination differ only in their level tuples and owner map. A
+plan is built once per distinct level tuple, and each level it draws on
+gets its full-axis bilinear taps, indexed by the plan, once per call. Each
+(frame, level) then runs one gather straight into the preallocated
+output, and the provenance is the plans with the frame index broadcast
+in. The gather cost does not grow with the number of levels interlaced.
+The tests check the bytes against a reference that materializes whole
+per-level mosaics and composes them by mask.
 """
 
 from __future__ import annotations
@@ -61,21 +64,19 @@ class _Owner:
     taps: PixelTaps
 
 
-def _frame_plan(levels: tuple[int, ...], plans: dict[int, LevelPlan], pick_a) -> np.ndarray:
-    """Per-pixel (scale, y, x) of an output frame drawn from one level, or
-    from a level pair split by the spatial mask; ``frame`` is left 0."""
-    a = plans[levels[0]]
-    plan = np.empty(a.src_y.shape, dtype=PROVENANCE_DTYPE)
+def _frame_plan(
+    levels: tuple[int, ...], plans: dict[int, LevelPlan], owner: np.ndarray
+) -> np.ndarray:
+    """Per-pixel (scale, y, x) of an output frame whose pixel p is drawn from
+    level ``levels[owner[p]]``; ``frame`` is left 0."""
+    plan = np.empty(owner.shape, dtype=PROVENANCE_DTYPE)
     plan["frame"] = 0
-    if len(levels) == 1:
-        plan["scale"] = a.scale_id
-        plan["y"] = a.src_y
-        plan["x"] = a.src_x
-    else:
-        b = plans[levels[1]]
-        plan["scale"] = np.where(pick_a, a.scale_id, b.scale_id)
-        plan["y"] = np.where(pick_a, a.src_y, b.src_y)
-        plan["x"] = np.where(pick_a, a.src_x, b.src_x)
+    for k, s in enumerate(levels):
+        # the first level fills every pixel, each later one the pixels it owns
+        owned = owner == k if k else True
+        p = plans[s]
+        for field, value in (("scale", p.scale_id), ("y", p.src_y), ("x", p.src_x)):
+            np.copyto(plan[field], value, where=owned)
     return plan
 
 
@@ -112,11 +113,11 @@ def _render(
     t0 = time.perf_counter()
     needed = sorted({s for levels in frame_levels for s in levels})
     plans = {s: plan_level(pyramid[s], config) for s in needed}
-    pick_a = None
-    if config.spatial_mask != "none":
-        mask = make_spatial_mask(config.spatial_mask, config.out_h, config.out_w)
-        pick_a = mask.bitmap.astype(bool)
-    frame_plans = {levels: _frame_plan(levels, plans, pick_a) for levels in set(frame_levels)}
+    if config.spatial_mask == "none":
+        owner_map = np.zeros((config.out_h, config.out_w), dtype=np.uint8)
+    else:
+        owner_map = make_spatial_mask(config.spatial_mask, config.out_h, config.out_w).indices
+    frame_plans = {levels: _frame_plan(levels, plans, owner_map) for levels in set(frame_levels)}
     timings["fragments"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()  # taps are interpolation weights: pyramid work
@@ -166,7 +167,7 @@ def _frame_levels(
     # experimental: interlace each frame pair between its scheduled level
     # and the next-coarser one (clamped at the top)
     top = config.n_scales - 1
-    return [(a,) if a == top else (a, a + 1) for a in frame_scales], tmask.schedule
+    return [(a, min(a + 1, top)) for a in frame_scales], tmask.schedule
 
 
 def _sample(kind: str, clip: MediaClip, config: SamplerConfig, frames_out: int) -> SampleResult:

@@ -122,7 +122,8 @@ def compose_spatial(
     config: SamplerConfig | None = None,
     kind: str | None = None,
 ) -> SampledTensor:
-    """Select per pixel between the raw mosaic (mask 1) and the scaled one."""
+    """Select per pixel between the raw mosaic (mask index 0) and the scaled
+    one (index 1)."""
     if m0.scale_id != 0:
         raise DimMismatch("first mosaic must be the raw level (scale 0)")
     if m0.frames.shape != m1.frames.shape:
@@ -132,7 +133,7 @@ def compose_spatial(
     if not np.array_equal(m0.frame_indices, m1.frame_indices):
         raise DimMismatch("mosaics cover different frames")
     n_frames = m0.frames.shape[0]
-    pick0 = mask.bitmap.astype(bool)
+    pick0 = mask.indices == 0
     data = np.where(pick0[None, :, :, None], m0.frames, m1.frames)
     prov = np.empty((n_frames, m0.height, m0.width), dtype=PROVENANCE_DTYPE)
     for f in range(n_frames):

@@ -82,12 +82,12 @@ def test_mask_partition():
     """Per-scale indicators sum to one everywhere; checkerboard tile counts."""
     with criterion("mask partition (window 25/24, patch 1568/1568, unity)"):
         window = make_spatial_mask("window", 224, 224)
-        assert window.tile_counts() == (25, 24)
+        assert window.tile_counts() == {0: 25, 1: 24}
         patch = make_spatial_mask("patch", 224, 224)
-        assert patch.tile_counts() == (1568, 1568)
+        assert patch.tile_counts() == {0: 1568, 1: 1568}
         for kind in ("window", "patch"):
             mask = make_spatial_mask(kind, 224, 224)
-            total = (mask.bitmap == 1).astype(int) + (mask.bitmap == 0).astype(int)
+            total = (mask.indices == 0).astype(int) + (mask.indices == 1).astype(int)
             assert (total == 1).all()
         for n in (3, 4):
             imask = make_interlace_mask(n, 224, 224, 32)

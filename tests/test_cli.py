@@ -10,6 +10,7 @@ import pytest
 
 from sama import imageio
 from sama.cli import main
+from sama.masks import SpatialMask
 from sama.pack import read_container
 
 from conftest import coordinate_clip, coordinate_frame, write_clip
@@ -292,6 +293,52 @@ def test_masks_dump_flag_values_no_mask_accepts_write_nothing(flags, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mask, frames, schedule", [
+    ("progressive", "2", "[0]"),
+    ("mixed", "4", "[0, 0]"),
+])
+def test_masks_dump_prints_the_shortest_schedules(mask, frames, schedule, tmp_path, capsys):
+    rc = main([
+        "masks", "dump", "--out", str(tmp_path / "m"),
+        "--temporal-mask", mask, "--frames", frames,
+    ])
+    assert rc == 0
+    assert f"{mask} schedule (per frame pair): {schedule}" in capsys.readouterr().out
+
+
+def test_sample_video_progressive_two_frames_has_nothing_to_interlace(clip_dir, tmp_path, capsys):
+    rc = main([
+        "sample-video", str(clip_dir), "--temporal-mask", "progressive", "--frames", "2",
+        "--out", str(tmp_path / "v.sama"),
+    ])
+    assert rc == 1
+    assert "config error: masks need n_scales > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sample-image", []),
+    ("sample-video", ["--temporal-mask", "none", "--spatial-mask", "patch"]),
+], ids=["image-window", "video-patch"])
+def test_output_no_mask_tiles_fails_before_reading_input(
+    command, flags, image_file, clip_dir, tmp_path, decodes, capsys
+):
+    source = image_file if command == "sample-image" else clip_dir
+    out = tmp_path / "x.sama"
+    rc = main([command, str(source), "--frag", "30x30", *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert decodes == []
+    assert not out.exists()
+
+
+def test_sample_image_unrecognised_format(tmp_path, capsys):
+    gif = tmp_path / "input.gif"
+    gif.write_bytes(b"GIF89a" + bytes(64))
+    rc = main(["sample-image", str(gif), "--out", str(tmp_path / "x.sama")])
+    assert rc == 2
+    assert "unrecognised image format" in capsys.readouterr().err
+
+
 def test_attn_check(capsys):
     assert main(["attn-check", "--seeds", "5"]) == 0
     out = capsys.readouterr().out
@@ -308,6 +355,23 @@ def test_verify_clean(capsys):
     assert len(checks) > 5
     for line in checks:
         assert re.search(r"\b\d+\.\d ms\)$", line), line
+
+
+def test_verify_partition_check_fails_on_a_mask_missing_a_level(monkeypatch, capsys):
+    import sama.cli
+
+    real = sama.cli.make_interlace_mask
+
+    def short(n_scales, out_h, out_w, block):
+        mask = real(n_scales, out_h, out_w, block)
+        # the top level's tiles go to the level below it: it owns no tile
+        return SpatialMask(mask.kind, block, np.minimum(mask.indices, n_scales - 2))
+
+    monkeypatch.setattr(sama.cli, "make_interlace_mask", short)
+    assert main(["verify", "--seeds", "1"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  mask partition of unity" in out
+    assert "PASS  temporal schedules" in out
 
 
 def test_verify_inject_fault(capsys):

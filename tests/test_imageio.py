@@ -344,7 +344,9 @@ def test_dispatch_and_file_io(tmp_path):
     imageio.write_image(ppm, arr)
     assert np.array_equal(imageio.read_image(png), arr)
     assert np.array_equal(imageio.read_image(ppm), arr)
+    gif = tmp_path / "img.gif"
+    gif.write_bytes(b"GIF89a...")
     with pytest.raises(UnsupportedFormat):
-        imageio.decode_image_bytes(b"GIF89a...")
+        imageio.read_image(gif)
     with pytest.raises(UnsupportedFormat):
         imageio.write_image(tmp_path / "img.bmp", arr)

@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import sama
 from sama import imageio
@@ -95,3 +96,35 @@ def test_oracle_shares_no_code_with_the_gather_it_checks():
     assert not used & {"pixel_taps", "gather_taps"}
     assert not {m for m in _imports(ORACLE) if m.startswith("sama.pipeline")}
     assert "pipeline" not in used
+
+
+def test_public_names_resolve_once():
+    assert len(sama.__all__) == len(set(sama.__all__))
+    for name in sama.__all__:
+        assert getattr(sama, name) is not None, name
+
+
+def test_one_mask_type_and_one_frame_plan_path():
+    # a spatial mask is an owner map (``indices``); the sampler reads it
+    # with no two-level special case
+    for name, path in _modules().items():
+        text = path.read_text()
+        for gone in ("InterlaceMask", "bitmap", "pick_a"):
+            assert gone not in text, (name, gone)
+
+
+def test_config_validation_asks_the_temporal_mask(monkeypatch):
+    from sama import masks
+    from sama.errors import BadArity, ConfigError
+    from sama.media import SamplerConfig
+
+    calls = []
+
+    def refuse(kind, frames, n_levels):
+        calls.append((kind, frames, n_levels))
+        raise BadArity("refused by the mask")
+
+    monkeypatch.setattr(masks, "make_temporal_mask", refuse)
+    with pytest.raises(ConfigError, match="^refused by the mask$"):
+        SamplerConfig().validate("video")
+    assert calls == [("progressive", 32, 16)]

@@ -18,11 +18,11 @@ from oracle import FragmentMosaic, compose_spatial, compose_temporal, sample_fra
 
 
 def checkerboard_count_oracle(tiles_h, tiles_w):
-    """Brute-force count of even-parity tiles."""
-    ones = sum(
+    """Brute-force tile counts: even-parity tiles are raw (index 0)."""
+    raw = sum(
         1 for i in range(tiles_h) for j in range(tiles_w) if (i + j) % 2 == 0
     )
-    return ones, tiles_h * tiles_w - ones
+    return {0: raw, 1: tiles_h * tiles_w - raw}
 
 
 def interlace_count_oracle(tiles_h, tiles_w, cycle):
@@ -41,23 +41,33 @@ def interlace_count_oracle(tiles_h, tiles_w, cycle):
 def test_window_mask_224():
     mask = make_spatial_mask("window", 224, 224)
     assert mask.block == 32
-    assert mask.tile_counts() == checkerboard_count_oracle(7, 7) == (25, 24)
-    assert set(np.unique(mask.bitmap)) <= {0, 1}
-    assert mask.bitmap[0, 0] == 1  # tile (0,0) takes the raw scale
+    assert mask.tile_counts() == checkerboard_count_oracle(7, 7) == {0: 25, 1: 24}
+    assert set(np.unique(mask.indices)) <= {0, 1}
+    assert mask.indices[0, 0] == 0  # tile (0,0) takes the raw scale
 
 
 def test_patch_mask_224():
     mask = make_spatial_mask("patch", 224, 224)
     assert mask.block == 4
-    assert mask.tile_counts() == checkerboard_count_oracle(56, 56) == (1568, 1568)
+    assert mask.tile_counts() == checkerboard_count_oracle(56, 56) == {0: 1568, 1: 1568}
 
 
 def test_mask_tiles_are_constant_blocks():
     mask = make_spatial_mask("window", 224, 224)
-    tiles = mask.bitmap.reshape(7, 32, 7, 32)
+    tiles = mask.indices.reshape(7, 32, 7, 32)
     assert (tiles.min(axis=(1, 3)) == tiles.max(axis=(1, 3))).all()
-    parity = (np.add.outer(np.arange(7), np.arange(7)) % 2 == 0).astype(np.uint8)
+    parity = (np.add.outer(np.arange(7), np.arange(7)) % 2 == 1).astype(np.uint8)
     assert np.array_equal(tiles[:, 0, :, 0], parity)
+
+
+@pytest.mark.parametrize("kind, block", [("window", 32), ("patch", 4)])
+def test_spatial_mask_is_the_two_level_owner_map(kind, block):
+    mask = make_spatial_mask(kind, 224, 256)
+    y = np.arange(224)[:, None]
+    x = np.arange(256)[None, :]
+    assert mask.indices.dtype == np.uint8
+    assert np.array_equal(mask.indices, (y // block + x // block) % 2)
+    assert not mask.indices.flags.writeable
 
 
 def test_mask_indivisible_dims():
@@ -68,8 +78,8 @@ def test_mask_indivisible_dims():
 def test_masks_partition_unity():
     for kind, dims in [("window", (224, 224)), ("patch", (256, 256))]:
         mask = make_spatial_mask(kind, *dims)
-        ind0 = (mask.bitmap == 1).astype(int)
-        ind1 = (mask.bitmap == 0).astype(int)
+        ind0 = (mask.indices == 0).astype(int)
+        ind1 = (mask.indices == 1).astype(int)
         assert ((ind0 + ind1) == 1).all()
 
 
@@ -92,6 +102,15 @@ def test_interlace_three_scales_doubles_middle():
     assert counts == interlace_count_oracle(7, 7, (0, 1, 1, 2))
     assert abs(counts[1] - 2 * counts[0]) <= 1
     assert abs(counts[1] - 2 * counts[2]) <= 1
+
+
+def test_interlace_mask_is_a_spatial_owner_map():
+    mask = make_interlace_mask(3, 64, 128, 16)
+    assert isinstance(mask, SpatialMask)
+    assert (mask.kind, mask.block, mask.height, mask.width) == ("interlace3", 16, 64, 128)
+    y = np.arange(64)[:, None] // 16
+    x = np.arange(128)[None, :] // 16
+    assert np.array_equal(mask.indices, np.array([0, 1, 1, 2])[(y + x) % 4])
 
 
 def test_interlace_indivisible():
@@ -168,18 +187,18 @@ def _sampled_pair(seed=3):
     return sample_fragments(lvl0, cfg), sample_fragments(lvl1, cfg), cfg
 
 
-def test_compose_all_ones_returns_m0():
+def test_compose_all_raw_returns_m0():
     m0, m1, cfg = _sampled_pair()
-    ones = SpatialMask("window", 32, np.ones((224, 224), dtype=np.uint8))
-    out = compose_spatial(m0, m1, ones, cfg)
+    raw = SpatialMask("window", 32, np.zeros((224, 224), dtype=np.uint8))
+    out = compose_spatial(m0, m1, raw, cfg)
     assert np.array_equal(out.data[0], m0.frames[0])
     assert (out.provenance["scale"] == 0).all()
 
 
-def test_compose_all_zeros_returns_m1():
+def test_compose_all_scaled_returns_m1():
     m0, m1, cfg = _sampled_pair()
-    zeros = SpatialMask("window", 32, np.zeros((224, 224), dtype=np.uint8))
-    out = compose_spatial(m0, m1, zeros, cfg)
+    scaled = SpatialMask("window", 32, np.ones((224, 224), dtype=np.uint8))
+    out = compose_spatial(m0, m1, scaled, cfg)
     assert np.array_equal(out.data[0], m1.frames[0])
     assert (out.provenance["scale"] == 1).all()
 
@@ -215,7 +234,7 @@ def test_compose_swap_complements_provenance():
     swapped = compose_spatial(
         replace(m1, scale_id=0), replace(m0, scale_id=1), mask, cfg
     )
-    sel = mask.bitmap.astype(bool)
+    sel = mask.indices == 0
     # together the two composites reconstruct both mosaics exactly
     assert np.array_equal(np.where(sel[..., None], fwd.data[0], swapped.data[0]), m0.frames[0])
     assert np.array_equal(np.where(sel[..., None], swapped.data[0], fwd.data[0]), m1.frames[0])

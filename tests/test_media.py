@@ -272,6 +272,25 @@ def test_config_rejections(overrides, kind):
         cfg.validate(kind)
 
 
+@pytest.mark.parametrize("overrides, kind, message", [
+    (dict(frames_out=31), "video", "temporal masks need an even frame count, got 31"),
+    (dict(n_scales=15), "video", "progressive needs one level per pair: 16 pairs, 15 levels"),
+    (dict(temporal_mask="mixed", frames_out=30, n_scales=7), "video",
+     "mixed needs a frame count divisible by 4"),
+    (dict(frag_h=30, frag_w=30), "image", "240x240 not divisible by the 32-pixel block"),
+    (dict(temporal_mask="none", spatial_mask="patch", n_scales=2, frag_h=30, frag_w=30),
+     "video", "210x210 not divisible by the 4-pixel block"),
+])
+def test_config_mask_rules_come_from_the_masks(overrides, kind, message):
+    from sama.errors import ConfigError
+
+    cfg = SamplerConfig(**overrides) if kind == "video" else SamplerConfig.iqa_default(
+        **overrides
+    )
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate(kind)
+
+
 def test_config_mixed_masks_flagged():
     cfg = SamplerConfig(spatial_mask="window", temporal_mask="progressive")
     with pytest.warns(UserWarning, match="experimental"):

@@ -146,6 +146,40 @@ def test_combined_masks_audits_clean():
         assert scales == ({base, base + 1} if base < 3 else {3})
 
 
+def test_progressive_window_top_pair_is_owned_by_the_top_level():
+    cfg = SamplerConfig(
+        frames_out=8, n_scales=4, temporal_mask="progressive",
+        spatial_mask="window", offset_policy="random", seed=5,
+    )
+    with pytest.warns(UserWarning, match="experimental"):
+        res = sample_video(coordinate_clip(300, 380, 8), cfg)
+    scale = res.tensor.provenance["scale"]
+    assert (scale[6:] == 3).all()  # the last pair is scheduled at the top level
+    owner = make_spatial_mask("window", 224, 224).indices
+    for t in range(6):  # below the top, the window mask splits each pair
+        assert np.array_equal(scale[t], t // 2 + owner)
+    assert provenance_audit(res.tensor, res.pyramid).mismatches == 0
+
+
+@pytest.mark.parametrize("cfg, media", [
+    (SamplerConfig.iqa_default(grid_rows=7, grid_cols=7), "image"),
+    (SamplerConfig.iqa_default(grid_rows=7, grid_cols=7, spatial_mask="patch"), "image"),
+    (SamplerConfig(frames_out=4, n_scales=2, temporal_mask="none",
+                   spatial_mask="window", grid_rows=5, grid_cols=7), "video"),
+], ids=["iqa-window", "iqa-patch", "video-window"])
+def test_scale_shares_are_the_mask_tile_counts(cfg, media):
+    if media == "image":
+        tensor = sample_image(coordinate_frame(500, 600), cfg).tensor
+    else:
+        tensor = sample_video(coordinate_clip(300, 600, 4), cfg).tensor
+    counts = make_spatial_mask(cfg.spatial_mask, cfg.out_h, cfg.out_w).tile_counts()
+    tiles = sum(counts.values())
+    # mask index 0 is the raw level, index 1 the coarsest
+    levels = (0, cfg.n_scales - 1)
+    expected = {levels[k]: n / tiles for k, n in counts.items()}
+    assert tensor.scale_shares() == pytest.approx(expected)
+
+
 # ---------------------------------------------------------------------------
 # Shapes, degenerate inputs, determinism
 
