@@ -335,15 +335,23 @@ def read_image(path: str | Path) -> np.ndarray:
             return decode_png(fh.readall())
         if not magic.startswith(b"P6"):
             raise UnsupportedFormat(_UNRECOGNISED)
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        view = memoryview(buf)
-        filled = 0
-        while filled < len(buf):
-            n = fh.readinto(view[filled:])
-            if not n:
-                break
-            filled += n
-    return decode_ppm(buf[:filled])
+        buf = read_buffer(fh)
+    return decode_ppm(buf)
+
+
+def read_buffer(fh) -> np.ndarray:
+    """A whole file, from an unbuffered binary handle at offset 0, read
+    once into a uint8 numpy buffer sized by ``fstat``: one copy from the
+    page cache, counted as read bytes (no mapping)."""
+    buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+    view = memoryview(buf)
+    filled = 0
+    while filled < len(buf):
+        n = fh.readinto(view[filled:])
+        if not n:
+            break
+        filled += n
+    return buf[:filled]
 
 
 def write_image(path: str | Path, rgb: np.ndarray) -> None:

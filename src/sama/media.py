@@ -1,9 +1,13 @@
 """Core media types, clip loading, frame selection, and sampler configuration.
 
 A clip from ``load_clip`` is lazy: loading lists the frames and checks
-each header, and a frame's pixels are decoded the first time it is
-indexed, then kept. Selecting frames therefore decodes only the frames
-selected, once each.
+each header, and nothing is decoded until a frame is asked for.
+``select_frames`` and ``split_snippets`` on a lazy clip return lazy clips
+over the chosen files, so selection decodes nothing. Indexing
+``clip.frames[i]`` decodes a frame and keeps it; ``MediaClip.read`` is the
+read for callers that use each frame once, and keeps nothing, so the
+sampler holds one source frame at a time. ``MediaClip.source_keys`` names
+the source behind each frame, so a reader fetches a repeated frame once.
 
 ``SamplerConfig.validate`` checks mask arity and tiling by building the
 masks a config names, so those rules live only in ``masks``.
@@ -61,8 +65,8 @@ class FrameBuffer:
         return self.data.shape[1]
 
 
-class _LazyFrames(Sequence):
-    """The frames of a clip directory, each decoded on first access and kept.
+class _FrameFiles:
+    """The frame files of one clip directory and the frames kept so far.
 
     Holds the frame paths and the (height, width) each header declares. A
     frame whose decoded dims differ (the file changed after listing)
@@ -72,16 +76,12 @@ class _LazyFrames(Sequence):
     def __init__(self, paths: tuple[Path, ...], dims: tuple[tuple[int, int], ...]):
         self.paths = paths
         self.dims = dims
-        self._decoded: dict[int, FrameBuffer] = {}
+        self.kept: dict[int, FrameBuffer] = {}
 
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        i = range(len(self.paths))[index]  # negative indices, IndexError
-        frame = self._decoded.get(i)
+    def read(self, i: int, keep: bool) -> FrameBuffer:
+        """File ``i``'s frame: the kept one if there is one, else decoded
+        (and kept when ``keep``)."""
+        frame = self.kept.get(i)
         if frame is None:
             frame = load_image(self.paths[i])
             h, w = self.dims[i]
@@ -90,8 +90,34 @@ class _LazyFrames(Sequence):
                     f"{self.paths[i].name} is {frame.height}x{frame.width}, "
                     f"its header said {h}x{w}"
                 )
-            self._decoded[i] = frame
+            if keep:
+                self.kept[i] = frame
         return frame
+
+
+class _LazyFrames(Sequence):
+    """Frames of a clip directory, as indices into its files.
+
+    Indexing decodes a frame on first access and keeps it. Selections
+    share the files, so a frame kept through one clip is kept for all, and
+    repeated indices are one frame.
+    """
+
+    def __init__(self, files: _FrameFiles, indices: tuple[int, ...]):
+        self.files = files
+        self.indices = indices
+
+    @property
+    def dims(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.files.dims[i] for i in self.indices)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return self.files.read(self.indices[index], keep=True)
 
 
 @dataclass(frozen=True)
@@ -99,7 +125,8 @@ class MediaClip:
     """An ordered run of frames sharing one resolution.
 
     ``frames`` is a tuple of FrameBuffers, or the lazy sequence
-    ``load_clip`` returns; ``height``, ``width`` and ``len`` never decode.
+    ``load_clip`` returns; ``height``, ``width``, ``len``, ``source_keys``
+    and ``pick`` never decode.
     """
 
     frames: Sequence[FrameBuffer]
@@ -128,6 +155,30 @@ class MediaClip:
     @property
     def width(self) -> int:
         return self._dims[1]
+
+    @property
+    def source_keys(self) -> tuple[int, ...]:
+        """Per frame, a key naming its source: frames with equal keys are one
+        source frame (a short clip's repeats), so a reader fetches it once."""
+        if isinstance(self.frames, _LazyFrames):
+            return self.frames.indices
+        first: dict[int, int] = {}  # the tuple keeps every frame, so ids are stable
+        return tuple(first.setdefault(id(f), i) for i, f in enumerate(self.frames))
+
+    def read(self, i: int) -> FrameBuffer:
+        """Frame ``i`` for a caller that uses it once: a lazy clip decodes it
+        without keeping it, unless it is already kept."""
+        if isinstance(self.frames, _LazyFrames):
+            return self.frames.files.read(self.frames.indices[i], keep=False)
+        return self.frames[i]
+
+    def pick(self, positions) -> MediaClip:
+        """The clip of the frames at ``positions``; a lazy clip stays lazy."""
+        frames = self.frames
+        if isinstance(frames, _LazyFrames):
+            picked = _LazyFrames(frames.files, tuple(frames.indices[p] for p in positions))
+            return MediaClip(picked, self.nominal_fps)
+        return MediaClip(tuple(frames[p] for p in positions), self.nominal_fps)
 
 
 @dataclass(frozen=True)
@@ -266,8 +317,8 @@ def load_clip(directory: str | Path) -> MediaClip:
 
     Every frame's header is checked here: its format, that all frames
     share one resolution, and that a PPM file holds its whole raster.
-    Pixels are decoded when a frame is first indexed, so corrupt PNG pixel
-    data in a frame that is never selected goes unnoticed.
+    Pixels are decoded when a frame is read, so corrupt PNG pixel data in
+    a frame that is never selected goes unnoticed.
     """
     directory = Path(directory)
     entries = []
@@ -279,7 +330,8 @@ def load_clip(directory: str | Path) -> MediaClip:
         raise EmptyClip(f"no frame_NNNNNN.(png|ppm) files in {directory}")
     entries.sort()
     paths = tuple(p for _, _, p in entries)
-    return MediaClip(_LazyFrames(paths, tuple(imageio.probe_image(p) for p in paths)))
+    files = _FrameFiles(paths, tuple(imageio.probe_image(p) for p in paths))
+    return MediaClip(_LazyFrames(files, tuple(range(len(paths)))))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +346,7 @@ def select_frames(
     The clip is split into ``count`` equal temporal bins; the default picks
     each bin's center, ``policy="random"`` jitters within the bin using the
     counter-based generator. Clips shorter than ``count`` repeat frames
-    cyclically instead.
+    cyclically instead. Nothing is decoded: a lazy clip gives a lazy clip.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -313,11 +365,12 @@ def select_frames(
             else:
                 # bin center, ties toward the earlier frame
                 indices.append((lo + hi) // 2)
-    return MediaClip(tuple(clip.frames[i] for i in indices), clip.nominal_fps)
+    return clip.pick(indices)
 
 
 def split_snippets(clip: MediaClip, snippet_len: int, n_snippets: int) -> list[MediaClip]:
-    """Cut the first snippet_len*n_snippets frames into contiguous snippets."""
+    """Cut the first snippet_len*n_snippets frames into contiguous snippets;
+    a lazy clip gives lazy snippets."""
     if snippet_len < 1 or n_snippets < 1:
         raise ValueError("snippet_len and n_snippets must be >= 1")
     need = snippet_len * n_snippets
@@ -327,6 +380,5 @@ def split_snippets(clip: MediaClip, snippet_len: int, n_snippets: int) -> list[M
             f"clip has {len(clip)}"
         )
     return [
-        MediaClip(clip.frames[i * snippet_len : (i + 1) * snippet_len], clip.nominal_fps)
-        for i in range(n_snippets)
+        clip.pick(range(i * snippet_len, (i + 1) * snippet_len)) for i in range(n_snippets)
     ]

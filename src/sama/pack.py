@@ -16,7 +16,12 @@ Container layout (all integers little-endian):
 followed by the raw RGB8 frames in row-major frame order and, when
 flagged, one provenance record per pixel (u8 scale, u16 frame, u32 y,
 u32 x; 11 bytes). Files are written to a temp name and renamed into
-place, so a failed write never leaves a partial file.
+place, so a failed write never leaves a partial file. Neither direction
+copies the payload: a write hands the arrays' buffers to the file, and a
+read fills one buffer whose views are the tensor's arrays.
+
+The audit streams the source frames as the sampler does: it reads each
+recorded source frame once per output frame and releases it after use.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import imageio
 from .errors import CorruptFile, DimMismatch, MissingProvenance, UnsupportedFormat
 from .media import PROVENANCE_DTYPE, FrameBuffer, ProvenanceEntry
 from .pyramid import PyramidLevel
@@ -117,8 +123,9 @@ class SampledTensor:
         )
 
 
-def container_bytes(t: SampledTensor) -> bytes:
-    """Serialize; byte-deterministic for a given tensor."""
+def _container_parts(t: SampledTensor) -> list:
+    """The container as buffers in file order: header bytes, then views of
+    the pixel and provenance arrays (no copies of the payload)."""
     schedule = bytes(int(s) for s in t.schedule)
     if len(schedule) > 0xFFFF:
         raise ValueError("schedule too long for container header")
@@ -136,20 +143,30 @@ def container_bytes(t: SampledTensor) -> bytes:
         t.seed,
         len(schedule),
     )
-    parts = [head, schedule, bytes([flags]), np.ascontiguousarray(t.data).tobytes()]
+    parts = [head + schedule + bytes([flags]), np.ascontiguousarray(t.data).reshape(-1)]
     if t.provenance is not None:
-        parts.append(np.ascontiguousarray(t.provenance).tobytes())
-    return b"".join(parts)
+        parts.append(np.ascontiguousarray(t.provenance).reshape(-1).view(np.uint8))
+    return parts
+
+
+def container_bytes(t: SampledTensor) -> bytes:
+    """Serialize; byte-deterministic for a given tensor."""
+    return b"".join(_container_parts(t))
 
 
 def write_container(t: SampledTensor, path: str | Path) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: temp file in the target directory, then rename.
+
+    The header, the pixel buffer and the provenance buffer go straight to
+    the file; the payload is never copied into one ``bytes``.
+    """
     path = Path(path)
-    payload = container_bytes(t)
+    parts = _container_parts(t)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -159,7 +176,13 @@ def write_container(t: SampledTensor, path: str | Path) -> None:
         raise
 
 
-def parse_container(data: bytes) -> SampledTensor:
+def parse_container(data) -> SampledTensor:
+    """Parse a container held in ``bytes`` or a uint8 buffer.
+
+    The arrays are views of ``data``, not copies: read-only when ``data``
+    is ``bytes``.
+    """
+    data = memoryview(data).cast("B")
     if len(data) < _FIXED_HEADER.size:
         raise CorruptFile("container shorter than its fixed header")
     (
@@ -198,10 +221,8 @@ def parse_container(data: bytes) -> SampledTensor:
     need = n_pixels * 3
     if pos + need > len(data):
         raise CorruptFile("truncated container payload")
-    pixels = (
-        np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-        .reshape(frames, height, width, 3)
-        .copy()
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(
+        frames, height, width, 3
     )
     pos += need
     provenance = None
@@ -209,11 +230,9 @@ def parse_container(data: bytes) -> SampledTensor:
         pneed = n_pixels * PROVENANCE_DTYPE.itemsize
         if pos + pneed > len(data):
             raise CorruptFile("truncated provenance section")
-        provenance = (
-            np.frombuffer(data, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos)
-            .reshape(frames, height, width)
-            .copy()
-        )
+        provenance = np.frombuffer(
+            data, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos
+        ).reshape(frames, height, width)
         pos += pneed
     if pos != len(data):
         raise CorruptFile(f"{len(data) - pos} trailing bytes after payload")
@@ -230,7 +249,10 @@ def parse_container(data: bytes) -> SampledTensor:
 
 
 def read_container(path: str | Path) -> SampledTensor:
-    return parse_container(Path(path).read_bytes())
+    """Read a container file once (``imageio.read_buffer``); the tensor's
+    arrays are writable views of that one buffer."""
+    with open(path, "rb", buffering=0) as fh:
+        return parse_container(imageio.read_buffer(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +383,15 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     coordinate, so the cost scales with the output size and not with the
     level areas. The rule is written here apart from the resize code in
     ``pyramid``, so an interpolation fault there shows up as mismatches.
-    The frame is looked up in the level's source list, which for clips is
-    the selected clip: provenance ``frame`` still records the output slot.
+    The frame is looked up in the level's sources, which for clips are the
+    selected clip: provenance ``frame`` still records the output slot.
 
     Out-of-range scale ids, frame indices, or coordinates count as
     mismatches rather than raising, so a corrupted tensor still yields a
-    report. Work proceeds one output frame at a time to bound memory.
+    report. Work proceeds one output frame at a time, and within it one
+    recorded source frame at a time: each is read once (a lazy clip decodes
+    it again; nothing is kept), checked at every level that draws on it,
+    and released before the next is read.
     """
     if t.provenance is None:
         raise MissingProvenance("tensor carries no provenance to audit")
@@ -376,37 +401,14 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
         prov = t.provenance[f].reshape(-1)
         got = t.data[f].reshape(-1, 3)
         scale = prov["scale"]
-        in_frame = np.bincount(scale, minlength=256)
-        scale_counts += in_frame
-        for s in np.flatnonzero(in_frame):
-            idx = np.flatnonzero(scale == s)
-            if s >= len(pyramid):
-                mismatches += idx.size
-                continue
-            level = pyramid[s]
-            sources = level.sources
-            frame = prov["frame"][idx]
-            for fr in np.flatnonzero(np.bincount(frame)):
-                sub = idx[frame == fr]
-                if fr >= len(sources):
-                    mismatches += sub.size
-                    continue
-                y = prov["y"][sub]
-                x = prov["x"][sub]
-                inside = (y < level.height) & (x < level.width)
-                mismatches += sub.size - int(np.count_nonzero(inside))
-                src = sources[fr]
-                expected = _bilinear_at(
-                    src,
-                    y[inside].astype(np.int64),
-                    x[inside].astype(np.int64),
-                    _axis_table(src.shape[0], level.height),
-                    _axis_table(src.shape[1], level.width),
-                )
-                differ = expected != got[sub[inside]]
-                mismatches += int(
-                    np.count_nonzero(differ[:, 0] | differ[:, 1] | differ[:, 2])
-                )
+        scale_counts += np.bincount(scale, minlength=256)
+        known = scale < len(pyramid)
+        mismatches += prov.size - int(np.count_nonzero(known))
+        idx = np.flatnonzero(known)
+        frame = prov["frame"][idx]
+        for fr in np.flatnonzero(np.bincount(frame)):
+            at_fr = idx[frame == fr]
+            mismatches += _audit_source_frame(int(fr), at_fr, prov, got, pyramid)
     total = t.provenance.size
     per_scale = {int(s): int(scale_counts[s]) for s in np.flatnonzero(scale_counts)}
     shares = {s: c / total for s, c in per_scale.items()}
@@ -416,3 +418,42 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
         per_scale_pixels=per_scale,
         per_scale_shares=shares,
     )
+
+
+# Pixels checked per step: the step's temporaries stay near 1 MB, so the
+# audit reuses the same heap memory instead of faulting in fresh pages.
+_AUDIT_CHUNK = 8192
+
+
+def _audit_source_frame(
+    fr: int, at_fr: np.ndarray, prov: np.ndarray, got: np.ndarray, pyramid: list[PyramidLevel]
+) -> int:
+    """Mismatches among the pixels ``at_fr`` of one output frame, which all
+    record source frame ``fr``. The frame is read once: the levels of a
+    pyramid from ``build_pyramid`` share one source list."""
+    mismatches = 0
+    sources = src = None  # the last source list read, and its frame fr
+    scale = prov["scale"][at_fr]
+    for s in np.flatnonzero(np.bincount(scale)):
+        sub = at_fr[scale == s]
+        level = pyramid[s]
+        if fr >= level.frame_count:
+            mismatches += sub.size
+            continue
+        if level.sources is not sources:
+            sources, src = level.sources, None
+            src = sources[fr]  # the previous frame is released first
+        rows = _axis_table(src.shape[0], level.height)
+        cols = _axis_table(src.shape[1], level.width)
+        for lo in range(0, sub.size, _AUDIT_CHUNK):
+            part = sub[lo : lo + _AUDIT_CHUNK]
+            y = prov["y"][part]
+            x = prov["x"][part]
+            inside = (y < level.height) & (x < level.width)
+            mismatches += part.size - int(np.count_nonzero(inside))
+            expected = _bilinear_at(
+                src, y[inside].astype(np.int64), x[inside].astype(np.int64), rows, cols
+            )
+            differ = expected != got[part[inside]]
+            mismatches += int(np.count_nonzero(differ[:, 0] | differ[:, 1] | differ[:, 2]))
+    return mismatches

@@ -12,10 +12,13 @@ pair under a spatial mask), and one owner map, the spatial mask's
 Single-scale frames, temporal schedules, spatial window and patch masks
 and their combination differ only in their level tuples and owner map. A
 plan is built once per distinct level tuple, and each level it draws on
-gets its full-axis bilinear taps, indexed by the plan, once per call. Each
-(frame, level) then runs one gather straight into the preallocated
-output, and the provenance is the plans with the frame index broadcast
-in. The gather cost does not grow with the number of levels interlaced.
+gets its full-axis bilinear taps, indexed by the plan, once per call.
+Then the selected source frames are streamed: each distinct one is read
+once, every (frame, level) that draws on it runs one gather straight into
+the preallocated output, and it is released before the next is read, so
+memory is one source frame plus the output. The provenance is the plans
+with the frame index broadcast in. The gather cost does not grow with the
+number of levels interlaced.
 The tests check the bytes against a reference that materializes whole
 per-level mosaics and composes them by mask.
 """
@@ -97,6 +100,16 @@ def _owners(plan: np.ndarray, pyramid: list[PyramidLevel]) -> list[_Owner]:
     return owners
 
 
+def _gather_frame(src: np.ndarray, out: np.ndarray, owners: list[_Owner]) -> None:
+    """Fill one output frame, viewed as (H*W,) RGB items, from its source."""
+    for owner in owners:
+        pixels = gather_taps(src, owner.taps).view(_RGB).reshape(-1)
+        if owner.owned is None:
+            out[:] = pixels
+        else:
+            out[owner.owned] = pixels
+
+
 def _render(
     pyramid: list[PyramidLevel],
     config: SamplerConfig,
@@ -105,9 +118,11 @@ def _render(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(data, provenance) of output frames ``t`` drawn from ``frame_levels[t]``.
 
-    Each distinct level tuple gets one frame plan and one set of taps; every
-    (frame, level) then runs one gather straight into the output. Adds the
-    planning time to ``timings["fragments"]``, the taps and gathers to
+    Each distinct level tuple gets one frame plan and one set of taps. Then
+    each distinct source frame is read once, every output frame drawn from
+    it is gathered, and it is released before the next is read, so the
+    sources held at once are one frame. Adds the planning time to
+    ``timings["fragments"]``, the taps, frame reads and gathers to
     ``timings["pyramid"]`` and the provenance fill to ``timings["compose"]``.
     """
     t0 = time.perf_counter()
@@ -135,14 +150,15 @@ def _render(
 
     t0 = time.perf_counter()
     data = np.empty((n_frames, config.out_h, config.out_w, 3), dtype=np.uint8)
-    for t, levels in enumerate(frame_levels):
-        out = data[t].view(_RGB).reshape(-1)
-        for owner in owners[levels]:
-            pixels = gather_taps(owner.level.sources[t], owner.taps).view(_RGB).reshape(-1)
-            if owner.owned is None:
-                out[:] = pixels
-            else:
-                out[owner.owned] = pixels
+    sources = pyramid[0].sources  # the levels of one pyramid share their sources
+    slots: dict[int, list[int]] = {}
+    for t, key in enumerate(sources.keys):
+        slots.setdefault(key, []).append(t)
+    for ts in slots.values():
+        src = sources[ts[0]]
+        for t in ts:
+            _gather_frame(src, data[t].view(_RGB).reshape(-1), owners[frame_levels[t]])
+        del src  # release this frame before the next is read
     timings["pyramid"] += time.perf_counter() - t0
     return data, prov
 

@@ -1,18 +1,21 @@
 """Multi-granularity pyramid: linear min-side schedule + bilinear resize.
 
-Levels hold references to the source frames and never resize eagerly.
-The sampler turns the level pixels its plan needs into ``PixelTaps`` once
-(``pixel_taps``) and runs one ``gather_taps`` per (frame, level): one flat
-take of the four corner pixels and one blend. Whole frames
-(``PyramidLevel.frame``, memoized) serve the pyramid-cost gate in
-``bench`` and the tests' reference sampler. Every path blends with
-``_lerp_core`` on taps from ``_axis_taps``, so they agree byte for byte,
-and access order never changes results.
+Levels hold no pixels: the levels of one pyramid share one
+``SourceFrames``, which reads a source frame when asked for it and keeps
+nothing, and building a pyramid decodes nothing. The sampler turns the
+level pixels its plan needs into ``PixelTaps`` once (``pixel_taps``),
+then reads each distinct source frame once and runs one ``gather_taps``
+per (frame, level) on it. Whole frames (``PyramidLevel.frame``, memoized
+per source frame) serve the pyramid-cost gate in ``bench`` and the
+tests' reference sampler. Every path blends with ``_lerp_core`` on taps
+from ``_axis_taps``, so they agree byte for byte, and access order never
+changes results.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +169,9 @@ class PixelTaps:
 
     ``index`` is (4, N): the top-left, top-right, bottom-left and
     bottom-right source pixel behind each of N level pixels, and ``fy`` and
-    ``fx`` are their (N, 1) float32 fractions. A level the size of its
-    source has a (1, N) index and no fractions: its pixels are source pixels.
+    ``fx`` are their (N, 3) float32 fractions, repeated per channel so the
+    blend runs on contiguous operands. A level the size of its source has a
+    (1, N) index and no fractions: its pixels are source pixels.
     """
 
     index: np.ndarray
@@ -178,7 +182,7 @@ class PixelTaps:
 def pixel_taps(level: PyramidLevel, ys: np.ndarray, xs: np.ndarray) -> PixelTaps:
     """Taps of level pixels (ys[k], xs[k]), indexed out of the full-axis taps,
     so a gather equals the same pixels of ``level.frame``."""
-    src_h, src_w = level.sources[0].shape[:2]
+    src_h, src_w = level.sources.height, level.sources.width
     ys = ys.astype(np.intp)
     xs = xs.astype(np.intp)
     if (src_h, src_w) == (level.height, level.width):
@@ -189,8 +193,10 @@ def pixel_taps(level: PyramidLevel, ys: np.ndarray, xs: np.ndarray) -> PixelTaps
     r1 = y1[ys] * src_w
     c0 = x0[xs]
     c1 = x1[xs]
-    index = np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1])
-    return PixelTaps(index, fy[ys, None], fx[xs, None])
+    index = np.empty((4, ys.size), dtype=np.intp)
+    for k, (r, c) in enumerate(((r0, c0), (r0, c1), (r1, c0), (r1, c1))):
+        np.add(r, c, out=index[k])
+    return PixelTaps(index, np.repeat(fy[ys, None], 3, axis=1), np.repeat(fx[xs, None], 3, axis=1))
 
 
 def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:
@@ -206,38 +212,64 @@ def bilinear_resize(frame: FrameBuffer, out_h: int, out_w: int) -> FrameBuffer:
     return FrameBuffer(resize_rgb(frame.data, out_h, out_w))
 
 
-class PyramidLevel:
-    """One pyramid level: target dims over shared source frames.
+class SourceFrames(Sequence):
+    """The source frames a pyramid's levels resize from, read when indexed.
 
-    The sampler reads a level through ``pixel_taps``/``gather_taps`` and
-    never materializes it. ``frame`` resizes a whole frame on first access
-    and memoizes it; ``rect`` resizes one window.
+    ``sources[i]`` is frame ``i`` of the clip as an (H, W, 3) array, read
+    with ``MediaClip.read``, so a lazy clip decodes it and keeps nothing. A
+    clip below the pyramid's min side is upscaled to ``height`` x ``width``
+    as each frame is read. ``keys[i]`` names the source behind frame ``i``:
+    frames with equal keys hold the same pixels.
     """
 
-    def __init__(self, scale_id: int, sources: list[np.ndarray], height: int, width: int):
+    def __init__(self, clip: MediaClip, height: int | None = None, width: int | None = None):
+        self.clip = clip
+        self.keys = clip.source_keys
+        self.height = clip.height if height is None else height
+        self.width = clip.width if width is None else width
+
+    def __len__(self) -> int:
+        return len(self.clip)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        src = self.clip.read(i).data
+        if src.shape[:2] != (self.height, self.width):
+            src = resize_rgb(src, self.height, self.width)
+        return src
+
+
+class PyramidLevel:
+    """One pyramid level: target dims over source frames it does not hold.
+
+    ``sources`` is a ``SourceFrames``, or a list of arrays, which is
+    wrapped as one. The sampler reads a level through
+    ``pixel_taps``/``gather_taps`` and never materializes it. ``frame``
+    resizes a whole frame on first access and memoizes it per source frame
+    (``sources.keys``); ``rect`` resizes one window.
+    """
+
+    def __init__(
+        self, scale_id: int, sources: SourceFrames | list[np.ndarray], height: int, width: int
+    ):
+        if not isinstance(sources, SourceFrames):
+            sources = SourceFrames(MediaClip(tuple(FrameBuffer(a) for a in sources)))
         self.scale_id = scale_id
         self.height = height
         self.width = width
-        self._sources = sources
+        self.sources = sources
         self._cache: dict[int, np.ndarray] = {}
 
     @property
     def frame_count(self) -> int:
-        return len(self._sources)
-
-    @property
-    def sources(self) -> tuple[np.ndarray, ...]:
-        """The (possibly upscaled) source frames this level resizes from."""
-        return tuple(self._sources)
+        return len(self.sources)
 
     def frame(self, i: int) -> np.ndarray:
         """The (height, width, 3) pixels of frame ``i`` at this level."""
-        src = self._sources[i]
-        if src.shape[:2] == (self.height, self.width):
-            return src  # raw level (or degenerate schedule) shares pixels
-        key = id(src)
+        key = self.sources.keys[i]
         if key not in self._cache:
-            self._cache[key] = resize_rgb(src, self.height, self.width)
+            # resize_rgb returns a raw level's (or degenerate schedule's)
+            # source itself: it shares pixels
+            self._cache[key] = resize_rgb(self.sources[i], self.height, self.width)
         return self._cache[key]
 
     # Nothing in the library calls rect; it stays only because the benchmark
@@ -247,12 +279,12 @@ class PyramidLevel:
 
         Byte-identical to ``self.frame(i)[y0:y0+h, x0:x0+w]``.
         """
-        src = self._sources[i]
-        if src.shape[:2] == (self.height, self.width):
-            return src[y0 : y0 + h, x0 : x0 + w]
-        cached = self._cache.get(id(src))
+        cached = self._cache.get(self.sources.keys[i])
         if cached is not None:
             return cached[y0 : y0 + h, x0 : x0 + w]
+        src = self.sources[i]
+        if src.shape[:2] == (self.height, self.width):
+            return src[y0 : y0 + h, x0 : x0 + w]
         return resize_rect(src, self.height, self.width, y0, x0, h, w)
 
 
@@ -269,18 +301,21 @@ def upscale_if_small(media, target_min: int):
 
 
 def build_pyramid(media, config: SamplerConfig, levels: int | None = None) -> list[PyramidLevel]:
-    """Upscale if needed, then lay out ``levels`` lazily-resized levels.
+    """Lay out ``levels`` levels over one shared ``SourceFrames``.
 
-    Level 0 always shares the (possibly upscaled) raw pixels. A
-    ``FrameBuffer`` is read as a one-frame clip; every frame of a level
-    gets the same target dims.
+    Decodes nothing: the raw dims come from the clip. A ``FrameBuffer`` is
+    read as a one-frame clip. A clip below the target min side is upscaled
+    as each frame is read (as ``upscale_if_small`` would), and level 0
+    is the (possibly upscaled) raw frame. Every frame of a level gets the
+    same target dims.
     """
+    if not isinstance(media, (FrameBuffer, MediaClip)):
+        raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
     n_levels = config.n_scales if levels is None else levels
-    media = upscale_if_small(media, config.target_min)
-    frames = (media,) if isinstance(media, FrameBuffer) else media.frames
-    arrays = [f.data for f in frames]
-    raw_h, raw_w = arrays[0].shape[:2]
+    clip = MediaClip((media,)) if isinstance(media, FrameBuffer) else media
+    raw_h, raw_w = clip.height, clip.width
+    if min(raw_h, raw_w) < config.target_min:
+        raw_h, raw_w = _dims_for_min_side(raw_h, raw_w, config.target_min)
     schedule = scale_schedule(raw_h, raw_w, config.target_min, n_levels)
-    return [
-        PyramidLevel(i, arrays, h, w) for i, (h, w) in enumerate(schedule)
-    ]
+    sources = SourceFrames(clip, raw_h, raw_w)
+    return [PyramidLevel(i, sources, h, w) for i, (h, w) in enumerate(schedule)]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,22 @@ def decodes(monkeypatch):
 
         monkeypatch.setattr(imageio, name, spy)
     return calls
+
+
+@pytest.fixture
+def alive_at_decode(monkeypatch):
+    """For each decoder call, how many frames decoded earlier are still
+    alive (weak references to the decoder's results); its length is the
+    number of decodes."""
+    refs, alive = [], []
+    for name in ("decode_ppm", "decode_png"):
+        real = getattr(imageio, name)
+
+        def spy(data, _real=real):
+            alive.append(sum(ref() is not None for ref in refs))
+            out = _real(data)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(imageio, name, spy)
+    return alive

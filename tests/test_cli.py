@@ -190,6 +190,14 @@ def test_sample_video_infer_decodes_only_its_pool(tmp_path, decodes):
     assert decodes == ["decode_ppm"] * 128
 
 
+def test_sample_video_infer_streams_its_snippets(tmp_path, alive_at_decode):
+    write_clip(tmp_path / "clip", 256)
+    out = tmp_path / "v.sama"
+    assert main(["sample-video", str(tmp_path / "clip"), "--infer", "--out", str(out)]) == 0
+    assert len(alive_at_decode) == 128
+    assert max(alive_at_decode) <= 1
+
+
 def test_truncated_ppm_in_an_unselected_frame_fails_at_load(tmp_path, decodes, capsys):
     paths = write_clip(tmp_path / "clip", 64)
     paths[0].write_bytes(paths[0].read_bytes()[:-1])  # the VQA default keeps odd frames

@@ -16,6 +16,7 @@ from sama.media import (
 )
 
 from sama.pipeline import sample_video
+from sama.pyramid import build_pyramid
 
 from conftest import coordinate_frame, constant_frame, write_clip
 
@@ -127,6 +128,45 @@ def test_lazy_frames_index_like_a_tuple(tmp_path):
     assert [f.data[0, 0, 2] for f in clip.frames] == [t * 17 for t in range(4)]
     with pytest.raises(IndexError):
         clip.frames[4]
+
+
+# ---------------------------------------------------------------------------
+# Streaming: a sampled clip holds one source frame at a time
+
+
+def test_selecting_and_pyramiding_a_lazy_clip_decode_nothing(tmp_path, decodes):
+    write_clip(tmp_path / "clip", 12, 16, 24)
+    clip = load_clip(tmp_path / "clip")
+    cfg = SamplerConfig(frames_out=8, n_scales=4)
+    selected = select_frames(clip, 8, policy="random", seed=3)
+    (snippet, _) = split_snippets(selected, 4, 2)
+    short = select_frames(snippet, 9)  # repeats of a short clip
+    levels = build_pyramid(short, cfg)
+    assert decodes == []
+    assert len(levels[0].sources) == 9
+    assert levels[0].sources.keys[0] == levels[0].sources.keys[4]
+    assert short.frames[0] is short.frames[4] is clip.frames[short.source_keys[0]]
+
+
+def test_sample_video_streams_its_source_frames(tmp_path, alive_at_decode):
+    import tracemalloc
+
+    write_clip(tmp_path / "clip", 64, 480, 640)
+    clip = load_clip(tmp_path / "clip")
+    cfg = SamplerConfig(grid_rows=2, grid_cols=2, frag_h=16, frag_w=16)  # 32 frames of 32x32
+    tracemalloc.start()
+    try:
+        result = sample_video(clip, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(alive_at_decode) == 32
+    assert max(alive_at_decode) <= 1
+    source = 480 * 640 * 3
+    output = result.tensor.data.nbytes + result.tensor.provenance.nbytes
+    assert peak < 3 * source + output, (peak, source, output)
+    eager = MediaClip(tuple(clip.frames))
+    assert np.array_equal(result.tensor.data, sample_video(eager, cfg).tensor.data)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sama.pack
 import sama.pyramid
 from sama import bench
 from sama.errors import CorruptFile, DimMismatch, MissingProvenance, UnsupportedFormat
-from sama.media import PROVENANCE_DTYPE, SamplerConfig
+from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_clip, select_frames
 from sama.pack import (
     SampledTensor,
     container_bytes,
@@ -20,9 +20,9 @@ from sama.pack import (
     write_container,
 )
 from sama.pipeline import sample_image, sample_video
-from sama.pyramid import PyramidLevel
+from sama.pyramid import PyramidLevel, build_pyramid
 
-from conftest import coordinate_clip, coordinate_frame
+from conftest import coordinate_clip, coordinate_frame, write_clip
 
 FIXED_HEADER_BYTES = 33  # magic..schedule_len (32) + flags byte, empty schedule
 
@@ -55,6 +55,33 @@ def test_container_size_arithmetic():
     assert len(bare) == FIXED_HEADER_BYTES + 8 * 8 * 3
     full = container_bytes(_tiny_tensor(with_prov=True))
     assert len(full) == FIXED_HEADER_BYTES + 8 * 8 * 3 + 8 * 8 * 11
+
+
+@pytest.mark.parametrize("case", ["image", "video", "no provenance"])
+def test_written_file_is_container_bytes(tmp_path, case):
+    if case == "image":
+        t = sample_image(coordinate_frame(300, 320), SamplerConfig.iqa_default()).tensor
+    elif case == "video":
+        t = _video_tensor().tensor
+    else:
+        t = _tiny_tensor(with_prov=False)
+    path = tmp_path / "t.sama"
+    write_container(t, path)
+    assert path.read_bytes() == container_bytes(t)
+
+
+def test_read_container_arrays_are_views_of_one_read(tmp_path):
+    t = _video_tensor().tensor
+    path = tmp_path / "t.sama"
+    write_container(t, path)
+    back = read_container(path)
+    # one buffer in file order: the provenance starts where the pixels end
+    start = back.data.__array_interface__["data"][0]
+    assert back.provenance.__array_interface__["data"][0] == start + back.data.nbytes
+    assert back.data.flags.writeable
+    parsed = parse_container(path.read_bytes())
+    assert not parsed.data.flags.writeable  # views of the bytes given
+    assert np.array_equal(parsed.provenance, t.provenance)
 
 
 def test_roundtrip_image(tmp_path):
@@ -287,6 +314,18 @@ def test_audit_shares_no_code_with_the_resize_path():
     }
     assert not (attrs | names) & resize_code
     assert not attrs & {"frame", "frames", "rect", "_sources"}  # PyramidLevel's
+
+
+def test_audit_of_a_lazy_pyramid_reads_each_recorded_frame_once(tmp_path, alive_at_decode):
+    write_clip(tmp_path / "clip", 16, 240, 300)
+    cfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=4)
+    res = sample_video(load_clip(tmp_path / "clip"), cfg)
+    pyramid = build_pyramid(select_frames(load_clip(tmp_path / "clip"), 8, 4, "random"), cfg)
+    del alive_at_decode[:]
+    report = provenance_audit(res.tensor, pyramid)
+    assert report.ok and report.total_pixels == 8 * 224 * 224
+    assert len(alive_at_decode) == 8  # one recorded frame per output frame
+    assert max(alive_at_decode) <= 1
 
 
 def test_audit_requires_provenance():

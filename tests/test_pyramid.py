@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sama.errors import InputTooSmall
-from sama.media import FrameBuffer, MediaClip, SamplerConfig
+from sama.media import FrameBuffer, MediaClip, SamplerConfig, load_clip, load_image
 from sama.pyramid import (
     PyramidLevel,
     bilinear_resize,
@@ -17,7 +17,7 @@ from sama.pyramid import (
     upscale_if_small,
 )
 
-from conftest import constant_frame, coordinate_clip, coordinate_frame
+from conftest import constant_frame, coordinate_clip, coordinate_frame, write_clip
 
 
 def schedule_oracle(raw_h, raw_w, target, levels):
@@ -256,3 +256,15 @@ def test_pyramid_lazy_cache_dedups_repeated_frames():
     a = levels[2].frame(0)
     b = levels[2].frame(5)
     assert a is b  # one resize for the repeated source frame
+
+
+def test_level_frames_of_a_lazy_clip_are_memoized_per_frame(tmp_path):
+    # the sources are released after each read, so a new frame may reuse a
+    # freed one's id: the memo must not return another frame's pixels
+    paths = write_clip(tmp_path / "clip", 6, 240, 320)
+    levels = build_pyramid(load_clip(tmp_path / "clip"), SamplerConfig(frames_out=8, n_scales=4))
+    for lvl in levels:
+        got = [lvl.frame(i) for i in range(lvl.frame_count)]
+        for i, frame in enumerate(got):
+            want = resize_rgb(load_image(paths[i]).data, lvl.height, lvl.width)
+            assert np.array_equal(frame, want), (lvl.scale_id, i)
