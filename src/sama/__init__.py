@@ -38,10 +38,8 @@ from .pipeline import SampleResult, sample_image, sample_media, sample_video
 from .pyramid import (
     PyramidLevel,
     ScaleSchedule,
-    bilinear_resize,
     build_pyramid,
     scale_schedule,
-    upscale_if_small,
 )
 from .scalehead import (
     AttnInputs,
@@ -83,7 +81,6 @@ __all__ = [
     "attn_base",
     "attn_rsb_add",
     "attn_rsb_mul",
-    "bilinear_resize",
     "build_pyramid",
     "feature_grid_dims",
     "grad_check",
@@ -106,7 +103,6 @@ __all__ = [
     "select_frames",
     "split_snippets",
     "temporal_weights_from_features",
-    "upscale_if_small",
     "weighted_pool",
     "write_container",
 ]

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     SamaError,
     UnsupportedFormat,
 )
-from .masks import make_interlace_mask, make_spatial_mask, make_temporal_mask
+from .masks import make_interlace_mask, make_spatial_mask, make_temporal_mask, temporal_levels
 from .media import (
     OFFSET_POLICIES,
     SPATIAL_MASK_KINDS,
@@ -69,26 +69,16 @@ _IO_ERRORS = (
     InsufficientFrames,
 )
 
-# JSON config schema: key -> accepted python types
+# JSON config schema: key -> accepted python types; the sampler keys are
+# SamplerConfig's fields, typed by their defaults
+_SAMPLER_KEYS = {f.name: (type(f.default),) for f in fields(SamplerConfig)}
 _CONFIG_SCHEMA: dict[str, tuple[type, ...]] = {
-    "grid_rows": (int,),
-    "grid_cols": (int,),
-    "frag_h": (int,),
-    "frag_w": (int,),
-    "frames_out": (int,),
-    "n_scales": (int,),
-    "spatial_mask": (str,),
-    "temporal_mask": (str,),
-    "offset_policy": (str,),
-    "seed": (int,),
-    "aligned_offsets": (bool,),
+    **_SAMPLER_KEYS,
     "input": (str,),
     "out": (str,),
     "preview": (str,),
     "infer": (bool,),
 }
-
-_SAMPLER_KEYS = {f.name for f in dataclass_fields(SamplerConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,31 +163,17 @@ def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
         values.setdefault("temporal_mask", "none")
         values.setdefault("frames_out", 1)
     if "n_scales" not in values:
-        values["n_scales"] = _default_scales(
-            values.get("spatial_mask", base.spatial_mask),
-            values.get("temporal_mask", base.temporal_mask),
-            values.get("frames_out", base.frames_out),
-        )
-    from dataclasses import replace
-
+        # the level count the temporal mask takes (an unknown kind is left
+        # to validate), else the two levels a spatial mask interlaces
+        temporal = values.get("temporal_mask", base.temporal_mask)
+        if temporal != "none" and temporal in TEMPORAL_MASK_KINDS:
+            frames = values.get("frames_out", base.frames_out)
+            values["n_scales"] = temporal_levels(temporal, frames)
+        else:
+            values["n_scales"] = 2 if values.get("spatial_mask", base.spatial_mask) != "none" else 1
     config = replace(base, **values)
     config.validate(kind)
     return config, extras
-
-
-def _default_scales(spatial: str, temporal: str, frames_out: int) -> int:
-    """The level count a temporal mask takes for ``frames_out`` frames, or
-    the two levels a spatial mask interlaces. Choppy needs two distinct
-    levels even for a single frame pair."""
-    if temporal == "progressive":
-        return frames_out // 2
-    if temporal == "choppy":
-        return max(frames_out // 2, 2)
-    if temporal == "mixed":
-        return frames_out // 4
-    if spatial != "none":
-        return 2
-    return 1
 
 
 def _print_shares(tensor: SampledTensor) -> None:
@@ -302,7 +278,7 @@ def cmd_masks(args) -> int:
             mask = make_interlace_mask(args.scales, out_h, out_w, args.block)
             n_levels = args.scales
         if args.temporal_mask and args.temporal_mask != "none":
-            levels = _default_scales("none", args.temporal_mask, args.frames)
+            levels = temporal_levels(args.temporal_mask, args.frames)
             tmask = make_temporal_mask(args.temporal_mask, args.frames, levels)
     except (BadArity, IndivisibleDims) as exc:
         raise ConfigError(str(exc)) from exc
@@ -510,7 +486,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="audits, partitions, determinism, numerics")
     p.add_argument("--seeds", type=_positive_int, default=25, help="property-suite seeds")
-    p.add_argument("--seed-replay", type=int, default=2, dest="seed_replay")
+    p.add_argument("--seed-replay", type=_positive_int, default=2, dest="seed_replay")
     p.add_argument(
         "--inject-fault",
         action="store_true",

@@ -110,6 +110,19 @@ def make_interlace_mask(n_scales: int, out_h: int, out_w: int, block: int) -> Sp
     return _stagger(f"interlace{n_scales}", cycle, out_h, out_w, block)
 
 
+def temporal_levels(kind: str, frames: int) -> int:
+    """The level count a temporal mask of ``frames`` frames takes: one per
+    frame pair for progressive, one per quarter-length pair for mixed, and
+    for choppy one per pair but at least the two it alternates."""
+    if kind == "progressive":
+        return frames // 2
+    if kind == "mixed":
+        return frames // 4
+    if kind == "choppy":
+        return max(frames // 2, 2)
+    raise ValueError(f"unknown temporal mask kind {kind!r}")
+
+
 def make_temporal_mask(kind: str, frames: int, n_levels: int) -> TemporalMask:
     """Assign pyramid levels to frame pairs.
 
@@ -121,7 +134,7 @@ def make_temporal_mask(kind: str, frames: int, n_levels: int) -> TemporalMask:
         raise BadArity(f"temporal masks need an even frame count, got {frames}")
     pairs = frames // 2
     if kind == "progressive":
-        if n_levels != pairs:
+        if n_levels != temporal_levels(kind, frames):
             raise BadArity(
                 f"progressive needs one level per pair: {pairs} pairs, "
                 f"{n_levels} levels"
@@ -134,7 +147,7 @@ def make_temporal_mask(kind: str, frames: int, n_levels: int) -> TemporalMask:
     elif kind == "mixed":
         if frames % 4 != 0:
             raise BadArity("mixed needs a frame count divisible by 4")
-        if n_levels != frames // 4:
+        if n_levels != temporal_levels(kind, frames):
             raise BadArity(
                 f"mixed needs one level per quarter-length pair: "
                 f"{frames // 4} levels, got {n_levels}"

@@ -1,10 +1,11 @@
 """Core media types, clip loading, frame selection, and sampler configuration.
 
-A clip from ``load_clip`` is lazy: loading lists the frames and checks
-each header, and nothing is decoded until a frame is asked for.
-``select_frames`` and ``split_snippets`` on a lazy clip return lazy clips
-over the chosen files, so selection decodes nothing. Indexing
-``clip.frames[i]`` decodes a frame and keeps it; ``MediaClip.read`` is the
+A clip's frames are indices into one frame store. A clip built from
+FrameBuffers keeps them in its store; a clip from ``load_clip`` is lazy:
+loading lists the frames and checks each header, and its store decodes a
+frame only when it is read. ``select_frames`` and ``split_snippets`` pick
+indices into the same store, so selection decodes nothing. Indexing
+``clip.frames[i]`` reads a frame and keeps it; ``MediaClip.read`` is the
 read for callers that use each frame once, and keeps nothing, so the
 sampler holds one source frame at a time. ``MediaClip.source_keys`` names
 the source behind each frame, so a reader fetches a repeated frame once.
@@ -65,22 +66,23 @@ class FrameBuffer:
         return self.data.shape[1]
 
 
-class _FrameFiles:
-    """The frame files of one clip directory and the frames kept so far.
+class _FrameStore:
+    """The frames behind one clip and every clip picked from it, by index.
 
-    Holds the frame paths and the (height, width) each header declares. A
-    frame whose decoded dims differ (the file changed after listing)
-    raises MixedDimensions.
+    Holds each frame's (height, width), and either the frame files, which
+    are decoded when read, or the frames themselves, kept from the start.
+    A file whose decoded dims differ from its header's (it changed after
+    listing) raises MixedDimensions.
     """
 
-    def __init__(self, paths: tuple[Path, ...], dims: tuple[tuple[int, int], ...]):
-        self.paths = paths
+    def __init__(self, dims: tuple[tuple[int, int], ...], paths: tuple[Path, ...], kept: dict):
         self.dims = dims
-        self.kept: dict[int, FrameBuffer] = {}
+        self.paths = paths
+        self.kept: dict[int, FrameBuffer] = kept
 
     def read(self, i: int, keep: bool) -> FrameBuffer:
-        """File ``i``'s frame: the kept one if there is one, else decoded
-        (and kept when ``keep``)."""
+        """Frame ``i``: the kept one if there is one, else decoded from its
+        file (and kept when ``keep``)."""
         frame = self.kept.get(i)
         if frame is None:
             frame = load_image(self.paths[i])
@@ -95,21 +97,17 @@ class _FrameFiles:
         return frame
 
 
-class _LazyFrames(Sequence):
-    """Frames of a clip directory, as indices into its files.
+class _StoreFrames(Sequence):
+    """A clip's frames, as indices into its frame store.
 
-    Indexing decodes a frame on first access and keeps it. Selections
-    share the files, so a frame kept through one clip is kept for all, and
+    Indexing reads a frame and keeps it. Clips picked from one clip share
+    its store, so a frame kept through one clip is kept for all, and
     repeated indices are one frame.
     """
 
-    def __init__(self, files: _FrameFiles, indices: tuple[int, ...]):
-        self.files = files
+    def __init__(self, store: _FrameStore, indices: tuple[int, ...]):
+        self.store = store
         self.indices = indices
-
-    @property
-    def dims(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.files.dims[i] for i in self.indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -117,16 +115,18 @@ class _LazyFrames(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        return self.files.read(self.indices[index], keep=True)
+        return self.store.read(self.indices[index], keep=True)
 
 
 @dataclass(frozen=True)
 class MediaClip:
     """An ordered run of frames sharing one resolution.
 
-    ``frames`` is a tuple of FrameBuffers, or the lazy sequence
-    ``load_clip`` returns; ``height``, ``width``, ``len``, ``source_keys``
-    and ``pick`` never decode.
+    ``frames`` is a sequence of indices into a frame store. A clip built
+    from FrameBuffers keeps them in its own store, where a frame object
+    given more than once is one frame; ``load_clip`` gives a store that
+    decodes each file when it is read. ``height``, ``width``, ``len``,
+    ``source_keys`` and ``pick`` never decode.
     """
 
     frames: Sequence[FrameBuffer]
@@ -135,10 +135,14 @@ class MediaClip:
     def __post_init__(self):
         if len(self.frames) < 1:
             raise EmptyClip("clip has no frames")
-        if isinstance(self.frames, _LazyFrames):
-            dims = self.frames.dims
-        else:
-            dims = [(f.height, f.width) for f in self.frames]
+        if not isinstance(self.frames, _StoreFrames):
+            given = tuple(self.frames)
+            first: dict[int, int] = {}  # frame object -> first position
+            keys = tuple(first.setdefault(id(f), i) for i, f in enumerate(given))
+            dims = tuple((f.height, f.width) for f in given)
+            store = _FrameStore(dims, (), {k: given[k] for k in keys})
+            object.__setattr__(self, "frames", _StoreFrames(store, keys))
+        dims = [self.frames.store.dims[k] for k in self.frames.indices]
         h, w = dims[0]
         for i, (fh, fw) in enumerate(dims):
             if (fh, fw) != (h, w):
@@ -160,25 +164,18 @@ class MediaClip:
     def source_keys(self) -> tuple[int, ...]:
         """Per frame, a key naming its source: frames with equal keys are one
         source frame (a short clip's repeats), so a reader fetches it once."""
-        if isinstance(self.frames, _LazyFrames):
-            return self.frames.indices
-        first: dict[int, int] = {}  # the tuple keeps every frame, so ids are stable
-        return tuple(first.setdefault(id(f), i) for i, f in enumerate(self.frames))
+        return self.frames.indices
 
     def read(self, i: int) -> FrameBuffer:
-        """Frame ``i`` for a caller that uses it once: a lazy clip decodes it
-        without keeping it, unless it is already kept."""
-        if isinstance(self.frames, _LazyFrames):
-            return self.frames.files.read(self.frames.indices[i], keep=False)
-        return self.frames[i]
+        """Frame ``i`` for a caller that uses it once: a frame not kept yet is
+        decoded and not kept."""
+        return self.frames.store.read(self.frames.indices[i], keep=False)
 
     def pick(self, positions) -> MediaClip:
-        """The clip of the frames at ``positions``; a lazy clip stays lazy."""
-        frames = self.frames
-        if isinstance(frames, _LazyFrames):
-            picked = _LazyFrames(frames.files, tuple(frames.indices[p] for p in positions))
-            return MediaClip(picked, self.nominal_fps)
-        return MediaClip(tuple(frames[p] for p in positions), self.nominal_fps)
+        """The clip of the frames at ``positions``, over the same store, so
+        nothing is decoded."""
+        indices = tuple(self.frames.indices[p] for p in positions)
+        return MediaClip(_StoreFrames(self.frames.store, indices), self.nominal_fps)
 
 
 @dataclass(frozen=True)
@@ -330,8 +327,8 @@ def load_clip(directory: str | Path) -> MediaClip:
         raise EmptyClip(f"no frame_NNNNNN.(png|ppm) files in {directory}")
     entries.sort()
     paths = tuple(p for _, _, p in entries)
-    files = _FrameFiles(paths, tuple(imageio.probe_image(p) for p in paths))
-    return MediaClip(_LazyFrames(files, tuple(range(len(paths)))))
+    store = _FrameStore(tuple(imageio.probe_image(p) for p in paths), paths, {})
+    return MediaClip(_StoreFrames(store, tuple(range(len(paths)))))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +343,7 @@ def select_frames(
     The clip is split into ``count`` equal temporal bins; the default picks
     each bin's center, ``policy="random"`` jitters within the bin using the
     counter-based generator. Clips shorter than ``count`` repeat frames
-    cyclically instead. Nothing is decoded: a lazy clip gives a lazy clip.
+    cyclically instead. Nothing is decoded: the clip picked shares the store.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -369,8 +366,8 @@ def select_frames(
 
 
 def split_snippets(clip: MediaClip, snippet_len: int, n_snippets: int) -> list[MediaClip]:
-    """Cut the first snippet_len*n_snippets frames into contiguous snippets;
-    a lazy clip gives lazy snippets."""
+    """Cut the first snippet_len*n_snippets frames into contiguous snippets,
+    which share the clip's store, so nothing is decoded."""
     if snippet_len < 1 or n_snippets < 1:
         raise ValueError("snippet_len and n_snippets must be >= 1")
     need = snippet_len * n_snippets

@@ -20,8 +20,9 @@ place, so a failed write never leaves a partial file. Neither direction
 copies the payload: a write hands the arrays' buffers to the file, and a
 read fills one buffer whose views are the tensor's arrays.
 
-The audit streams the source frames as the sampler does: it reads each
-recorded source frame once per output frame and releases it after use.
+The audit streams the source frames as the sampler does: it visits
+output frames in the order of their source frames and holds only the last
+one it read, so each distinct source frame is read once.
 """
 
 from __future__ import annotations
@@ -388,16 +389,22 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
 
     Out-of-range scale ids, frame indices, or coordinates count as
     mismatches rather than raising, so a corrupted tensor still yields a
-    report. Work proceeds one output frame at a time, and within it one
-    recorded source frame at a time: each is read once (a lazy clip decodes
-    it again; nothing is kept), checked at every level that draws on it,
-    and released before the next is read.
+    report. Work proceeds one output frame at a time, in the order of their
+    source keys (``sources.keys``), and within a frame one recorded source
+    frame at a time. The last source frame read is held until a different
+    one is needed, so each distinct source is read once (a lazy clip
+    decodes it; nothing else is kept), even when a short clip repeats it
+    over many output frames.
     """
     if t.provenance is None:
         raise MissingProvenance("tensor carries no provenance to audit")
     scale_counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
     mismatches = 0
-    for f in range(t.frames_out):
+    held: dict = {}
+    keys = pyramid[0].sources.keys if pyramid else ()
+    # output frame f records source frame f, so frames sharing a key are adjacent
+    order = sorted(range(t.frames_out), key=lambda f: keys[f] if f < len(keys) else -1)
+    for f in order:
         prov = t.provenance[f].reshape(-1)
         got = t.data[f].reshape(-1, 3)
         scale = prov["scale"]
@@ -408,7 +415,7 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
         frame = prov["frame"][idx]
         for fr in np.flatnonzero(np.bincount(frame)):
             at_fr = idx[frame == fr]
-            mismatches += _audit_source_frame(int(fr), at_fr, prov, got, pyramid)
+            mismatches += _audit_source_frame(int(fr), at_fr, prov, got, pyramid, held)
     total = t.provenance.size
     per_scale = {int(s): int(scale_counts[s]) for s in np.flatnonzero(scale_counts)}
     shares = {s: c / total for s, c in per_scale.items()}
@@ -426,13 +433,19 @@ _AUDIT_CHUNK = 8192
 
 
 def _audit_source_frame(
-    fr: int, at_fr: np.ndarray, prov: np.ndarray, got: np.ndarray, pyramid: list[PyramidLevel]
+    fr: int,
+    at_fr: np.ndarray,
+    prov: np.ndarray,
+    got: np.ndarray,
+    pyramid: list[PyramidLevel],
+    held: dict,
 ) -> int:
     """Mismatches among the pixels ``at_fr`` of one output frame, which all
-    record source frame ``fr``. The frame is read once: the levels of a
-    pyramid from ``build_pyramid`` share one source list."""
+    record source frame ``fr``. ``held`` maps (source list, key) to the
+    last frame read, which serves every level and output frame that needs
+    it: the levels of a pyramid from ``build_pyramid`` share one source
+    list."""
     mismatches = 0
-    sources = src = None  # the last source list read, and its frame fr
     scale = prov["scale"][at_fr]
     for s in np.flatnonzero(np.bincount(scale)):
         sub = at_fr[scale == s]
@@ -440,9 +453,11 @@ def _audit_source_frame(
         if fr >= level.frame_count:
             mismatches += sub.size
             continue
-        if level.sources is not sources:
-            sources, src = level.sources, None
-            src = sources[fr]  # the previous frame is released first
+        key = (id(level.sources), level.sources.keys[fr])
+        if key not in held:
+            held.clear()  # release the held frame before the next is read
+            held[key] = level.sources[fr]
+        src = held[key]
         rows = _axis_table(src.shape[0], level.height)
         cols = _axis_table(src.shape[1], level.width)
         for lo in range(0, sub.size, _AUDIT_CHUNK):

@@ -2,7 +2,9 @@
 
 Levels hold no pixels: the levels of one pyramid share one
 ``SourceFrames``, which reads a source frame when asked for it and keeps
-nothing, and building a pyramid decodes nothing. The sampler turns the
+nothing, and building a pyramid decodes nothing. ``SourceFrames`` is also
+the one upscale path: a clip below the coarsest level's min side is
+upscaled there as each frame is read. The sampler turns the
 level pixels its plan needs into ``PixelTaps`` once (``pixel_taps``),
 then reads each distinct source frame once and runs one ``gather_taps``
 per (frame, level) on it. Whole frames (``PyramidLevel.frame``, memoized
@@ -208,17 +210,13 @@ def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:
     return _lerp_core(c[0], c[1], c[2], c[3], taps.fy, taps.fx)
 
 
-def bilinear_resize(frame: FrameBuffer, out_h: int, out_w: int) -> FrameBuffer:
-    return FrameBuffer(resize_rgb(frame.data, out_h, out_w))
-
-
 class SourceFrames(Sequence):
     """The source frames a pyramid's levels resize from, read when indexed.
 
     ``sources[i]`` is frame ``i`` of the clip as an (H, W, 3) array, read
-    with ``MediaClip.read``, so a lazy clip decodes it and keeps nothing. A
-    clip below the pyramid's min side is upscaled to ``height`` x ``width``
-    as each frame is read. ``keys[i]`` names the source behind frame ``i``:
+    with ``MediaClip.read``, so a frame its clip has not kept is decoded and
+    not kept. A clip below the pyramid's min side is upscaled to
+    ``height`` x ``width`` as each frame is read. ``keys[i]`` names the source behind frame ``i``:
     frames with equal keys hold the same pixels.
     """
 
@@ -288,26 +286,14 @@ class PyramidLevel:
         return resize_rect(src, self.height, self.width, y0, x0, h, w)
 
 
-def upscale_if_small(media, target_min: int):
-    """Bilinearly upscale so the min-side reaches ``target_min``; else identity."""
-    if not isinstance(media, (FrameBuffer, MediaClip)):
-        raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
-    if min(media.height, media.width) >= target_min:
-        return media
-    h, w = _dims_for_min_side(media.height, media.width, target_min)
-    if isinstance(media, FrameBuffer):
-        return bilinear_resize(media, h, w)
-    return MediaClip(tuple(bilinear_resize(f, h, w) for f in media.frames), media.nominal_fps)
-
-
 def build_pyramid(media, config: SamplerConfig, levels: int | None = None) -> list[PyramidLevel]:
     """Lay out ``levels`` levels over one shared ``SourceFrames``.
 
     Decodes nothing: the raw dims come from the clip. A ``FrameBuffer`` is
     read as a one-frame clip. A clip below the target min side is upscaled
-    as each frame is read (as ``upscale_if_small`` would), and level 0
-    is the (possibly upscaled) raw frame. Every frame of a level gets the
-    same target dims.
+    bilinearly, keeping its aspect, as each frame is read; this is the one
+    upscale path, and level 0 is the (possibly upscaled) raw frame. Every
+    frame of a level gets the same target dims.
     """
     if not isinstance(media, (FrameBuffer, MediaClip)):
         raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")

@@ -106,6 +106,23 @@ def test_config_wrong_type_rejected(image_file, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"seed": "five"}, "config key 'seed' must be int, got str"),
+    ({"grid_rows": 7.0}, "config key 'grid_rows' must be int, got float"),
+    ({"frames_out": True}, "config key 'frames_out' must be int, got bool"),
+    ({"spatial_mask": 2}, "config key 'spatial_mask' must be str, got int"),
+    ({"aligned_offsets": 1}, "config key 'aligned_offsets' must be bool, got int"),
+    ({"infer": "yes"}, "config key 'infer' must be bool, got str"),
+    ({"out": ["x"]}, "config key 'out' must be str, got list"),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_config_type_errors_name_the_expected_type(doc, message, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["sample-video", str(tmp_path), "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_bad_flag_value_is_config_error(image_file, tmp_path):
     rc = main([
         "sample-image", str(image_file), "--spatial-mask", "wat",
@@ -134,6 +151,7 @@ def test_config_bench_reps_is_an_unknown_key(tmp_path, capsys):
     ["masks", "dump", "--temporal-mask", "progressive", "--frames", "0"],
     ["attn-check", "--seeds", "0"],
     ["verify", "--seeds", "0"],
+    ["verify", "--seed-replay", "0"],
 ], ids="_".join)
 def test_count_and_size_flags_below_one_are_config_errors(argv, tmp_path, capsys):
     if argv[0] == "masks":

@@ -128,3 +128,39 @@ def test_config_validation_asks_the_temporal_mask(monkeypatch):
     with pytest.raises(ConfigError, match="^refused by the mask$"):
         SamplerConfig().validate("video")
     assert calls == [("progressive", 32, 16)]
+
+
+def test_one_frame_store_and_one_upscale_path():
+    # a clip's frames are always store-backed; the pyramid's SourceFrames is
+    # the only upscale
+    for name, path in _modules().items():
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & {"_LazyFrames", "upscale_if_small", "bilinear_resize"}, name
+    assert not {"upscale_if_small", "bilinear_resize"} & set(sama.__all__)
+
+
+def test_clip_frames_type_is_checked_only_at_construction():
+    # every isinstance() whose subject is a ``frames`` attribute, or whose
+    # type is the store-backed frames class, as (module, enclosing scope)
+    frames_type = type(sama.MediaClip((sama.FrameBuffer(np.zeros((1, 1, 3), np.uint8)),)).frames)
+    found = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                subject, types = child.args
+                named = {n.id for n in ast.walk(types) if isinstance(n, ast.Name)}
+                if getattr(subject, "attr", None) == "frames" or frames_type.__name__ in named:
+                    found.append((module, scope))
+            visit(module, child, inner)
+
+    for name, path in _modules().items():
+        visit(name, ast.parse(path.read_text()), "")
+    assert found == [("media", "MediaClip.__post_init__")]

@@ -328,6 +328,18 @@ def test_audit_of_a_lazy_pyramid_reads_each_recorded_frame_once(tmp_path, alive_
     assert max(alive_at_decode) <= 1
 
 
+def test_audit_reads_each_distinct_source_once(tmp_path, decodes):
+    # 32 output frames from a 5-frame clip repeat each source frame
+    write_clip(tmp_path / "clip", 5, 240, 320)
+    cfg = SamplerConfig.vqa_default()
+    res = sample_video(load_clip(tmp_path / "clip"), cfg)
+    assert len(decodes) == 5
+    del decodes[:]
+    report = provenance_audit(res.tensor, res.pyramid)
+    assert report.ok and report.total_pixels == 32 * 224 * 224
+    assert len(decodes) == 5
+
+
 def test_audit_requires_provenance():
     with pytest.raises(MissingProvenance):
         provenance_audit(_tiny_tensor(with_prov=False), [])

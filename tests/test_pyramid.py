@@ -9,12 +9,10 @@ from sama.errors import InputTooSmall
 from sama.media import FrameBuffer, MediaClip, SamplerConfig, load_clip, load_image
 from sama.pyramid import (
     PyramidLevel,
-    bilinear_resize,
     build_pyramid,
     resize_rect,
     resize_rgb,
     scale_schedule,
-    upscale_if_small,
 )
 
 from conftest import constant_frame, coordinate_clip, coordinate_frame, write_clip
@@ -93,7 +91,7 @@ def test_schedule_input_too_small():
 
 
 # ---------------------------------------------------------------------------
-# bilinear_resize
+# resize_rgb
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,23 +103,24 @@ def test_schedule_input_too_small():
     out_w=st.integers(1, 20),
 )
 def test_resize_preserves_constants(value, in_h, in_w, out_h, out_w):
-    out = bilinear_resize(constant_frame(in_h, in_w, value), out_h, out_w)
-    assert out.height == out_h and out.width == out_w
-    assert (out.data == value).all()
+    out = resize_rgb(constant_frame(in_h, in_w, value).data, out_h, out_w)
+    assert out.shape == (out_h, out_w, 3)
+    assert (out == value).all()
 
 
 def test_resize_half_pixel_column_average():
     # two columns 0 and 255 collapse to their midpoint, rounded half up
     data = np.zeros((2, 2, 3), dtype=np.uint8)
     data[:, 1, :] = 255
-    out = bilinear_resize(FrameBuffer(data), 2, 1)
-    assert (out.data == 128).all()
+    out = resize_rgb(data, 2, 1)
+    assert out.shape == (2, 1, 3)
+    assert (out == 128).all()
 
 
 def test_resize_identity_is_byte_identical():
     frame = coordinate_frame(13, 17)
-    out = bilinear_resize(frame, 13, 17)
-    assert np.array_equal(out.data, frame.data)
+    out = resize_rgb(frame.data, 13, 17)
+    assert np.array_equal(out, frame.data)
 
 
 def test_resize_scalar_oracle_small_case():
@@ -177,24 +176,31 @@ def test_resize_rect_is_a_window_of_the_full_resize(src_hw, out_hw):
 
 
 # ---------------------------------------------------------------------------
-# upscale_if_small
+# Upscaling: build_pyramid upscales a source below the target min side
+
+
+def _raw_level(media, target_min):
+    """Level 0 of a one-level pyramid whose target min side is ``target_min``."""
+    config = SamplerConfig(grid_rows=1, grid_cols=1, frag_h=target_min, frag_w=target_min)
+    (level,) = build_pyramid(media, config, levels=1)
+    return level
 
 
 def test_upscale_cases():
-    up = upscale_if_small(constant_frame(100, 200, 9), 224)
+    up = _raw_level(constant_frame(100, 200, 9), 224)
     assert (up.height, up.width) == (224, 448)
-    same = upscale_if_small(coordinate_frame(224, 448), 224)
-    assert np.array_equal(same.data, coordinate_frame(224, 448).data)
-    dot = upscale_if_small(constant_frame(1, 1, 77), 224)
+    same = _raw_level(coordinate_frame(224, 448), 224)
+    assert np.array_equal(same.frame(0), coordinate_frame(224, 448).data)
+    dot = _raw_level(constant_frame(1, 1, 77), 224)
     assert (dot.height, dot.width) == (224, 224)
-    assert (dot.data == 77).all()
+    assert (dot.frame(0) == 77).all()
 
 
 def test_upscale_clip():
     clip = coordinate_clip(50, 80, 3)
-    up = upscale_if_small(clip, 224)
+    up = _raw_level(clip, 224)
     assert (up.height, up.width) == (224, 358)
-    assert len(up) == 3
+    assert up.frame_count == 3
 
 
 # ---------------------------------------------------------------------------
