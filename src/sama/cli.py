@@ -224,22 +224,22 @@ def cmd_sample_video(args) -> int:
     clip = load_clip(inp)
     infer = args.infer or bool(extras.get("infer"))
     style = args.preview or extras.get("preview")
+    jobs = [(clip, Path(out))]
     if infer:
         pool = select_frames(clip, INFER_SELECT_FRAMES, config.seed, config.offset_policy)
         snippets = split_snippets(pool, config.frames_out, INFER_SNIPPETS)
         out_path = Path(out)
-        for i, snippet in enumerate(snippets):
-            result = sample_video(snippet, config)
-            path = out_path.with_name(f"{out_path.stem}_snip{i}{out_path.suffix}")
-            write_container(result.tensor, path)
-            print(f"wrote {path}")
-        return 0
-    result = sample_video(clip, config)
-    write_container(result.tensor, out)
-    if style:
-        _write_previews(result.tensor, style, Path(out))
-    _print_shares(result.tensor)
-    print(f"wrote {out}")
+        jobs = [
+            (snippet, out_path.with_name(f"{out_path.stem}_snip{i}{out_path.suffix}"))
+            for i, snippet in enumerate(snippets)
+        ]
+    for snippet, path in jobs:
+        result = sample_video(snippet, config)
+        write_container(result.tensor, path)
+        if style:
+            _write_previews(result.tensor, style, path)
+        _print_shares(result.tensor)
+        print(f"wrote {path}")
     return 0
 
 

@@ -2,13 +2,15 @@
 
 A clip's frames are indices into one frame store. A clip built from
 FrameBuffers keeps them in its store; a clip from ``load_clip`` is lazy:
-loading lists the frames and checks each header, and its store decodes a
-frame only when it is read. ``select_frames`` and ``split_snippets`` pick
-indices into the same store, so selection decodes nothing. Indexing
-``clip.frames[i]`` reads a frame and keeps it; ``MediaClip.read`` is the
-read for callers that use each frame once, and keeps nothing, so the
-sampler holds one source frame at a time. ``MediaClip.source_keys`` names
-the source behind each frame, so a reader fetches a repeated frame once.
+loading lists the frames and checks each header, and its store reads a
+frame only when asked. ``select_frames`` and ``split_snippets`` pick
+indices into the same store, so selection reads nothing. Indexing
+``clip.frames[i]`` reads a whole frame and keeps it. ``MediaClip.read(i,
+rows)`` is the read for callers that use each frame once: it returns
+just the rows asked for, read from the file (``imageio.read_image``) or
+taken from a kept frame, and keeps nothing, so the sampler holds one
+source frame's rows at a time. ``MediaClip.source_keys`` names the source
+behind each frame, so a reader fetches a repeated frame once.
 
 ``SamplerConfig.validate`` checks mask arity and tiling by building the
 masks a config names, so those rules live only in ``masks``.
@@ -70,9 +72,9 @@ class _FrameStore:
     """The frames behind one clip and every clip picked from it, by index.
 
     Holds each frame's (height, width), and either the frame files, which
-    are decoded when read, or the frames themselves, kept from the start.
-    A file whose decoded dims differ from its header's (it changed after
-    listing) raises MixedDimensions.
+    are read when asked for, or the frames themselves, kept from the start.
+    A file whose dims differ from its header's at listing (it changed
+    since) raises MixedDimensions.
     """
 
     def __init__(self, dims: tuple[tuple[int, int], ...], paths: tuple[Path, ...], kept: dict):
@@ -80,20 +82,20 @@ class _FrameStore:
         self.paths = paths
         self.kept: dict[int, FrameBuffer] = kept
 
-    def read(self, i: int, keep: bool) -> FrameBuffer:
-        """Frame ``i``: the kept one if there is one, else decoded from its
-        file (and kept when ``keep``)."""
+    def read(self, i: int, rows=None) -> np.ndarray:
+        """Rows ``rows`` (ascending; every row when None) of frame ``i``, as a
+        (len(rows), W, 3) array: of the kept frame if there is one, else read
+        from its file and not kept."""
+        frame = self.kept.get(i)
+        if frame is not None:
+            return frame.data if rows is None else frame.data[rows]
+        return imageio.read_image(self.paths[i], rows, self.dims[i])
+
+    def keep(self, i: int) -> FrameBuffer:
+        """Frame ``i``, read whole and kept."""
         frame = self.kept.get(i)
         if frame is None:
-            frame = load_image(self.paths[i])
-            h, w = self.dims[i]
-            if (frame.height, frame.width) != (h, w):
-                raise MixedDimensions(
-                    f"{self.paths[i].name} is {frame.height}x{frame.width}, "
-                    f"its header said {h}x{w}"
-                )
-            if keep:
-                self.kept[i] = frame
+            frame = self.kept[i] = FrameBuffer(self.read(i))
         return frame
 
 
@@ -115,7 +117,7 @@ class _StoreFrames(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        return self.store.read(self.indices[index], keep=True)
+        return self.store.keep(self.indices[index])
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ class MediaClip:
     ``frames`` is a sequence of indices into a frame store. A clip built
     from FrameBuffers keeps them in its own store, where a frame object
     given more than once is one frame; ``load_clip`` gives a store that
-    decodes each file when it is read. ``height``, ``width``, ``len``,
-    ``source_keys`` and ``pick`` never decode.
+    reads each file when asked. ``height``, ``width``, ``len``,
+    ``source_keys`` and ``pick`` never read pixels.
     """
 
     frames: Sequence[FrameBuffer]
@@ -166,14 +168,15 @@ class MediaClip:
         source frame (a short clip's repeats), so a reader fetches it once."""
         return self.frames.indices
 
-    def read(self, i: int) -> FrameBuffer:
-        """Frame ``i`` for a caller that uses it once: a frame not kept yet is
-        decoded and not kept."""
-        return self.frames.store.read(self.frames.indices[i], keep=False)
+    def read(self, i: int, rows=None) -> np.ndarray:
+        """Rows ``rows`` (ascending; every row when None) of frame ``i``, as a
+        (len(rows), width, 3) array, for a caller that uses them once: a
+        frame not kept yet is read and not kept."""
+        return self.frames.store.read(self.frames.indices[i], rows)
 
     def pick(self, positions) -> MediaClip:
         """The clip of the frames at ``positions``, over the same store, so
-        nothing is decoded."""
+        nothing is read."""
         indices = tuple(self.frames.indices[p] for p in positions)
         return MediaClip(_StoreFrames(self.frames.store, indices), self.nominal_fps)
 

@@ -11,14 +11,19 @@ pair under a spatial mask), and one owner map, the spatial mask's
 ``indices`` or all zeros without one, says which of them owns each pixel.
 Single-scale frames, temporal schedules, spatial window and patch masks
 and their combination differ only in their level tuples and owner map. A
-plan is built once per distinct level tuple, and each level it draws on
-gets its full-axis bilinear taps, indexed by the plan, once per call.
-Then the selected source frames are streamed: each distinct one is read
-once, every (frame, level) that draws on it runs one gather straight into
-the preallocated output, and it is released before the next is read, so
-memory is one source frame plus the output. The provenance is the plans
-with the frame index broadcast in. The gather cost does not grow with the
-number of levels interlaced.
+plan is built once per distinct level tuple.
+
+Then the selected source frames are streamed, and only the source rows
+the plans tap are read. Source frames whose output frames draw on the
+same level tuples tap the same rows: for each such group the rows are
+marked from the plans (``tap_rows``) and each level's taps are built on
+those rows (``pixel_taps``), once. Each source frame of the group is
+then read once, just those rows (``sources[i, rows]``), every (frame,
+level) that draws on it runs one gather straight into the preallocated
+output, and it is released before the next is read. So memory is one
+source frame's rows and one group's taps plus the output. The
+provenance is the plans with the frame index broadcast in. The gather
+cost does not grow with the number of levels interlaced.
 The tests check the bytes against a reference that materializes whole
 per-level mosaics and composes them by mask.
 """
@@ -40,7 +45,7 @@ from .media import (
     select_frames,
 )
 from .pack import SampledTensor
-from .pyramid import PixelTaps, PyramidLevel, build_pyramid, gather_taps, pixel_taps
+from .pyramid import PixelTaps, PyramidLevel, build_pyramid, gather_taps, pixel_taps, tap_rows
 
 
 @dataclass
@@ -83,21 +88,21 @@ def _frame_plan(
     return plan
 
 
-def _owners(plan: np.ndarray, pyramid: list[PyramidLevel]) -> list[_Owner]:
-    """Split a frame plan by owning level and precompute each part's taps."""
+def _owned_pixels(plan: np.ndarray, pyramid: list[PyramidLevel]):
+    """Split a frame plan by owning level: (level, owned, ys, xs) per level,
+    ``owned`` None when the level owns every pixel."""
     scale = plan["scale"].reshape(-1)
     ys = plan["y"].reshape(-1)
     xs = plan["x"].reshape(-1)
     counts = np.bincount(scale, minlength=len(pyramid))
-    owners = []
+    parts = []
     for s in np.flatnonzero(counts):
-        level = pyramid[s]
         if counts[s] == scale.size:
-            owners.append(_Owner(level, None, pixel_taps(level, ys, xs)))
+            parts.append((pyramid[s], None, ys, xs))
         else:
             owned = scale == s
-            owners.append(_Owner(level, owned, pixel_taps(level, ys[owned], xs[owned])))
-    return owners
+            parts.append((pyramid[s], owned, ys[owned], xs[owned]))
+    return parts
 
 
 def _gather_frame(src: np.ndarray, out: np.ndarray, owners: list[_Owner]) -> None:
@@ -118,12 +123,14 @@ def _render(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(data, provenance) of output frames ``t`` drawn from ``frame_levels[t]``.
 
-    Each distinct level tuple gets one frame plan and one set of taps. Then
-    each distinct source frame is read once, every output frame drawn from
-    it is gathered, and it is released before the next is read, so the
-    sources held at once are one frame. Adds the planning time to
-    ``timings["fragments"]``, the taps, frame reads and gathers to
-    ``timings["pyramid"]`` and the provenance fill to ``timings["compose"]``.
+    Each distinct level tuple gets one frame plan. Source frames are taken
+    in groups that draw on the same level tuples; a group's tapped rows
+    and taps are found once, then each of its source frames is read once,
+    those rows only, every output frame drawn from it is gathered, and it
+    is released before the next is read, so the sources held at once are
+    one frame's rows. Adds the planning time to ``timings["fragments"]``,
+    the taps, row reads and gathers to ``timings["pyramid"]`` and the
+    provenance fill to ``timings["compose"]``.
     """
     t0 = time.perf_counter()
     needed = sorted({s for levels in frame_levels for s in levels})
@@ -134,10 +141,6 @@ def _render(
         owner_map = make_spatial_mask(config.spatial_mask, config.out_h, config.out_w).indices
     frame_plans = {levels: _frame_plan(levels, plans, owner_map) for levels in set(frame_levels)}
     timings["fragments"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()  # taps are interpolation weights: pyramid work
-    owners = {levels: _owners(plan, pyramid) for levels, plan in frame_plans.items()}
-    timings["pyramid"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     n_frames = len(frame_levels)
@@ -154,11 +157,26 @@ def _render(
     slots: dict[int, list[int]] = {}
     for t, key in enumerate(sources.keys):
         slots.setdefault(key, []).append(t)
-    for ts in slots.values():
-        src = sources[ts[0]]
-        for t in ts:
-            _gather_frame(src, data[t].view(_RGB).reshape(-1), owners[frame_levels[t]])
-        del src  # release this frame before the next is read
+    # source frames whose slots draw on the same level tuples tap the same rows
+    groups: dict[frozenset, list[int]] = {}
+    for key, ts in slots.items():
+        groups.setdefault(frozenset(frame_levels[t] for t in ts), []).append(key)
+    for tuples, keys in groups.items():
+        parts = {levels: _owned_pixels(frame_plans[levels], pyramid) for levels in tuples}
+        marks = np.zeros(sources.height, dtype=bool)
+        for level, _, ys, _ in (part for ps in parts.values() for part in ps):
+            tap_rows(level, ys, marks)
+        rows = np.flatnonzero(marks)
+        owners = {
+            levels: [_Owner(lv, owned, pixel_taps(lv, ys, xs, rows)) for lv, owned, ys, xs in ps]
+            for levels, ps in parts.items()
+        }
+        for key in keys:
+            ts = slots[key]
+            src = sources[ts[0], rows]
+            for t in ts:
+                _gather_frame(src, data[t].view(_RGB).reshape(-1), owners[frame_levels[t]])
+            del src  # release this frame before the next is read
     timings["pyramid"] += time.perf_counter() - t0
     return data, prov
 

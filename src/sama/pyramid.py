@@ -1,16 +1,18 @@
 """Multi-granularity pyramid: linear min-side schedule + bilinear resize.
 
 Levels hold no pixels: the levels of one pyramid share one
-``SourceFrames``, which reads a source frame when asked for it and keeps
-nothing, and building a pyramid decodes nothing. ``SourceFrames`` is also
-the one upscale path: a clip below the coarsest level's min side is
-upscaled there as each frame is read. The sampler turns the
-level pixels its plan needs into ``PixelTaps`` once (``pixel_taps``),
-then reads each distinct source frame once and runs one ``gather_taps``
-per (frame, level) on it. Whole frames (``PyramidLevel.frame``, memoized
-per source frame) serve the pyramid-cost gate in ``bench`` and the
-tests' reference sampler. Every path blends with ``_lerp_core`` on taps
-from ``_axis_taps``, so they agree byte for byte, and access order never
+``SourceFrames``, which reads a source frame, or just some of its rows
+(``sources[i, rows]``), when asked and keeps nothing, and building a
+pyramid reads nothing. ``SourceFrames`` is also the one upscale path: a
+clip below the coarsest level's min side is read whole and upscaled as
+each frame is read. The sampler marks the source rows its plan taps
+(``tap_rows``), turns the level pixels it needs into ``PixelTaps`` on
+those rows (``pixel_taps``), then reads just those rows of each distinct
+source frame once and runs one ``gather_taps`` per (frame, level) on
+them. Whole frames (``PyramidLevel.frame``, memoized per source frame)
+serve the pyramid-cost gate in ``bench`` and the tests' reference
+sampler. Every path blends with ``_lerp_core`` on taps from
+``_axis_taps``, so they agree byte for byte, and access order never
 changes results.
 """
 
@@ -150,7 +152,7 @@ def resize_rgb(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 # Nothing in the library calls resize_rect; it stays only because the
-# benchmark trace wraps it by name, until ROADMAP item 5 retargets the trace.
+# benchmark trace wraps it by name, until ROADMAP item 1 retargets the trace.
 def resize_rect(
     src: np.ndarray, out_h: int, out_w: int, y0: int, x0: int, h: int, w: int
 ) -> np.ndarray:
@@ -181,18 +183,39 @@ class PixelTaps:
     fx: np.ndarray | None
 
 
-def pixel_taps(level: PyramidLevel, ys: np.ndarray, xs: np.ndarray) -> PixelTaps:
-    """Taps of level pixels (ys[k], xs[k]), indexed out of the full-axis taps,
-    so a gather equals the same pixels of ``level.frame``."""
+def tap_rows(level: PyramidLevel, ys: np.ndarray, marks: np.ndarray) -> None:
+    """Set ``marks[r]`` (one bool per source row) for every source row r
+    that the taps of level rows ``ys`` read, as ``pixel_taps`` makes them."""
+    if (level.sources.height, level.sources.width) == (level.height, level.width):
+        marks[ys] = True
+        return
+    y0, y1, _ = _axis_taps(level.sources.height, level.height)
+    used = np.zeros(level.height, dtype=bool)
+    used[ys] = True
+    marks[y0[used]] = True
+    marks[y1[used]] = True
+
+
+def pixel_taps(
+    level: PyramidLevel, ys: np.ndarray, xs: np.ndarray, rows: np.ndarray | None = None
+) -> PixelTaps:
+    """Taps of level pixels (ys[k], xs[k]) into a source frame that holds
+    only the source rows ``rows`` (ascending; every row when None), such
+    as ``sources[i, rows]``. They are indexed out of the full-axis taps,
+    so a gather equals the same pixels of ``level.frame``; ``rows`` must
+    hold every row ``tap_rows`` marks for ``ys``."""
     src_h, src_w = level.sources.height, level.sources.width
     ys = ys.astype(np.intp)
     xs = xs.astype(np.intp)
+    rowmap = np.arange(src_h)  # source row -> its position among ``rows``
+    if rows is not None:
+        rowmap[rows] = np.arange(len(rows))
     if (src_h, src_w) == (level.height, level.width):
-        return PixelTaps((ys * src_w + xs)[None], None, None)
+        return PixelTaps((rowmap[ys] * src_w + xs)[None], None, None)
     y0, y1, fy = _axis_taps(src_h, level.height)
     x0, x1, fx = _axis_taps(src_w, level.width)
-    r0 = y0[ys] * src_w
-    r1 = y1[ys] * src_w
+    r0 = (rowmap[y0] * src_w)[ys]
+    r1 = (rowmap[y1] * src_w)[ys]
     c0 = x0[xs]
     c1 = x1[xs]
     index = np.empty((4, ys.size), dtype=np.intp)
@@ -213,11 +236,13 @@ def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:
 class SourceFrames(Sequence):
     """The source frames a pyramid's levels resize from, read when indexed.
 
-    ``sources[i]`` is frame ``i`` of the clip as an (H, W, 3) array, read
-    with ``MediaClip.read``, so a frame its clip has not kept is decoded and
-    not kept. A clip below the pyramid's min side is upscaled to
-    ``height`` x ``width`` as each frame is read. ``keys[i]`` names the source behind frame ``i``:
-    frames with equal keys hold the same pixels.
+    ``sources[i]`` is frame ``i`` of the clip as an (H, W, 3) array, and
+    ``sources[i, rows]`` just its rows ``rows`` (ascending), as a
+    (len(rows), W, 3) array. Both read with ``MediaClip.read``, so a frame
+    its clip has not kept is read and not kept. A clip below the pyramid's
+    min side is read whole and upscaled to ``height`` x ``width`` as each
+    frame is read, since the upscale taps every row. ``keys[i]`` names the
+    source behind frame ``i``: frames with equal keys hold the same pixels.
     """
 
     def __init__(self, clip: MediaClip, height: int | None = None, width: int | None = None):
@@ -229,11 +254,12 @@ class SourceFrames(Sequence):
     def __len__(self) -> int:
         return len(self.clip)
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        src = self.clip.read(i).data
-        if src.shape[:2] != (self.height, self.width):
-            src = resize_rgb(src, self.height, self.width)
-        return src
+    def __getitem__(self, item) -> np.ndarray:
+        i, rows = item if isinstance(item, tuple) else (item, None)
+        if (self.clip.height, self.clip.width) == (self.height, self.width):
+            return self.clip.read(i, rows)
+        src = resize_rgb(self.clip.read(i), self.height, self.width)
+        return src if rows is None else src[rows]
 
 
 class PyramidLevel:
@@ -271,7 +297,7 @@ class PyramidLevel:
         return self._cache[key]
 
     # Nothing in the library calls rect; it stays only because the benchmark
-    # trace wraps it by name, until ROADMAP item 5 retargets the trace.
+    # trace wraps it by name, until ROADMAP item 1 retargets the trace.
     def rect(self, i: int, y0: int, x0: int, h: int, w: int) -> np.ndarray:
         """The (h, w, 3) window of frame ``i`` without materializing it.
 

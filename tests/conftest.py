@@ -1,4 +1,5 @@
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,34 +55,34 @@ def write_clip(directory, frames: int, height: int = 8, width: int = 8, suffix: 
 
 
 @pytest.fixture
-def decodes(monkeypatch):
-    """The decoder calls made, spied on through ``sama.imageio`` attributes."""
+def reads(monkeypatch):
+    """The image reads made, as (file name, rows), spied on through
+    ``sama.imageio.read_image``, the one read path; ``rows`` is None for a
+    whole frame, else the array of rows asked for."""
     calls = []
-    for name in ("decode_ppm", "decode_png"):
-        real = getattr(imageio, name)
+    real = imageio.read_image
 
-        def spy(data, _real=real, _name=name):
-            calls.append(_name)
-            return _real(data)
+    def spy(path, rows=None, dims=None):
+        calls.append((Path(path).name, None if rows is None else np.array(rows)))
+        return real(path, rows, dims)
 
-        monkeypatch.setattr(imageio, name, spy)
+    monkeypatch.setattr(imageio, "read_image", spy)
     return calls
 
 
 @pytest.fixture
-def alive_at_decode(monkeypatch):
-    """For each decoder call, how many frames decoded earlier are still
-    alive (weak references to the decoder's results); its length is the
-    number of decodes."""
+def alive_at_read(monkeypatch):
+    """For each image read, how many arrays read earlier are still alive
+    (weak references to ``read_image``'s results); its length is the
+    number of reads."""
     refs, alive = [], []
-    for name in ("decode_ppm", "decode_png"):
-        real = getattr(imageio, name)
+    real = imageio.read_image
 
-        def spy(data, _real=real):
-            alive.append(sum(ref() is not None for ref in refs))
-            out = _real(data)
-            refs.append(weakref.ref(out))
-            return out
+    def spy(path, rows=None, dims=None):
+        alive.append(sum(ref() is not None for ref in refs))
+        out = real(path, rows, dims)
+        refs.append(weakref.ref(out))
+        return out
 
-        monkeypatch.setattr(imageio, name, spy)
+    monkeypatch.setattr(imageio, "read_image", spy)
     return alive

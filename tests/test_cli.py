@@ -11,7 +11,7 @@ import pytest
 from sama import imageio
 from sama.cli import main
 from sama.masks import SpatialMask
-from sama.pack import read_container
+from sama.pack import read_container, render_preview
 
 from conftest import coordinate_clip, coordinate_frame, write_clip
 
@@ -201,28 +201,46 @@ def test_sample_video_infer_snippets(clip_dir, tmp_path):
     assert not out.exists()  # only snippet containers are written
 
 
-def test_sample_video_infer_decodes_only_its_pool(tmp_path, decodes):
+def test_sample_video_infer_writes_each_snippets_previews_and_shares(tmp_path, capsys):
+    write_clip(tmp_path / "clip", 128, 16, 24)
+    out = tmp_path / "v.sama"
+    rc = main([
+        "sample-video", str(tmp_path / "clip"), "--infer", "--frames", "4", "--scales", "2",
+        "--grid", "1x1", "--frag", "8x8", "--preview", "tinted", "--out", str(out),
+    ])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert printed.count("per-scale pixel shares: scale 0: 50.0%  scale 1: 50.0%") == 4
+    for i in range(4):
+        previews = sorted(tmp_path.glob(f"v_snip{i}_preview_f*.png"))
+        assert len(previews) == 4
+        tensor = read_container(tmp_path / f"v_snip{i}.sama")
+        tinted = render_preview(tensor, "tinted")
+        assert np.array_equal(imageio.read_image(previews[3]), tinted[3].data)
+
+
+def test_sample_video_infer_decodes_only_its_pool(tmp_path, reads):
     write_clip(tmp_path / "clip", 256)
     out = tmp_path / "v.sama"
     assert main(["sample-video", str(tmp_path / "clip"), "--infer", "--out", str(out)]) == 0
-    assert decodes == ["decode_ppm"] * 128
+    assert len(reads) == len({name for name, _ in reads}) == 128
 
 
-def test_sample_video_infer_streams_its_snippets(tmp_path, alive_at_decode):
+def test_sample_video_infer_streams_its_snippets(tmp_path, alive_at_read):
     write_clip(tmp_path / "clip", 256)
     out = tmp_path / "v.sama"
     assert main(["sample-video", str(tmp_path / "clip"), "--infer", "--out", str(out)]) == 0
-    assert len(alive_at_decode) == 128
-    assert max(alive_at_decode) <= 1
+    assert len(alive_at_read) == 128
+    assert max(alive_at_read) <= 1
 
 
-def test_truncated_ppm_in_an_unselected_frame_fails_at_load(tmp_path, decodes, capsys):
+def test_truncated_ppm_in_an_unselected_frame_fails_at_load(tmp_path, reads, capsys):
     paths = write_clip(tmp_path / "clip", 64)
     paths[0].write_bytes(paths[0].read_bytes()[:-1])  # the VQA default keeps odd frames
     rc = main(["sample-video", str(tmp_path / "clip"), "--out", str(tmp_path / "v.sama")])
     assert rc == 2
     assert "PPM raster truncated" in capsys.readouterr().err
-    assert decodes == []
+    assert reads == []
 
 
 @pytest.mark.parametrize("index, code", [(0, 0), (1, 2)], ids=["unselected", "selected"])
@@ -346,14 +364,14 @@ def test_sample_video_progressive_two_frames_has_nothing_to_interlace(clip_dir, 
     ("sample-video", ["--temporal-mask", "none", "--spatial-mask", "patch"]),
 ], ids=["image-window", "video-patch"])
 def test_output_no_mask_tiles_fails_before_reading_input(
-    command, flags, image_file, clip_dir, tmp_path, decodes, capsys
+    command, flags, image_file, clip_dir, tmp_path, reads, capsys
 ):
     source = image_file if command == "sample-image" else clip_dir
     out = tmp_path / "x.sama"
     rc = main([command, str(source), "--frag", "30x30", *flags, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("config error:")
-    assert decodes == []
+    assert reads == []
     assert not out.exists()
 
 

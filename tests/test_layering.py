@@ -58,14 +58,25 @@ def test_library_maps_no_files():
         assert not {m for m in _imports(path) if m.split(".")[0] == "mmap"}, name
 
 
-def test_read_image_decodes_ppm_through_the_module_attribute(decodes, tmp_path):
+def test_read_image_decodes_ppm_through_the_module_attribute(monkeypatch, tmp_path):
     # e2ebench counts decodes by wrapping sama.imageio.decode_ppm; a call
-    # bound any other way would leave its decode counters at zero
-    arr = np.zeros((2, 3, 3), dtype=np.uint8)
+    # bound any other way would leave its decode counters at zero. A row
+    # read decodes the rows it read.
+    decoded = []
+    real = imageio.decode_ppm
+
+    def spy(data):
+        out = real(data)
+        decoded.append(out.shape)
+        return out
+
+    monkeypatch.setattr(imageio, "decode_ppm", spy)
+    arr = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
     path = tmp_path / "a.ppm"
     path.write_bytes(imageio.encode_ppm(arr))
     assert np.array_equal(imageio.read_image(path), arr)
-    assert decodes == ["decode_ppm"]
+    assert np.array_equal(imageio.read_image(path, [1]), arr[1:])
+    assert decoded == [(2, 3, 3), (1, 3, 3)]
 
 
 def test_masks_depends_on_neither_fragments_nor_pack():

@@ -86,27 +86,27 @@ def test_load_clip_empty(tmp_path):
 # Lazy clips: only the frames selection keeps are decoded, once each
 
 
-def test_vqa_default_decodes_only_the_selected_frames(tmp_path, decodes):
+def test_vqa_default_decodes_only_the_selected_frames(tmp_path, reads):
     paths = write_clip(tmp_path / "clip", 64, 16, 24)
     clip = load_clip(tmp_path / "clip")
     assert (len(clip), clip.height, clip.width) == (64, 16, 24)
-    assert decodes == []  # listing and dims come from the headers
+    assert reads == []  # listing and dims come from the headers
     result = sample_video(clip, SamplerConfig.vqa_default())
-    assert decodes == ["decode_ppm"] * 32
+    assert sorted(name for name, _ in reads) == [p.name for p in paths[1::2]]
     eager = MediaClip(tuple(load_image(p) for p in paths))
     expected = sample_video(eager, SamplerConfig.vqa_default())
     assert np.array_equal(result.tensor.data, expected.tensor.data)
     assert np.array_equal(result.tensor.provenance, expected.tensor.provenance)
 
 
-def test_short_clip_decodes_each_frame_once(tmp_path, decodes):
+def test_short_clip_decodes_each_frame_once(tmp_path, reads):
     write_clip(tmp_path / "clip", 5)
     clip = load_clip(tmp_path / "clip")
-    assert decodes == []
+    assert reads == []
     sample_video(clip, SamplerConfig.vqa_default())
-    assert len(decodes) == 5
+    assert len(reads) == len({name for name, _ in reads}) == 5
     selected = select_frames(clip, 32)
-    assert len(decodes) == 5
+    assert len(reads) == 5
     assert selected.frames[0] is selected.frames[5] is clip.frames[0]
     assert len({id(f) for f in selected.frames}) == 5
 
@@ -138,7 +138,7 @@ def test_in_memory_and_loaded_clips_share_one_frames_type(tmp_path, monkeypatch)
     clip = MediaClip((frame,) * 3)
     assert type(clip.frames) is type(load_clip(tmp_path / "clip").frames)
     assert clip.source_keys == (0, 0, 0)
-    assert clip.frames[2] is frame and clip.read(1) is frame
+    assert clip.frames[2] is frame and clip.read(1) is frame.data
     resizes = []
     real = pyramid.resize_rgb
 
@@ -156,7 +156,7 @@ def test_in_memory_and_loaded_clips_share_one_frames_type(tmp_path, monkeypatch)
 # Streaming: a sampled clip holds one source frame at a time
 
 
-def test_selecting_and_pyramiding_a_lazy_clip_decode_nothing(tmp_path, decodes):
+def test_selecting_and_pyramiding_a_lazy_clip_decode_nothing(tmp_path, reads):
     write_clip(tmp_path / "clip", 12, 16, 24)
     clip = load_clip(tmp_path / "clip")
     cfg = SamplerConfig(frames_out=8, n_scales=4)
@@ -164,13 +164,13 @@ def test_selecting_and_pyramiding_a_lazy_clip_decode_nothing(tmp_path, decodes):
     (snippet, _) = split_snippets(selected, 4, 2)
     short = select_frames(snippet, 9)  # repeats of a short clip
     levels = build_pyramid(short, cfg)
-    assert decodes == []
+    assert reads == []
     assert len(levels[0].sources) == 9
     assert levels[0].sources.keys[0] == levels[0].sources.keys[4]
     assert short.frames[0] is short.frames[4] is clip.frames[short.source_keys[0]]
 
 
-def test_sample_video_streams_its_source_frames(tmp_path, alive_at_decode):
+def test_sample_video_streams_its_source_frames(tmp_path, alive_at_read):
     import tracemalloc
 
     write_clip(tmp_path / "clip", 64, 480, 640)
@@ -182,8 +182,8 @@ def test_sample_video_streams_its_source_frames(tmp_path, alive_at_decode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(alive_at_decode) == 32
-    assert max(alive_at_decode) <= 1
+    assert len(alive_at_read) == 32
+    assert max(alive_at_read) <= 1
     source = 480 * 640 * 3
     output = result.tensor.data.nbytes + result.tensor.provenance.nbytes
     assert peak < 3 * source + output, (peak, source, output)

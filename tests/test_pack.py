@@ -316,28 +316,28 @@ def test_audit_shares_no_code_with_the_resize_path():
     assert not attrs & {"frame", "frames", "rect", "_sources"}  # PyramidLevel's
 
 
-def test_audit_of_a_lazy_pyramid_reads_each_recorded_frame_once(tmp_path, alive_at_decode):
+def test_audit_of_a_lazy_pyramid_reads_each_recorded_frame_once(tmp_path, alive_at_read):
     write_clip(tmp_path / "clip", 16, 240, 300)
     cfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=4)
     res = sample_video(load_clip(tmp_path / "clip"), cfg)
     pyramid = build_pyramid(select_frames(load_clip(tmp_path / "clip"), 8, 4, "random"), cfg)
-    del alive_at_decode[:]
+    del alive_at_read[:]
     report = provenance_audit(res.tensor, pyramid)
     assert report.ok and report.total_pixels == 8 * 224 * 224
-    assert len(alive_at_decode) == 8  # one recorded frame per output frame
-    assert max(alive_at_decode) <= 1
+    assert len(alive_at_read) == 8  # one recorded frame per output frame
+    assert max(alive_at_read) <= 1
 
 
-def test_audit_reads_each_distinct_source_once(tmp_path, decodes):
+def test_audit_reads_each_distinct_source_once(tmp_path, reads):
     # 32 output frames from a 5-frame clip repeat each source frame
     write_clip(tmp_path / "clip", 5, 240, 320)
     cfg = SamplerConfig.vqa_default()
     res = sample_video(load_clip(tmp_path / "clip"), cfg)
-    assert len(decodes) == 5
-    del decodes[:]
+    assert len(reads) == 5
+    del reads[:]
     report = provenance_audit(res.tensor, res.pyramid)
     assert report.ok and report.total_pixels == 32 * 224 * 224
-    assert len(decodes) == 5
+    assert len(reads) == len({name for name, _ in reads}) == 5
 
 
 def test_audit_requires_provenance():
