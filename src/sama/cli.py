@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: sample-image, sample-video, preview, masks, bench,
-attn-check, verify. Configuration comes from defaults, then an optional
-JSON config file, then flags (flags win). Exit codes: 0 success, 1
-configuration error, 2 I/O or input-format error, 3 pipeline or property
-violation, 141 standard output closed by its reader.
+attn-check, verify. Settings come from defaults, then an optional JSON
+config file, then flags (flags win). A flag and the config key it sets
+share one name (a SamplerConfig field for the sampler flags, which are
+all that bench takes), and config-file values get the flags' checks
+before any input is read. Exit codes: 0 success, 1 configuration error,
+2 I/O or input-format error, 3 pipeline or property violation, 141
+standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .media import (
     OFFSET_POLICIES,
     SPATIAL_MASK_KINDS,
     TEMPORAL_MASK_KINDS,
-    MediaClip,
     SamplerConfig,
     load_clip,
     load_image,
@@ -130,38 +132,21 @@ def load_run_config(path: str | Path) -> dict:
                 f"config key {key!r} must be {accepted[0].__name__}, "
                 f"got {type(value).__name__}"
             )
+        if key == "preview" and value not in PREVIEW_STYLES:  # the flag's choices
+            styles = ", ".join(PREVIEW_STYLES)
+            raise ConfigError(f"config key 'preview' must be one of {styles}, got {value!r}")
     return doc
 
 
 def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
-    """defaults < config file < flags; returns (SamplerConfig, extras)."""
+    """defaults < config file < flags; returns (SamplerConfig, the other
+    settings). A flag not given is absent from ``args`` (SUPPRESS)."""
     doc = load_run_config(args.config) if args.config else {}
-    values = {k: v for k, v in doc.items() if k in _SAMPLER_KEYS}
-    extras = {k: v for k, v in doc.items() if k not in _SAMPLER_KEYS}
-
-    if args.grid:
-        values["grid_rows"], values["grid_cols"] = _parse_pair(args.grid, "--grid")
-    if args.frag:
-        values["frag_h"], values["frag_w"] = _parse_pair(args.frag, "--frag")
-    if getattr(args, "frames", None) is not None:
-        values["frames_out"] = args.frames
-    if args.scales is not None:
-        values["n_scales"] = args.scales
-    if args.spatial_mask is not None:
-        values["spatial_mask"] = args.spatial_mask
-    if getattr(args, "temporal_mask", None) is not None:
-        values["temporal_mask"] = args.temporal_mask
-    if args.offset is not None:
-        values["offset_policy"] = args.offset
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if getattr(args, "aligned_offsets", False):
-        values["aligned_offsets"] = True
+    merged = {**doc, **{k: v for k, v in vars(args).items() if k in _CONFIG_SCHEMA}}
+    values = {k: v for k, v in merged.items() if k in _SAMPLER_KEYS}
+    settings = {k: v for k, v in merged.items() if k not in _SAMPLER_KEYS}
 
     base = SamplerConfig() if kind == "video" else SamplerConfig.iqa_default()
-    if kind == "image":
-        values.setdefault("temporal_mask", "none")
-        values.setdefault("frames_out", 1)
     if "n_scales" not in values:
         # the level count the temporal mask takes (an unknown kind is left
         # to validate), else the two levels a spatial mask interlaces
@@ -173,7 +158,7 @@ def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
             values["n_scales"] = 2 if values.get("spatial_mask", base.spatial_mask) != "none" else 1
     config = replace(base, **values)
     config.validate(kind)
-    return config, extras
+    return config, settings
 
 
 def _print_shares(tensor: SampledTensor) -> None:
@@ -182,62 +167,51 @@ def _print_shares(tensor: SampledTensor) -> None:
     print("per-scale pixel shares: " + "  ".join(parts))
 
 
-def _write_previews(tensor: SampledTensor, style: str, out: Path) -> None:
-    frames = render_preview(tensor, style)
-    stem, suffix = out.stem, ".png"
-    if tensor.frames_out == 1:
-        imageio.write_image(out.with_name(f"{stem}_preview{suffix}"), frames[0].data)
-    else:
-        for i, frame in enumerate(frames):
-            imageio.write_image(
-                out.with_name(f"{stem}_preview_f{i:03d}{suffix}"), frame.data
-            )
+def _write_frames(frames, path: Path) -> None:
+    """Write one frame to ``path``, or each of several to
+    ``<stem>_fNNN<suffix>`` next to it."""
+    if len(frames) == 1:
+        imageio.write_image(path, frames[0].data)
+        return
+    for i, frame in enumerate(frames):
+        imageio.write_image(path.with_name(f"{path.stem}_f{i:03d}{path.suffix}"), frame.data)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_sample_image(args) -> int:
-    config, extras = _resolve_config(args, "image")
-    inp = args.input or extras.get("input")
-    out = args.out or extras.get("out")
+def cmd_sample(args) -> int:
+    kind = args.kind
+    config, settings = _resolve_config(args, kind)
+    inp, out = settings.get("input"), settings.get("out")
     if not inp or not out:
-        raise ConfigError("sample-image needs an input file and --out")
-    frame = load_image(inp)
-    result = sample_image(frame, config)
-    write_container(result.tensor, out)
-    style = args.preview or extras.get("preview")
-    if style:
-        _write_previews(result.tensor, style, Path(out))
-    _print_shares(result.tensor)
-    print(f"wrote {out}")
-    return 0
-
-
-def cmd_sample_video(args) -> int:
-    config, extras = _resolve_config(args, "video")
-    inp = args.input or extras.get("input")
-    out = args.out or extras.get("out")
-    if not inp or not out:
-        raise ConfigError("sample-video needs an input directory and --out")
-    clip = load_clip(inp)
-    infer = args.infer or bool(extras.get("infer"))
-    style = args.preview or extras.get("preview")
-    jobs = [(clip, Path(out))]
+        source = "file" if kind == "image" else "directory"
+        raise ConfigError(f"sample-{kind} needs an input {source} and --out")
+    infer = kind == "video" and settings.get("infer", False)
+    if infer and config.frames_out * INFER_SNIPPETS > INFER_SELECT_FRAMES:
+        raise ConfigError(
+            f"--infer cuts {INFER_SNIPPETS} snippets from a {INFER_SELECT_FRAMES}-frame pool: "
+            f"frames_out must be at most {INFER_SELECT_FRAMES // INFER_SNIPPETS}, "
+            f"got {config.frames_out}"
+        )
+    out = Path(out)
+    media = load_image(inp) if kind == "image" else load_clip(inp)
+    jobs = [(media, out)]
     if infer:
-        pool = select_frames(clip, INFER_SELECT_FRAMES, config.seed, config.offset_policy)
+        pool = select_frames(media, INFER_SELECT_FRAMES, config.seed, config.offset_policy)
         snippets = split_snippets(pool, config.frames_out, INFER_SNIPPETS)
-        out_path = Path(out)
         jobs = [
-            (snippet, out_path.with_name(f"{out_path.stem}_snip{i}{out_path.suffix}"))
+            (snippet, out.with_name(f"{out.stem}_snip{i}{out.suffix}"))
             for i, snippet in enumerate(snippets)
         ]
-    for snippet, path in jobs:
-        result = sample_video(snippet, config)
+    style = settings.get("preview")
+    for media, path in jobs:
+        result = sample_image(media, config) if kind == "image" else sample_video(media, config)
         write_container(result.tensor, path)
         if style:
-            _write_previews(result.tensor, style, path)
+            previews = render_preview(result.tensor, style)
+            _write_frames(previews, path.with_name(f"{path.stem}_preview.png"))
         _print_shares(result.tensor)
         print(f"wrote {path}")
     return 0
@@ -252,14 +226,8 @@ def cmd_preview(args) -> int:
         raise ConfigError("bordered preview of a loaded container needs --grid RxC")
     frames = render_preview(tensor, args.style, grid_rows, grid_cols)
     out = Path(args.out)
-    if len(frames) == 1:
-        imageio.write_image(out, frames[0].data)
-        print(f"wrote {out}")
-    else:
-        for i, frame in enumerate(frames):
-            path = out.with_name(f"{out.stem}_f{i:03d}{out.suffix}")
-            imageio.write_image(path, frame.data)
-        print(f"wrote {len(frames)} frames next to {out}")
+    _write_frames(frames, out)
+    print(f"wrote {out}" if len(frames) == 1 else f"wrote {len(frames)} frames next to {out}")
     return 0
 
 
@@ -298,13 +266,13 @@ def cmd_bench(args) -> int:
     height, width = _parse_pair(args.size, "--size")
     reps = args.reps
     config, _ = _resolve_config(args, "image")
-    stats = bench_mod.bench_image(height, width, config, reps, args.seed or 0)
+    stats = bench_mod.bench_image(height, width, config, reps, config.seed)
     print(f"image pipeline on {height}x{width}, {reps} reps")
     print(f"{'stage':<12}{'median ms':>12}{'p95 ms':>12}")
     for name in bench_mod.BENCH_STAGES:
         st = stats[name]
         print(f"{name:<12}{st.median * 1e3:>12.3f}{st.p95 * 1e3:>12.3f}")
-    cmp = bench_mod.compare_single_vs_interlaced(height, width, reps, args.seed or 0)
+    cmp = bench_mod.compare_single_vs_interlaced(height, width, reps, config.seed)
     print(
         "fragment+compose: single-scale "
         f"{cmp['single_scale'] * 1e3:.3f} ms, two-scale interlace "
@@ -409,42 +377,60 @@ def cmd_verify(args) -> int:
 # Parser
 
 
+class _PairFlag(argparse.Action):
+    """``--grid RxC`` / ``--frag HxW``: one value stored under the two fields in ``const``."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        vars(namespace).update(zip(self.const, _parse_pair(text, option_string)))
+
+
 def _add_sampler_flags(p: _Parser, video: bool) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--grid", help="grid as RxC, e.g. 7x7")
-    p.add_argument("--frag", help="fragment size as HxW, e.g. 32x32")
+    """The flags that set SamplerConfig fields, each stored under its field
+    name; ``p`` is built with ``argument_default=SUPPRESS``, so a flag not
+    given is absent from the namespace."""
+    p.add_argument("--config", default=None, help="JSON config file; flags override it")
+    p.add_argument("--grid", action=_PairFlag, const=("grid_rows", "grid_cols"),
+                   help="grid as RxC, e.g. 7x7")
+    p.add_argument("--frag", action=_PairFlag, const=("frag_h", "frag_w"),
+                   help="fragment size as HxW, e.g. 32x32")
     if video:
-        p.add_argument("--frames", type=int, help="output frame count")
         p.add_argument(
-            "--temporal-mask", choices=TEMPORAL_MASK_KINDS, dest="temporal_mask"
+            "--frames", type=int, dest="frames_out", metavar="FRAMES", help="output frame count"
         )
-    p.add_argument("--scales", type=int, help="pyramid level count")
+        p.add_argument("--temporal-mask", choices=TEMPORAL_MASK_KINDS, dest="temporal_mask")
+    p.add_argument(
+        "--scales", type=int, dest="n_scales", metavar="SCALES", help="pyramid level count"
+    )
     p.add_argument("--spatial-mask", choices=SPATIAL_MASK_KINDS, dest="spatial_mask")
-    p.add_argument("--offset", choices=OFFSET_POLICIES, help="fragment offset policy")
+    p.add_argument("--offset", choices=OFFSET_POLICIES, dest="offset_policy",
+                   help="fragment offset policy")
     p.add_argument("--seed", type=int)
     p.add_argument("--aligned-offsets", action="store_true", dest="aligned_offsets")
+
+
+def _add_sample_command(sub, kind: str, summary: str, source: str) -> _Parser:
+    p = sub.add_parser(f"sample-{kind}", help=summary, argument_default=argparse.SUPPRESS)
+    _add_sampler_flags(p, video=kind == "video")
+    p.add_argument("input", nargs="?", help=source)
     p.add_argument("--preview", choices=PREVIEW_STYLES)
     p.add_argument("--out", help="output container path")
+    p.set_defaults(func=cmd_sample, kind=kind)
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sama", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample-image", help="sample one image into a container")
-    p.add_argument("input", nargs="?", help="PNG or PPM file")
-    _add_sampler_flags(p, video=False)
-    p.set_defaults(func=cmd_sample_image)
-
-    p = sub.add_parser("sample-video", help="sample a frame directory")
-    p.add_argument("input", nargs="?", help="directory of frame_NNNNNN images")
-    _add_sampler_flags(p, video=True)
+    _add_sample_command(sub, "image", "sample one image into a container", "PNG or PPM file")
+    p = _add_sample_command(
+        sub, "video", "sample a frame directory", "directory of frame_NNNNNN images"
+    )
     p.add_argument(
         "--infer",
         action="store_true",
         help=f"select {INFER_SELECT_FRAMES} frames and emit {INFER_SNIPPETS} snippet containers",
     )
-    p.set_defaults(func=cmd_sample_video)
 
     p = sub.add_parser("preview", help="render a container to an image")
     p.add_argument("input", help="container file")
@@ -474,7 +460,9 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_masks)
 
-    p = sub.add_parser("bench", help="per-stage timing on synthetic input")
+    p = sub.add_parser(
+        "bench", help="per-stage timing on synthetic input", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--size", default="1080x1920", help="input dims HxW")
     p.add_argument("--reps", type=_positive_int, default=20)
     _add_sampler_flags(p, video=False)

@@ -213,6 +213,8 @@ def parse_container(data) -> SampledTensor:
         temporal = _TEMPORAL_NAMES[temporal_code]
     except KeyError as exc:
         raise CorruptFile(f"unknown enum code in header: {exc}") from exc
+    if kind == "image" and frames != 1:
+        raise CorruptFile(f"image container declares {frames} frames, not 1")
     pos = _FIXED_HEADER.size
     if pos + sched_len + 1 > len(data):
         raise CorruptFile("truncated container header")
@@ -275,11 +277,17 @@ def render_preview(
     grid_rows: int | None = None,
     grid_cols: int | None = None,
 ) -> list[FrameBuffer]:
-    """Human-inspectable frames: plain copy, per-scale tint, or cell borders."""
+    """Human-inspectable frames: plain copy, per-scale tint, or cell borders.
+
+    The tinted and bordered styles color by scale, so a provenance scale
+    at or above the header's ``n_scales`` raises ``CorruptFile``."""
     if style == "plain":
         return [FrameBuffer(t.data[f].copy()) for f in range(t.frames_out)]
     if t.provenance is None:
         raise MissingProvenance(f"style {style!r} needs provenance")
+    top = int(t.provenance["scale"].max())
+    if top >= t.n_scales:
+        raise CorruptFile(f"provenance names scale {top}, header has {t.n_scales} scales")
     palette = scale_palette(t.n_scales)
     if style == "tinted":
         tint = palette[t.provenance["scale"]]
@@ -302,7 +310,7 @@ def render_preview(
             for r in range(grid_rows):
                 for c in range(grid_cols):
                     y, x = r * ch, c * cw
-                    color = palette[int(t.provenance[f, y, x]["scale"]) % len(palette)]
+                    color = palette[t.provenance[f, y, x]["scale"]]
                     img[y, x : x + cw] = color
                     img[y + ch - 1, x : x + cw] = color
                     img[y : y + ch, x] = color

@@ -67,42 +67,29 @@ _RGB = np.dtype("V3")
 class _Owner:
     """The output pixels of a frame plan that one level owns, with their taps."""
 
-    level: PyramidLevel
     owned: np.ndarray | None  # (H*W,) bool over the output; None when it owns all
     taps: PixelTaps
 
 
 def _frame_plan(
     levels: tuple[int, ...], plans: dict[int, LevelPlan], owner: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, list]:
     """Per-pixel (scale, y, x) of an output frame whose pixel p is drawn from
-    level ``levels[owner[p]]``; ``frame`` is left 0."""
-    plan = np.empty(owner.shape, dtype=PROVENANCE_DTYPE)
-    plan["frame"] = 0
-    for k, s in enumerate(levels):
-        # the first level fills every pixel, each later one the pixels it owns
-        owned = owner == k if k else True
-        p = plans[s]
-        for field, value in (("scale", p.scale_id), ("y", p.src_y), ("x", p.src_x)):
-            np.copyto(plan[field], value, where=owned)
-    return plan
-
-
-def _owned_pixels(plan: np.ndarray, pyramid: list[PyramidLevel]):
-    """Split a frame plan by owning level: (level, owned, ys, xs) per level,
-    ``owned`` None when the level owns every pixel."""
-    scale = plan["scale"].reshape(-1)
-    ys = plan["y"].reshape(-1)
-    xs = plan["x"].reshape(-1)
-    counts = np.bincount(scale, minlength=len(pyramid))
+    level ``levels[owner[p]]`` (``frame`` left 0), and each level's part of
+    it: (s, owned, ys, xs), ``owned`` None when the level owns every pixel.
+    A level named twice in ``levels`` owns the union of its indices."""
+    plan = np.zeros(owner.size, dtype=PROVENANCE_DTYPE)
     parts = []
-    for s in np.flatnonzero(counts):
-        if counts[s] == scale.size:
-            parts.append((pyramid[s], None, ys, xs))
-        else:
-            owned = scale == s
-            parts.append((pyramid[s], owned, ys[owned], xs[owned]))
-    return parts
+    for s in sorted(set(levels)):
+        index = [k for k, level in enumerate(levels) if level == s]
+        owned = None if len(index) == len(levels) else np.isin(owner.reshape(-1), index)
+        where = slice(None) if owned is None else owned
+        p = plans[s]
+        ys, xs = p.src_y.reshape(-1)[where], p.src_x.reshape(-1)[where]
+        for field, value in (("scale", p.scale_id), ("y", ys), ("x", xs)):
+            plan[field][where] = value
+        parts.append((s, owned, ys, xs))
+    return plan.reshape(owner.shape), parts
 
 
 def _gather_frame(src: np.ndarray, out: np.ndarray, owners: list[_Owner]) -> None:
@@ -139,7 +126,9 @@ def _render(
         owner_map = np.zeros((config.out_h, config.out_w), dtype=np.uint8)
     else:
         owner_map = make_spatial_mask(config.spatial_mask, config.out_h, config.out_w).indices
-    frame_plans = {levels: _frame_plan(levels, plans, owner_map) for levels in set(frame_levels)}
+    frame_plans, frame_parts = {}, {}
+    for levels in set(frame_levels):
+        frame_plans[levels], frame_parts[levels] = _frame_plan(levels, plans, owner_map)
     timings["fragments"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -162,14 +151,17 @@ def _render(
     for key, ts in slots.items():
         groups.setdefault(frozenset(frame_levels[t] for t in ts), []).append(key)
     for tuples, keys in groups.items():
-        parts = {levels: _owned_pixels(frame_plans[levels], pyramid) for levels in tuples}
         marks = np.zeros(sources.height, dtype=bool)
-        for level, _, ys, _ in (part for ps in parts.values() for part in ps):
-            tap_rows(level, ys, marks)
+        for levels in tuples:
+            for s, _, ys, _ in frame_parts[levels]:
+                tap_rows(pyramid[s], ys, marks)
         rows = np.flatnonzero(marks)
         owners = {
-            levels: [_Owner(lv, owned, pixel_taps(lv, ys, xs, rows)) for lv, owned, ys, xs in ps]
-            for levels, ps in parts.items()
+            levels: [
+                _Owner(owned, pixel_taps(pyramid[s], ys, xs, rows))
+                for s, owned, ys, xs in frame_parts[levels]
+            ]
+            for levels in tuples
         }
         for key in keys:
             ts = slots[key]

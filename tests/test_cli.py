@@ -11,7 +11,7 @@ import pytest
 from sama import imageio
 from sama.cli import main
 from sama.masks import SpatialMask
-from sama.pack import read_container, render_preview
+from sama.pack import read_container, render_preview, write_container
 
 from conftest import coordinate_clip, coordinate_frame, write_clip
 
@@ -507,3 +507,140 @@ def test_traced_names_are_looked_up_at_call_time(monkeypatch, image_file, clip_d
         ])
     assert rc == 0
     assert reached == set(TRACED_NAMES) - {"sama.cli.sample_image"}
+
+
+# Each sampler flag and the config key of its field are one setting: on top
+# of the same base file, giving the flag or putting its value in the file
+# writes the same container, and one that differs from the base's.
+_BASE_DOC = {"grid_rows": 2, "grid_cols": 2, "frag_h": 16, "frag_w": 16, "frames_out": 4,
+             "offset_policy": "random", "seed": 3}
+
+
+_FLAG_CASES = [
+    (["--grid", "3x3"], {"grid_rows": 3, "grid_cols": 3}, {}),
+    (["--frag", "8x8"], {"frag_h": 8, "frag_w": 8}, {}),
+    (["--frames", "8"], {"frames_out": 8}, {}),
+    (["--temporal-mask", "choppy"], {"temporal_mask": "choppy"}, {}),
+    (["--scales", "3"], {"n_scales": 3}, {"temporal_mask": "choppy"}),
+    (["--spatial-mask", "window"], {"spatial_mask": "window"}, {"temporal_mask": "none"}),
+    (["--offset", "center"], {"offset_policy": "center"}, {}),
+    (["--seed", "8"], {"seed": 8}, {}),
+    (["--aligned-offsets"], {"aligned_offsets": True}, {}),
+]
+
+
+@pytest.mark.parametrize("flag, keys, context", _FLAG_CASES, ids=[c[0][0] for c in _FLAG_CASES])
+def test_each_sampler_flag_and_its_config_key_write_the_same_container(
+    flag, keys, context, tmp_path
+):
+    write_clip(tmp_path / "clip", 12, 96, 128)
+    blobs = []
+    for name, doc, flags in (
+        ("base", {**_BASE_DOC, **context}, []),
+        ("flag", {**_BASE_DOC, **context}, flag),
+        ("file", {**_BASE_DOC, **context, **keys}, []),
+    ):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}.sama"
+        flags = ["--config", str(cfg), *flags, "--out", str(out)]
+        assert main(["sample-video", str(tmp_path / "clip"), *flags]) == 0
+        blobs.append(out.read_bytes())
+    base, by_flag, by_file = blobs
+    assert by_flag == by_file
+    assert by_flag != base
+
+
+def test_config_file_input_out_and_preview_act_as_their_flags(image_file, tmp_path):
+    by_flags = tmp_path / "flags" / "img.sama"
+    by_file = tmp_path / "file" / "img.sama"
+    by_flags.parent.mkdir()
+    by_file.parent.mkdir()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"input": str(image_file), "out": str(by_file), "preview": "tinted"}))
+    assert main(["sample-image", str(image_file), "--out", str(by_flags), "--preview", "tinted"]) == 0
+    assert main(["sample-image", "--config", str(cfg)]) == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+    preview = by_file.with_name("img_preview.png")
+    assert preview.read_bytes() == by_flags.with_name("img_preview.png").read_bytes()
+
+
+def test_config_file_preview_gets_the_flags_choices(image_file, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preview": "bogus"}))
+    out = tmp_path / "img.sama"
+    rc = main(["sample-image", str(image_file), "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: config key 'preview' must be one of plain, tinted, bordered, "
+        "got 'bogus'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--out", "x.sama"], ["--preview", "plain"]], ids="_".join)
+def test_bench_takes_only_sampler_flags(flag, capsys):
+    assert main(["bench", "--size", "64x64", "--reps", "3", *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_bench_takes_its_seed_from_the_config_file(monkeypatch, tmp_path):
+    import sama.bench
+
+    seeds = []
+
+    def spy(name):
+        real = getattr(sama.bench, name)
+
+        def record(*args):
+            seeds.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(sama.bench, name, record)
+
+    spy("bench_image")
+    spy("compare_single_vs_interlaced")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 17}))
+    assert main(["bench", "--size", "64x64", "--reps", "3", "--config", str(cfg)]) == 0
+    assert seeds == [17, 17]
+
+
+def test_infer_snippets_longer_than_a_quarter_pool_fail_before_loading(tmp_path, capsys):
+    missing = tmp_path / "no-such-clip"
+    rc = main(["sample-video", str(missing), "--infer", "--frames", "64",
+               "--out", str(tmp_path / "v.sama")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --infer cuts 4 snippets from a 128-frame pool")
+    assert "at most 32, got 64" in err
+
+
+def test_image_container_declaring_several_frames_is_corrupt(tmp_path, capsys):
+    import sama.pack as pack
+
+    # a well-formed two-frame video container whose kind byte says image
+    tensor = pack.SampledTensor("video", np.zeros((2, 8, 8, 3), dtype=np.uint8))
+    blob = bytearray(pack.container_bytes(tensor))
+    blob[6] = pack.KIND_CODES["image"]
+    path = tmp_path / "img.sama"
+    path.write_bytes(bytes(blob))
+    rc = main(["preview", str(path), "--out", str(tmp_path / "p.png")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "i/o error: image container declares 2 frames, not 1\n"
+
+
+@pytest.mark.parametrize("style", ["tinted", "bordered"])
+def test_preview_of_a_scale_beyond_the_header_is_corrupt(style, image_file, tmp_path, capsys):
+    path = tmp_path / "img.sama"
+    assert main(["sample-image", str(image_file), "--out", str(path)]) == 0
+    tensor = read_container(path)
+    tensor.provenance["scale"][0, 0, 0] = 5  # the header says 2 scales
+    write_container(tensor, path)
+    png = tmp_path / "p.png"
+    rc = main(["preview", str(path), "--style", style, "--grid", "8x8", "--out", str(png)])
+    assert rc == 2
+    assert capsys.readouterr().err == "i/o error: provenance names scale 5, header has 2 scales\n"
+    assert not png.exists()
