@@ -81,6 +81,13 @@ _CONFIG_SCHEMA: dict[str, tuple[type, ...]] = {
     "preview": (str,),
     "infer": (bool,),
 }
+# The keys beyond the sampler's that each command takes: those it has flags
+# for. A config file naming another is rejected, as the flag would be.
+_COMMAND_KEYS = {
+    "sample-image": {"input", "out", "preview"},
+    "sample-video": {"input", "out", "preview", "infer"},
+    "bench": set(),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,6 +149,9 @@ def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
     """defaults < config file < flags; returns (SamplerConfig, the other
     settings). A flag not given is absent from ``args`` (SUPPRESS)."""
     doc = load_run_config(args.config) if args.config else {}
+    foreign = sorted(doc.keys() - _SAMPLER_KEYS.keys() - _COMMAND_KEYS[args.command])
+    if foreign:
+        raise ConfigError(f"config key {foreign[0]!r} does not apply to {args.command}")
     merged = {**doc, **{k: v for k, v in vars(args).items() if k in _CONFIG_SCHEMA}}
     values = {k: v for k, v in merged.items() if k in _SAMPLER_KEYS}
     settings = {k: v for k, v in merged.items() if k not in _SAMPLER_KEYS}
@@ -188,7 +198,7 @@ def cmd_sample(args) -> int:
     if not inp or not out:
         source = "file" if kind == "image" else "directory"
         raise ConfigError(f"sample-{kind} needs an input {source} and --out")
-    infer = kind == "video" and settings.get("infer", False)
+    infer = settings.get("infer", False)
     if infer and config.frames_out * INFER_SNIPPETS > INFER_SELECT_FRAMES:
         raise ConfigError(
             f"--infer cuts {INFER_SNIPPETS} snippets from a {INFER_SELECT_FRAMES}-frame pool: "

@@ -1,0 +1,175 @@
+"""The provenance audit against a per-pixel oracle written from the README
+rule, and the audit's memory bound."""
+
+import functools
+import math
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import sama.pack
+from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_clip, select_frames
+from sama.pack import SampledTensor, provenance_audit
+from sama.pipeline import sample_video
+from sama.pyramid import PyramidLevel, SourceFrames, build_pyramid
+
+from conftest import coordinate_clip, write_clip
+
+CHUNK = sama.pack._AUDIT_CHUNK
+SIDE = 96  # output frames of 96x96 hold more than one chunk of pixels
+PIXELS = SIDE * SIDE
+assert PIXELS > CHUNK + 1
+
+# Five source slots over a three-frame clip, so slots repeat source keys;
+# levels below, at and above the source size.
+_SOURCES = SourceFrames(select_frames(coordinate_clip(40, 56, 3), 5))
+assert len(set(_SOURCES.keys)) < len(_SOURCES)
+_PYRAMID = [
+    PyramidLevel(s, _SOURCES, h, w)
+    for s, (h, w) in enumerate([(40, 56), (29, 37), (17, 23), (50, 71)])
+]
+
+
+def _taps(i: int, n_in: int, n_out: int):
+    """Half-pixel centre clamped to the edge; the taps below and above it
+    and the float32 weight of the one above."""
+    centre = min(max((i + 0.5) * (n_in / n_out) - 0.5, 0.0), n_in - 1.0)
+    i0 = math.floor(centre)
+    return i0, min(i0 + 1, n_in - 1), np.float32(centre - i0)
+
+
+@functools.lru_cache(maxsize=None)
+def _rule(fr: int, h: int, w: int, y: int, x: int) -> tuple[int, int, int]:
+    """Level pixel (y, x) of an h x w level over source slot ``fr``: a
+    horizontal, then a vertical float32 blend, rounded half up."""
+    src = _SOURCES[fr]
+    y0, y1, fy = _taps(y, src.shape[0], h)
+    x0, x1, fx = _taps(x, src.shape[1], w)
+    out = []
+    for c in range(3):
+        p00, p01, p10, p11 = (
+            np.float32(src[r, q, c]) for r, q in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))
+        )
+        top = p00 + fx * (p01 - p00)
+        bottom = p10 + fx * (p11 - p10)
+        value = top + fy * (bottom - top)
+        out.append(min(max(math.floor(value + np.float32(0.5)), 0), 255))
+    return tuple(out)
+
+
+def _oracle(t: SampledTensor, pyramid) -> tuple[int, dict[int, int]]:
+    """(mismatches, per-scale pixel counts), one pixel at a time."""
+    prov = t.provenance.reshape(-1)
+    scales, frames, ys, xs = (prov[k].tolist() for k in PROVENANCE_DTYPE.names)
+    got = [tuple(p) for p in t.data.reshape(-1, 3).tolist()]
+    mismatches = 0
+    for s, fr, y, x, value in zip(scales, frames, ys, xs, got):
+        if s >= len(pyramid):
+            mismatches += 1
+            continue
+        level = pyramid[s]
+        if fr >= level.frame_count or y >= level.height or x >= level.width:
+            mismatches += 1
+            continue
+        mismatches += _rule(fr, level.height, level.width, y, x) != value
+    return mismatches, dict(Counter(scales))
+
+
+def _tensor(rng, frames: int) -> SampledTensor:
+    """Output frames whose first ``split`` pixels record one (level, source
+    frame) and the rest another, at random in-range coordinates; the values
+    are the levels' own pixels."""
+    prov = np.zeros((frames, PIXELS), dtype=PROVENANCE_DTYPE)
+    data = np.zeros((frames, PIXELS, 3), dtype=np.uint8)
+    for f in range(frames):
+        split = int(rng.integers(CHUNK + 1, PIXELS))
+        scales = rng.choice(len(_PYRAMID), size=2, replace=False)
+        slots = rng.choice(len(_SOURCES), size=2, replace=False)
+        for (lo, hi), s, fr in zip(((0, split), (split, PIXELS)), scales, slots):
+            level = _PYRAMID[s]
+            part = prov[f, lo:hi]
+            part["scale"], part["frame"] = s, fr
+            part["y"] = rng.integers(0, level.height, hi - lo)
+            part["x"] = rng.integers(0, level.width, hi - lo)
+            data[f, lo:hi] = level.frame(fr)[part["y"], part["x"]]
+    return SampledTensor(
+        kind="video",
+        data=data.reshape(frames, SIDE, SIDE, 3),
+        n_scales=len(_PYRAMID),
+        provenance=prov.reshape(frames, SIDE, SIDE),
+    )
+
+
+_FAULTS = {
+    "byte": None,  # one channel
+    "pixel": None,  # every channel: still one mismatch
+    "scale": (len(_PYRAMID), 255),
+    "frame": (len(_SOURCES), 0xFFFF),
+    "y": (None, 0xFFFFFFFF),  # None: the level's first value outside
+    "x": (None, 0xFFFFFFFF),
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(
+        st.tuples(
+            st.integers(0, 2),  # output frame
+            st.sampled_from([0, CHUNK - 1, CHUNK, PIXELS - 1]),
+            st.sampled_from(sorted(_FAULTS)),
+            st.integers(0, 1),  # which value, or channel
+        ),
+        max_size=6,
+    ),
+)
+def test_audit_matches_a_per_pixel_oracle(seed, faults):
+    t = _tensor(np.random.default_rng(seed), 3)
+    data = t.data.reshape(3, PIXELS, 3)
+    prov = t.provenance.reshape(3, PIXELS)
+    for f, p, kind, pick in faults:
+        if kind in ("byte", "pixel"):
+            data[f, p, pick if kind == "byte" else slice(None)] ^= 0x80
+            continue
+        value = _FAULTS[kind][pick]
+        if value is None and prov[f, p]["scale"] < len(_PYRAMID):
+            level = _PYRAMID[prov[f, p]["scale"]]
+            value = level.height if kind == "y" else level.width
+        elif value is None:
+            value = 0  # the scale is already out of range
+        prov[f, p][kind] = value
+    report = provenance_audit(t, _PYRAMID)
+    mismatches, per_scale = _oracle(t, _PYRAMID)
+    assert report.total_pixels == 3 * PIXELS
+    assert report.mismatches == mismatches
+    assert report.per_scale_pixels == per_scale
+    if not faults:
+        assert mismatches == 0
+
+
+def test_audit_memory_is_one_frame_of_records_and_one_source_of_rows(tmp_path, reads):
+    """The audit holds one output frame's checks, the tapped rows of one
+    source frame and one chunk's temporaries, so its peak does not grow
+    with the clip, nor by widening a frame's coordinates at once."""
+    write_clip(tmp_path / "clip", 8, 540, 960)
+    cfg = SamplerConfig(frames_out=8, n_scales=4)
+    res = sample_video(load_clip(tmp_path / "clip"), cfg)
+    pyramid = build_pyramid(
+        select_frames(load_clip(tmp_path / "clip"), 8, cfg.seed, cfg.offset_policy), cfg
+    )
+    assert provenance_audit(res.tensor, pyramid).ok  # first use imports lazily
+    del reads[:]
+    tracemalloc.start()
+    try:
+        report = provenance_audit(res.tensor, pyramid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(reads) == 8
+    records = res.tensor.provenance[0].nbytes  # 11 bytes a pixel
+    rows = max(len(r) for _, r in reads) * 960 * 3
+    chunk = CHUNK * 160  # the kernel's temporaries, about 130 bytes a pixel
+    # widening one frame's y and x to intp at once would add 16 bytes a pixel
+    assert peak < records + rows + chunk, (peak, records, rows, chunk)

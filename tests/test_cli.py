@@ -585,6 +585,29 @@ def test_bench_takes_only_sampler_flags(flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("bench", "input", "clip"),
+    ("bench", "out", "x.sama"),
+    ("bench", "preview", "plain"),
+    ("bench", "infer", True),
+    ("sample-image", "infer", True),
+], ids=lambda v: str(v))
+def test_config_keys_of_flags_a_command_lacks_are_config_errors(
+    command, key, value, image_file, tmp_path, capsys
+):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "img.sama"
+    if command == "bench":
+        argv = ["bench", "--size", "64x64", "--reps", "3"]
+    else:
+        argv = ["sample-image", str(image_file), "--out", str(out)]
+    assert main([*argv, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: config key {key!r} does not apply to {command}\n"
+    assert not out.exists()
+
+
 def test_bench_takes_its_seed_from_the_config_file(monkeypatch, tmp_path):
     import sama.bench
 
