@@ -35,11 +35,10 @@ from .errors import (
     SamaError,
     UnsupportedFormat,
 )
-from .masks import make_interlace_mask, make_spatial_mask, make_temporal_mask, temporal_levels
+from .masks import SPATIAL_KINDS, TEMPORAL_KINDS, level_count
+from .masks import make_interlace_mask, make_spatial_mask, make_temporal_mask
 from .media import (
     OFFSET_POLICIES,
-    SPATIAL_MASK_KINDS,
-    TEMPORAL_MASK_KINDS,
     SamplerConfig,
     load_clip,
     load_image,
@@ -81,12 +80,13 @@ _CONFIG_SCHEMA: dict[str, tuple[type, ...]] = {
     "preview": (str,),
     "infer": (bool,),
 }
-# The keys beyond the sampler's that each command takes: those it has flags
-# for. A config file naming another is rejected, as the flag would be.
+# The keys each command takes: those it has flags for (image commands have no
+# frame count or temporal mask). A config file naming another is rejected.
+_IMAGE_KEYS = _SAMPLER_KEYS.keys() - {"frames_out", "temporal_mask"}
 _COMMAND_KEYS = {
-    "sample-image": {"input", "out", "preview"},
-    "sample-video": {"input", "out", "preview", "infer"},
-    "bench": set(),
+    "sample-image": _IMAGE_KEYS | {"input", "out", "preview"},
+    "sample-video": _CONFIG_SCHEMA.keys(),
+    "bench": _IMAGE_KEYS,
 }
 
 
@@ -149,7 +149,7 @@ def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
     """defaults < config file < flags; returns (SamplerConfig, the other
     settings). A flag not given is absent from ``args`` (SUPPRESS)."""
     doc = load_run_config(args.config) if args.config else {}
-    foreign = sorted(doc.keys() - _SAMPLER_KEYS.keys() - _COMMAND_KEYS[args.command])
+    foreign = sorted(doc.keys() - _COMMAND_KEYS[args.command])
     if foreign:
         raise ConfigError(f"config key {foreign[0]!r} does not apply to {args.command}")
     merged = {**doc, **{k: v for k, v in vars(args).items() if k in _CONFIG_SCHEMA}}
@@ -157,16 +157,11 @@ def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
     settings = {k: v for k, v in merged.items() if k not in _SAMPLER_KEYS}
 
     base = SamplerConfig() if kind == "video" else SamplerConfig.iqa_default()
-    if "n_scales" not in values:
-        # the level count the temporal mask takes (an unknown kind is left
-        # to validate), else the two levels a spatial mask interlaces
-        temporal = values.get("temporal_mask", base.temporal_mask)
-        if temporal != "none" and temporal in TEMPORAL_MASK_KINDS:
-            frames = values.get("frames_out", base.frames_out)
-            values["n_scales"] = temporal_levels(temporal, frames)
-        else:
-            values["n_scales"] = 2 if values.get("spatial_mask", base.spatial_mask) != "none" else 1
     config = replace(base, **values)
+    known = config.spatial_mask in SPATIAL_KINDS and config.temporal_mask in TEMPORAL_KINDS
+    if "n_scales" not in values and known:  # an unknown kind is left to validate
+        levels = level_count(config.spatial_mask, config.temporal_mask, config.frames_out)
+        config = replace(config, n_scales=levels)
     config.validate(kind)
     return config, settings
 
@@ -251,12 +246,12 @@ def cmd_masks(args) -> int:
     try:
         if args.scales is None:
             mask = make_spatial_mask(args.spatial_mask, out_h, out_w)
-            n_levels = 2
+            n_levels = level_count(args.spatial_mask, "none", args.frames)
         else:
             mask = make_interlace_mask(args.scales, out_h, out_w, args.block)
             n_levels = args.scales
         if args.temporal_mask and args.temporal_mask != "none":
-            levels = temporal_levels(args.temporal_mask, args.frames)
+            levels = level_count("none", args.temporal_mask, args.frames)
             tmask = make_temporal_mask(args.temporal_mask, args.frames, levels)
     except (BadArity, IndivisibleDims) as exc:
         raise ConfigError(str(exc)) from exc
@@ -350,14 +345,10 @@ def cmd_verify(args) -> int:
 
     # mask partitions: the indices of an n-level mask take exactly the
     # values 0..n-1, so every pixel has one owner and every level some pixels
-    ok = True
-    for mask, n in (
-        (make_spatial_mask("window", 224, 224), 2),
-        (make_spatial_mask("patch", 224, 224), 2),
-        (make_interlace_mask(3, 256, 256, 32), 3),
-        (make_interlace_mask(4, 256, 256, 32), 4),
-    ):
-        ok &= np.array_equal(np.unique(mask.indices), np.arange(n))
+    parts = [(make_interlace_mask(n, 256, 256, 32), n) for n in (3, 4)]
+    parts += [(make_spatial_mask(k, 224, 224), level_count(k, "none", 1))
+              for k in SPATIAL_KINDS[1:]]
+    ok = all(np.array_equal(np.unique(mask.indices), np.arange(n)) for mask, n in parts)
     check("mask partition of unity", ok)
 
     # temporal schedules
@@ -407,11 +398,11 @@ def _add_sampler_flags(p: _Parser, video: bool) -> None:
         p.add_argument(
             "--frames", type=int, dest="frames_out", metavar="FRAMES", help="output frame count"
         )
-        p.add_argument("--temporal-mask", choices=TEMPORAL_MASK_KINDS, dest="temporal_mask")
+        p.add_argument("--temporal-mask", choices=TEMPORAL_KINDS, dest="temporal_mask")
     p.add_argument(
         "--scales", type=int, dest="n_scales", metavar="SCALES", help="pyramid level count"
     )
-    p.add_argument("--spatial-mask", choices=SPATIAL_MASK_KINDS, dest="spatial_mask")
+    p.add_argument("--spatial-mask", choices=SPATIAL_KINDS, dest="spatial_mask")
     p.add_argument("--offset", choices=OFFSET_POLICIES, dest="offset_policy",
                    help="fragment offset policy")
     p.add_argument("--seed", type=int)
@@ -453,8 +444,8 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=["dump"])
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--size", default="224x224", help="mask dims HxW")
-    p.add_argument(
-        "--spatial-mask", choices=("window", "patch"), default="window", dest="spatial_mask"
+    p.add_argument(  # a mask is always dumped: every kind but "none"
+        "--spatial-mask", choices=SPATIAL_KINDS[1:], default="window", dest="spatial_mask"
     )
     p.add_argument(
         "--scales", type=int, choices=(3, 4), help="dump a 3- or 4-scale interlace"
@@ -463,7 +454,7 @@ def build_parser() -> _Parser:
         "--block", type=_positive_int, default=32, help="interlace block size (default 32)"
     )
     p.add_argument(
-        "--temporal-mask", choices=TEMPORAL_MASK_KINDS, dest="temporal_mask"
+        "--temporal-mask", choices=TEMPORAL_KINDS, dest="temporal_mask"
     )
     p.add_argument(
         "--frames", type=_positive_int, default=32, help="frame count for schedule printout"

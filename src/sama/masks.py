@@ -10,7 +10,8 @@ its channels: ``window`` (32-pixel blocks, the attention window) and
 ``patch`` (4-pixel blocks, the embedding patch) are the two-level stagger,
 a checkerboard whose tile (0, 0) is raw; ``make_interlace_mask`` staggers
 3 or 4 levels. Temporal masks assign one pyramid level per two-frame
-block.
+block. ``SPATIAL_KINDS``, ``TEMPORAL_KINDS`` and ``level_count`` state the
+mask modes and the level count each interlaces, for the whole package.
 """
 
 from __future__ import annotations
@@ -26,6 +27,18 @@ WINDOW_BLOCK = 32  # attention window, pixels
 PATCH_BLOCK = 4  # embedding patch, pixels
 
 _SPATIAL_BLOCKS = {"window": WINDOW_BLOCK, "patch": PATCH_BLOCK}
+_SPATIAL_CYCLE = (0, 1)  # the two-level stagger of every spatial kind
+
+# Level count of a frame count: one per pair, for mixed one per pair of each
+# half; choppy takes any count >= 2, by default one per pair but at least 2.
+_TEMPORAL_LEVELS = {
+    "progressive": lambda frames: frames // 2,
+    "choppy": lambda frames: max(frames // 2, 2),
+    "mixed": lambda frames: frames // 4,
+}
+
+SPATIAL_KINDS = ("none", *_SPATIAL_BLOCKS)
+TEMPORAL_KINDS = ("none", *_TEMPORAL_LEVELS)
 
 # Diagonal stagger of level indices over mask tiles; the middle level is
 # doubled for the 3-scale layout (the green-channel analogy).
@@ -99,7 +112,7 @@ def make_spatial_mask(kind: str, out_h: int, out_w: int) -> SpatialMask:
     block = _SPATIAL_BLOCKS.get(kind)
     if block is None:
         raise ValueError(f"unknown spatial mask kind {kind!r}")
-    return _stagger(kind, (0, 1), out_h, out_w, block)
+    return _stagger(kind, _SPATIAL_CYCLE, out_h, out_w, block)
 
 
 def make_interlace_mask(n_scales: int, out_h: int, out_w: int, block: int) -> SpatialMask:
@@ -110,17 +123,14 @@ def make_interlace_mask(n_scales: int, out_h: int, out_w: int, block: int) -> Sp
     return _stagger(f"interlace{n_scales}", cycle, out_h, out_w, block)
 
 
-def temporal_levels(kind: str, frames: int) -> int:
-    """The level count a temporal mask of ``frames`` frames takes: one per
-    frame pair for progressive, one per quarter-length pair for mixed, and
-    for choppy one per pair but at least the two it alternates."""
-    if kind == "progressive":
-        return frames // 2
-    if kind == "mixed":
-        return frames // 4
-    if kind == "choppy":
-        return max(frames // 2, 2)
-    raise ValueError(f"unknown temporal mask kind {kind!r}")
+def level_count(spatial: str, temporal: str, frames: int) -> int:
+    """The pyramid levels the mode (``spatial``, ``temporal``) interlaces over
+    ``frames`` frames: the temporal kind's count, else the spatial stagger's."""
+    if temporal not in TEMPORAL_KINDS or spatial not in SPATIAL_KINDS:
+        raise ValueError(f"unknown mask kinds {spatial!r}, {temporal!r}")
+    if temporal != "none":
+        return _TEMPORAL_LEVELS[temporal](frames)
+    return 1 if spatial == "none" else max(_SPATIAL_CYCLE) + 1
 
 
 def make_temporal_mask(kind: str, frames: int, n_levels: int) -> TemporalMask:
@@ -130,29 +140,20 @@ def make_temporal_mask(kind: str, frames: int, n_levels: int) -> TemporalMask:
     alternates finest and coarsest, mixed runs a half-length progression
     twice.
     """
+    if kind not in _TEMPORAL_LEVELS:
+        raise ValueError(f"unknown temporal mask kind {kind!r}")
+    need = level_count("none", kind, frames)
     if frames < 2 or frames % 2 != 0:
         raise BadArity(f"temporal masks need an even frame count, got {frames}")
-    pairs = frames // 2
-    if kind == "progressive":
-        if n_levels != temporal_levels(kind, frames):
-            raise BadArity(
-                f"progressive needs one level per pair: {pairs} pairs, "
-                f"{n_levels} levels"
-            )
-        schedule = tuple(range(pairs))
-    elif kind == "choppy":
+    if kind == "mixed" and frames % 4 != 0:
+        raise BadArity("mixed needs a frame count divisible by 4")
+    if kind == "choppy":
         if n_levels < 2:
             raise BadArity("choppy alternates two distinct levels")
-        schedule = tuple(0 if k % 2 == 0 else n_levels - 1 for k in range(pairs))
-    elif kind == "mixed":
-        if frames % 4 != 0:
-            raise BadArity("mixed needs a frame count divisible by 4")
-        if n_levels != temporal_levels(kind, frames):
-            raise BadArity(
-                f"mixed needs one level per quarter-length pair: "
-                f"{frames // 4} levels, got {n_levels}"
-            )
-        schedule = tuple(range(frames // 4)) * 2
-    else:
-        raise ValueError(f"unknown temporal mask kind {kind!r}")
+        schedule = tuple(0 if k % 2 == 0 else n_levels - 1 for k in range(frames // 2))
+    elif n_levels != need:
+        per = "pair" if kind == "progressive" else "pair of each half"
+        raise BadArity(f"{kind} needs one level per {per}: {need} pairs, {n_levels} levels")
+    else:  # progressive walks the levels once, mixed twice
+        schedule = tuple(range(need)) * (2 if kind == "mixed" else 1)
     return TemporalMask(kind=kind, schedule=schedule, n_levels=n_levels)

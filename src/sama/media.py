@@ -12,8 +12,8 @@ taken from a kept frame, and keeps nothing, so the sampler holds one
 source frame's rows at a time. ``MediaClip.source_keys`` names the source
 behind each frame, so a reader fetches a repeated frame once.
 
-``SamplerConfig.validate`` checks mask arity and tiling by building the
-masks a config names, so those rules live only in ``masks``.
+``SamplerConfig.validate`` builds the masks a config names and asks
+``masks.level_count``, so the mask rules live only in ``masks``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .errors import (
 )
 from .rng import DOMAIN_FRAME, bounded
 
-SPATIAL_MASK_KINDS = ("none", "window", "patch")
-TEMPORAL_MASK_KINDS = ("none", "progressive", "choppy", "mixed")
 OFFSET_POLICIES = ("random", "center")
 
 FRAME_NAME_RE = re.compile(r"frame_(\d{6})\.(png|ppm)$")
@@ -132,7 +130,6 @@ class MediaClip:
     """
 
     frames: Sequence[FrameBuffer]
-    nominal_fps: float | None = None
 
     def __post_init__(self):
         if len(self.frames) < 1:
@@ -178,7 +175,7 @@ class MediaClip:
         """The clip of the frames at ``positions``, over the same store, so
         nothing is read."""
         indices = tuple(self.frames.indices[p] for p in positions)
-        return MediaClip(_StoreFrames(self.frames.store, indices), self.nominal_fps)
+        return MediaClip(_StoreFrames(self.frames.store, indices))
 
 
 @dataclass(frozen=True)
@@ -228,30 +225,26 @@ class SamplerConfig:
     def out_w(self) -> int:
         return self.grid_cols * self.frag_w
 
-    @property
-    def target_min(self) -> int:
-        """Min-side of the coarsest pyramid level (the mosaic min-side)."""
-        return min(self.out_h, self.out_w)
-
     def validate(self, kind: str = "video") -> None:
         """Raise ConfigError on any inconsistent combination.
 
-        The frame counts, level counts and output dims a mask accepts are
-        the mask's own rules: validate builds the masks the config names
-        and reports their BadArity or IndivisibleDims as a ConfigError.
+        The frame counts, level counts and output dims a mode accepts are
+        the masks' own rules: validate builds the masks the config names,
+        reporting their BadArity or IndivisibleDims as a ConfigError, then
+        checks ``n_scales`` against ``masks.level_count``.
         """
         if kind not in ("image", "video"):
             raise ValueError(f"kind must be image|video, got {kind!r}")
         for name in ("grid_rows", "grid_cols", "frag_h", "frag_w"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.n_scales < 1 or self.n_scales > 255:
-            raise ConfigError("n_scales must be in [1, 255]")
+        if kind == "video" and self.frames_out < 1:
+            raise ConfigError("frames_out must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
-        if self.spatial_mask not in SPATIAL_MASK_KINDS:
+        if self.spatial_mask not in masks.SPATIAL_KINDS:
             raise ConfigError(f"unknown spatial_mask {self.spatial_mask!r}")
-        if self.temporal_mask not in TEMPORAL_MASK_KINDS:
+        if self.temporal_mask not in masks.TEMPORAL_KINDS:
             raise ConfigError(f"unknown temporal_mask {self.temporal_mask!r}")
         if self.offset_policy not in OFFSET_POLICIES:
             raise ConfigError(f"unknown offset_policy {self.offset_policy!r}")
@@ -260,18 +253,6 @@ class SamplerConfig:
         temporal = self.temporal_mask != "none"
         if kind == "image" and temporal:
             raise ConfigError("temporal masks apply to video input only")
-        if kind == "video" and self.frames_out < 1:
-            raise ConfigError("frames_out must be >= 1")
-        if self.n_scales == 1:
-            if spatial or temporal:
-                raise ConfigError("masks need n_scales > 1 (nothing to interlace)")
-        elif not spatial and not temporal:
-            raise ConfigError(
-                "n_scales > 1 needs a spatial or temporal mask to pack "
-                "the pyramid into one output"
-            )
-        if spatial and not temporal and self.n_scales != 2:
-            raise ConfigError("spatial masks interlace exactly two scales")
         # the masks own their arity and tiling rules: build the ones named
         try:
             if spatial:
@@ -280,6 +261,17 @@ class SamplerConfig:
                 masks.make_temporal_mask(self.temporal_mask, self.frames_out, self.n_scales)
         except (BadArity, IndivisibleDims) as exc:
             raise ConfigError(str(exc)) from exc
+        # a temporal mask has checked its level count; the others take theirs
+        levels = masks.level_count(self.spatial_mask, self.temporal_mask, self.frames_out)
+        if (spatial or temporal) and self.n_scales == 1:
+            raise ConfigError("masks need n_scales > 1 (nothing to interlace)")
+        if not temporal and self.n_scales != levels:
+            raise ConfigError(
+                f"n_scales must be {levels} with spatial_mask {self.spatial_mask!r} "
+                f"and no temporal mask, got {self.n_scales}"
+            )
+        if self.n_scales > 255:
+            raise ConfigError("n_scales must be in [1, 255]")
         if spatial and temporal:
             warnings.warn(
                 "combining spatial and temporal masks is experimental",

@@ -37,7 +37,6 @@ import colorsys
 import itertools
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,11 +167,13 @@ def write_container(t: SampledTensor, path: str | Path) -> None:
     """Write atomically: temp file in the target directory, then rename.
 
     The header, the pixel buffer and the provenance buffer go straight to
-    the file; the payload is never copied into one ``bytes``.
+    the file; the payload is never copied into one ``bytes``. The file gets
+    mode ``0o666`` less the umask, as any file ``open`` creates.
     """
     path = Path(path)
     parts = _container_parts(t)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:

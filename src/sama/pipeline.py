@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fragments import LevelPlan, plan_level
-from .masks import make_spatial_mask, make_temporal_mask
+from .masks import level_count, make_spatial_mask, make_temporal_mask
 from .media import (
     PROVENANCE_DTYPE,
     FrameBuffer,
@@ -181,19 +181,16 @@ def _frame_levels(
     config: SamplerConfig, frames_out: int
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """The pyramid levels each output frame draws from, and the temporal
-    schedule (empty without a temporal mask)."""
-    spatial = config.spatial_mask != "none"
-    if config.temporal_mask == "none":
-        levels = (0, config.n_scales - 1) if spatial else (0,)
-        return [levels] * frames_out, ()
-    tmask = make_temporal_mask(config.temporal_mask, frames_out, config.n_scales)
-    frame_scales = [int(s) for s in tmask.frame_scales()]
-    if not spatial:
-        return [(s,) for s in frame_scales], tmask.schedule
-    # experimental: interlace each frame pair between its scheduled level
-    # and the next-coarser one (clamped at the top)
+    schedule (empty without a temporal mask). In every mode a frame draws on
+    its scheduled level (0 without a temporal mask) and the next coarser
+    ones, as many as the spatial mask staggers, capped at the coarsest."""
+    scales, schedule = [0] * frames_out, ()
+    if config.temporal_mask != "none":
+        tmask = make_temporal_mask(config.temporal_mask, frames_out, config.n_scales)
+        scales, schedule = tmask.frame_scales().tolist(), tmask.schedule
+    width = level_count(config.spatial_mask, "none", frames_out)
     top = config.n_scales - 1
-    return [(a, min(a + 1, top)) for a in frame_scales], tmask.schedule
+    return [tuple(min(s + k, top) for k in range(width)) for s in scales], schedule
 
 
 def _sample(kind: str, clip: MediaClip, config: SamplerConfig, frames_out: int) -> SampleResult:

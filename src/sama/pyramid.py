@@ -39,6 +39,17 @@ def _dims_for_min_side(raw_h: int, raw_w: int, min_side: int) -> tuple[int, int]
     return _round_half_up(min_side * raw_h / raw_w), min_side
 
 
+def _covering_min_side(raw_h: int, raw_w: int, out_h: int, out_w: int) -> int:
+    """The least min side whose dims at the raw aspect cover out_h x out_w."""
+    short, long = sorted((raw_h, raw_w))
+    need_short, need_long = (out_h, out_w) if raw_h <= raw_w else (out_w, out_h)
+    # the long side is round_half_up(m * long / short); step past float error
+    m = max(need_short, math.floor((need_long - 0.5) * short / long))
+    while max(_dims_for_min_side(raw_h, raw_w, m)) < need_long:
+        m += 1
+    return m
+
+
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Per-level (height, width) targets; level 0 is the raw resolution."""
@@ -316,18 +327,19 @@ def build_pyramid(media, config: SamplerConfig, levels: int | None = None) -> li
     """Lay out ``levels`` levels over one shared ``SourceFrames``.
 
     Decodes nothing: the raw dims come from the clip. A ``FrameBuffer`` is
-    read as a one-frame clip. A clip below the target min side is upscaled
-    bilinearly, keeping its aspect, as each frame is read; this is the one
-    upscale path, and level 0 is the (possibly upscaled) raw frame. Every
-    frame of a level gets the same target dims.
+    read as a one-frame clip. The coarsest level is the least size at the raw
+    aspect that covers the output; a clip below its min side is upscaled
+    bilinearly as each frame is read (the one upscale path), so level 0 is
+    the raw frame, maybe upscaled. Every frame of a level gets the same dims.
     """
     if not isinstance(media, (FrameBuffer, MediaClip)):
         raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
     n_levels = config.n_scales if levels is None else levels
     clip = MediaClip((media,)) if isinstance(media, FrameBuffer) else media
     raw_h, raw_w = clip.height, clip.width
-    if min(raw_h, raw_w) < config.target_min:
-        raw_h, raw_w = _dims_for_min_side(raw_h, raw_w, config.target_min)
-    schedule = scale_schedule(raw_h, raw_w, config.target_min, n_levels)
+    target_min = _covering_min_side(raw_h, raw_w, config.out_h, config.out_w)
+    if min(raw_h, raw_w) < target_min:
+        raw_h, raw_w = _dims_for_min_side(raw_h, raw_w, target_min)
+    schedule = scale_schedule(raw_h, raw_w, target_min, n_levels)
     sources = SourceFrames(clip, raw_h, raw_w)
     return [PyramidLevel(i, sources, h, w) for i, (h, w) in enumerate(schedule)]

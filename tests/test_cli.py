@@ -11,7 +11,9 @@ import pytest
 from sama import imageio
 from sama.cli import main
 from sama.masks import SpatialMask
-from sama.pack import read_container, render_preview, write_container
+from sama.media import SamplerConfig, load_image
+from sama.pack import provenance_audit, read_container, render_preview, write_container
+from sama.pipeline import sample_image
 
 from conftest import coordinate_clip, coordinate_frame, write_clip
 
@@ -359,6 +361,37 @@ def test_sample_video_progressive_two_frames_has_nothing_to_interlace(clip_dir, 
     assert "config error: masks need n_scales > 1" in capsys.readouterr().err
 
 
+def test_sample_video_mixed_six_frames_names_the_frame_count(clip_dir, tmp_path, capsys):
+    # the mask is built before the level count is checked, so the error names
+    # the flag given, as masks dump does, not the n_scales it implied
+    argv = ["--temporal-mask", "mixed", "--frames", "6"]
+    for command in (
+        ["sample-video", str(clip_dir), "--out", str(tmp_path / "v.sama")],
+        ["masks", "dump", "--out", str(tmp_path / "m")],
+    ):
+        assert main([*command, *argv]) == 1
+        assert capsys.readouterr().err == "config error: mixed needs a frame count divisible by 4\n"
+    assert list(tmp_path.iterdir()) == [clip_dir]
+
+
+@pytest.mark.parametrize("grid", ["8x16", "16x8"])
+@pytest.mark.parametrize("size", [(600, 600), (900, 300)], ids=["600x600", "900x300"])
+def test_non_square_outputs_sample_and_audit_clean(size, grid, tmp_path):
+    # the coarsest level covers the output at the input's aspect, whichever
+    # way the two are elongated
+    path = tmp_path / "input.png"
+    path.write_bytes(imageio.encode_png(coordinate_frame(*size).data))
+    out = tmp_path / "img.sama"
+    assert main(["sample-image", str(path), "--grid", grid, "--out", str(out)]) == 0
+    rows, cols = (int(v) for v in grid.split("x"))
+    cfg = SamplerConfig.iqa_default(grid_rows=rows, grid_cols=cols)
+    result = sample_image(load_image(path), cfg)
+    assert np.array_equal(read_container(out).data, result.tensor.data)
+    report = provenance_audit(result.tensor, result.pyramid)
+    assert report.mismatches == 0
+    assert report.total_pixels == rows * cols * 32 * 32
+
+
 @pytest.mark.parametrize("command, flags", [
     ("sample-image", []),
     ("sample-video", ["--temporal-mask", "none", "--spatial-mask", "patch"]),
@@ -591,6 +624,10 @@ def test_bench_takes_only_sampler_flags(flag, capsys):
     ("bench", "preview", "plain"),
     ("bench", "infer", True),
     ("sample-image", "infer", True),
+    ("bench", "frames_out", 5),
+    ("bench", "temporal_mask", "none"),
+    ("sample-image", "frames_out", 5),
+    ("sample-image", "temporal_mask", "none"),
 ], ids=lambda v: str(v))
 def test_config_keys_of_flags_a_command_lacks_are_config_errors(
     command, key, value, image_file, tmp_path, capsys

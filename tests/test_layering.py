@@ -141,6 +141,20 @@ def test_config_validation_asks_the_temporal_mask(monkeypatch):
     assert calls == [("progressive", 32, 16)]
 
 
+def test_mask_kinds_are_listed_only_in_masks():
+    # a tuple, list or set literal naming two mask kinds restates a list of
+    # kinds that masks.SPATIAL_KINDS / TEMPORAL_KINDS own; pack's container
+    # codes, a dict, are checked against them in test_pack
+    from sama import masks
+
+    kinds = {*masks.SPATIAL_KINDS, *masks.TEMPORAL_KINDS} - {"none"}
+    for name, path in _modules().items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                named = {e.value for e in node.elts if isinstance(e, ast.Constant)} & kinds
+                assert len(named) < 2, (name, node.lineno, sorted(named))
+
+
 def test_one_frame_store_and_one_upscale_path():
     # a clip's frames are always store-backed; the pyramid's SourceFrames is
     # the only upscale

@@ -4,8 +4,11 @@ import pytest
 from sama.errors import BadArity, DimMismatch, IndivisibleDims
 from sama.fragments import source_coord_maps
 from sama.masks import (
+    SPATIAL_KINDS,
+    TEMPORAL_KINDS,
     SpatialMask,
     TemporalMask,
+    level_count,
     make_interlace_mask,
     make_spatial_mask,
     make_temporal_mask,
@@ -122,6 +125,44 @@ def test_interlace_indivisible():
 
 # ---------------------------------------------------------------------------
 # Temporal masks
+
+
+@pytest.mark.parametrize("spatial, temporal, frames, levels", [
+    ("none", "none", 32, 1),
+    ("window", "none", 32, 2),
+    ("patch", "none", 1, 2),
+    ("none", "progressive", 32, 16),
+    ("window", "progressive", 8, 4),
+    ("none", "progressive", 2, 1),
+    ("none", "choppy", 32, 16),
+    ("patch", "choppy", 2, 2),
+    ("none", "mixed", 32, 8),
+    ("none", "mixed", 4, 1),
+])
+def test_level_count_of_each_mode(spatial, temporal, frames, levels):
+    assert level_count(spatial, temporal, frames) == levels
+
+
+def test_level_count_rejects_unknown_kinds():
+    with pytest.raises(ValueError, match="unknown mask kinds 'bogus', 'none'"):
+        level_count("bogus", "none", 8)
+    with pytest.raises(ValueError, match="unknown mask kinds 'none', 'bogus'"):
+        level_count("none", "bogus", 8)
+
+
+def test_the_kinds_are_what_the_builders_take():
+    assert SPATIAL_KINDS[0] == TEMPORAL_KINDS[0] == "none"
+    for kind in SPATIAL_KINDS[1:]:
+        mask = make_spatial_mask(kind, 64, 64)
+        assert np.unique(mask.indices).tolist() == list(range(level_count(kind, "none", 8)))
+    for kind in TEMPORAL_KINDS[1:]:
+        mask = make_temporal_mask(kind, 8, level_count("none", kind, 8))
+        assert max(mask.schedule) + 1 == mask.n_levels
+    with pytest.raises(ValueError):
+        make_spatial_mask("none", 32, 32)
+    with pytest.raises(ValueError):
+        make_temporal_mask("none", 8, 1)
+
 
 
 def test_progressive_schedule():

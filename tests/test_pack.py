@@ -1,4 +1,6 @@
 import ast
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +8,12 @@ import pytest
 
 import sama.pack
 import sama.pyramid
-from sama import bench
+from sama import bench, masks
 from sama.errors import CorruptFile, DimMismatch, MissingProvenance, UnsupportedFormat
 from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_clip, select_frames
 from sama.pack import (
+    SPATIAL_CODES,
+    TEMPORAL_CODES,
     SampledTensor,
     container_bytes,
     parse_container,
@@ -148,6 +152,22 @@ def test_no_partial_file_on_failure(tmp_path):
         write_container(_tiny_tensor(), target)
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []  # no stray temp files either
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_container_mode_is_0666_less_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        write_container(_tiny_tensor(), tmp_path / "a.sama")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "a.sama").stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["a.sama"]
+
+
+def test_container_codes_name_exactly_the_mask_kinds():
+    assert SPATIAL_CODES.keys() == set(masks.SPATIAL_KINDS)
+    assert TEMPORAL_CODES.keys() == set(masks.TEMPORAL_KINDS)
 
 
 def test_tensor_validation():

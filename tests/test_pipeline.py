@@ -1,11 +1,14 @@
+import itertools
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sama import media
 from sama.errors import ConfigError
-from sama.masks import make_spatial_mask, make_temporal_mask
+from sama.masks import SPATIAL_KINDS, TEMPORAL_KINDS, make_spatial_mask, make_temporal_mask
 from sama.media import MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
 from sama.pipeline import sample_image, sample_media, sample_video
@@ -256,6 +259,45 @@ def test_invalid_configs_rejected():
             coordinate_clip(230, 230, 2),
             SamplerConfig(temporal_mask="none", spatial_mask="none", n_scales=4),
         )
+
+
+def test_validate_passes_exactly_when_sample_video_succeeds(monkeypatch):
+    # every (spatial, temporal, frames_out, n_scales) of a small grid: a config
+    # validate accepts samples, and a rejected one is one ConfigError raised
+    # before any frame is read
+    reads = []
+    real = media._FrameStore.read
+
+    def spy(store, i, rows=None):
+        reads.append(i)
+        return real(store, i, rows)
+
+    monkeypatch.setattr(media._FrameStore, "read", spy)
+    clip = coordinate_clip(40, 48, 3)
+    accepted = 0
+    for spatial, temporal, frames, n in itertools.product(
+        SPATIAL_KINDS, TEMPORAL_KINDS, range(1, 10), range(0, 6)
+    ):
+        cfg = SamplerConfig(
+            grid_rows=1, grid_cols=1, frames_out=frames, n_scales=n,
+            spatial_mask=spatial, temporal_mask=temporal,
+        )
+        reads.clear()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "combining spatial and temporal", UserWarning)
+            try:
+                cfg.validate("video")
+            except ConfigError:
+                with pytest.raises(ConfigError):
+                    sample_video(clip, cfg)
+                assert reads == [], cfg
+                continue
+            result = sample_video(clip, cfg)
+        accepted += 1
+        assert result.tensor.data.shape == (frames, 32, 32, 3)
+        assert len(result.pyramid) == n
+        assert provenance_audit(result.tensor, result.pyramid).mismatches == 0, cfg
+    assert accepted > 50
 
 
 def test_timings_reported():

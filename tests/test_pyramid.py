@@ -196,6 +196,37 @@ def test_upscale_cases():
     assert (dot.frame(0) == 77).all()
 
 
+def _dims_at_min_side(raw_h, raw_w, m):
+    if raw_h <= raw_w:
+        return m, math.floor(m * raw_w / raw_h + 0.5)
+    return math.floor(m * raw_h / raw_w + 0.5), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    raw_h=st.integers(1, 1500),
+    raw_w=st.integers(1, 1500),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    frag=st.sampled_from([1, 4, 32]),
+)
+def test_coarsest_level_is_the_least_size_covering_the_output(raw_h, raw_w, rows, cols, frag):
+    cfg = SamplerConfig(grid_rows=rows, grid_cols=cols, frag_h=frag, frag_w=frag)
+    least = next(
+        m for m in range(1, 2 * max(cfg.out_h, cfg.out_w) + 1)
+        if all(a >= b for a, b in zip(_dims_at_min_side(raw_h, raw_w, m), (cfg.out_h, cfg.out_w)))
+    )
+    if cfg.out_h == cfg.out_w:
+        assert least == cfg.out_h
+    frame = FrameBuffer(np.broadcast_to(np.uint8(0), (raw_h, raw_w, 3)))  # reads nothing
+    raw, coarsest = build_pyramid(frame, cfg, levels=2)
+    assert (coarsest.height, coarsest.width) == _dims_at_min_side(raw_h, raw_w, least)
+    if min(raw_h, raw_w) < least:
+        assert (raw.height, raw.width) == (coarsest.height, coarsest.width)
+    else:
+        assert (raw.height, raw.width) == (raw_h, raw_w)
+
+
 def test_upscale_clip():
     clip = coordinate_clip(50, 80, 3)
     up = _raw_level(clip, 224)

@@ -206,7 +206,8 @@ def test_loaded_and_in_memory_clips_give_identical_bytes(tmp_path, reads, suffix
         in_memory = sample_video(MediaClip(tuple(load_image(p) for p in paths)), cfg)
     _same_bytes(loaded, in_memory)
     row_reads = [rows for _, rows in reads[: min(frames, 8)]]
-    if min(size) < cfg.target_min:
+    raw = loaded.pyramid[0]
+    if (raw.height, raw.width) != size:
         assert all(rows is None for rows in row_reads)  # the upscale needs every row
     else:
         assert all(rows is not None for rows in row_reads)
