@@ -1,10 +1,10 @@
 """Per-stage timing harness and synthetic inputs.
 
-Stages are timed where the pipeline does the work: decode (PPM bytes to
-pixels), pyramid (schedule, interpolation taps and the per-frame
-gathers), fragments (grid, offsets, source maps, frame plans), compose
-(the provenance fill), and pack (container serialization, in memory so
-disk noise stays out of the numbers).
+Stages are timed where the pipeline does the work: pyramid (schedule,
+interpolation taps and the per-frame gathers), fragments (grid, offsets,
+source maps, frame plans), compose (the provenance fill), and pack
+(container serialization, in memory so disk noise stays out of the
+numbers). Decoding is not timed here: the input is made in memory.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import imageio
 from .media import FrameBuffer, MediaClip, SamplerConfig
 from .pack import container_bytes
 from .pipeline import sample_image, sample_video
 from .pyramid import build_pyramid
 
-BENCH_STAGES = ("decode", "pyramid", "fragments", "compose", "pack")
+BENCH_STAGES = ("pyramid", "fragments", "compose", "pack")
 
 
 def synthetic_frame(height: int, width: int, seed: int = 0) -> FrameBuffer:
@@ -61,13 +60,9 @@ def bench_image(
 ) -> dict[str, StageTiming]:
     """Run the image pipeline ``reps`` times and collect per-stage times."""
     frame = synthetic_frame(height, width, seed)
-    ppm = imageio.encode_ppm(frame.data)
     stages: dict[str, list[float]] = {name: [] for name in BENCH_STAGES}
     for _ in range(reps):
-        t0 = time.perf_counter()
-        decoded = imageio.decode_ppm(ppm)
-        stages["decode"].append(time.perf_counter() - t0)
-        result = sample_image(FrameBuffer(decoded), config)
+        result = sample_image(frame, config)
         for name in ("pyramid", "fragments", "compose"):
             stages[name].append(result.timings[name])
         t0 = time.perf_counter()

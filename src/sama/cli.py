@@ -28,6 +28,7 @@ from .errors import (
     BadArity,
     ConfigError,
     CorruptFile,
+    DimMismatch,
     EmptyClip,
     IndivisibleDims,
     InsufficientFrames,
@@ -223,14 +224,22 @@ def cmd_sample(args) -> int:
 
 
 def cmd_preview(args) -> int:
-    tensor = read_container(args.input)
+    # flag errors are found before the container is read
+    out = Path(args.out)
+    if out.suffix.lower() not in (".png", ".ppm"):
+        raise ConfigError(f"--out must end in .png or .ppm, got {out.name!r}")
     grid_rows = grid_cols = None
     if args.grid:
+        if args.style != "bordered":
+            raise ConfigError(f"--grid applies to the bordered style, not {args.style!r}")
         grid_rows, grid_cols = _parse_pair(args.grid, "--grid")
-    elif args.style == "bordered" and tensor.grid is None:
+    tensor = read_container(args.input)
+    if args.style == "bordered" and not args.grid and tensor.grid is None:
         raise ConfigError("bordered preview of a loaded container needs --grid RxC")
-    frames = render_preview(tensor, args.style, grid_rows, grid_cols)
-    out = Path(args.out)
+    try:
+        frames = render_preview(tensor, args.style, grid_rows, grid_cols)
+    except DimMismatch as exc:  # the only flag checked against the container
+        raise ConfigError(f"--grid {args.grid}: {exc}") from exc
     _write_frames(frames, out)
     print(f"wrote {out}" if len(frames) == 1 else f"wrote {len(frames)} frames next to {out}")
     return 0
@@ -241,14 +250,20 @@ def cmd_masks(args) -> int:
         raise ConfigError(f"unknown masks action {args.action!r}")
     out_h, out_w = _parse_pair(args.size, "--size")
     # every mask is built before anything is written: a flag value no mask
-    # accepts is a configuration error and leaves no files behind
+    # accepts, or a flag the dumped mask does not take, is a configuration
+    # error and leaves no files behind
+    if args.scales is None and args.block is not None:
+        raise ConfigError("--block sets the --scales interlace's block; give --scales")
+    if args.scales is not None and args.spatial_mask is not None:
+        raise ConfigError("--scales dumps an interlace mask; --spatial-mask does not apply")
     tmask = None
     try:
         if args.scales is None:
-            mask = make_spatial_mask(args.spatial_mask, out_h, out_w)
-            n_levels = level_count(args.spatial_mask, "none", args.frames)
+            kind = args.spatial_mask or "window"
+            mask = make_spatial_mask(kind, out_h, out_w)
+            n_levels = level_count(kind, "none", args.frames)
         else:
-            mask = make_interlace_mask(args.scales, out_h, out_w, args.block)
+            mask = make_interlace_mask(args.scales, out_h, out_w, args.block or 32)
             n_levels = args.scales
         if args.temporal_mask and args.temporal_mask != "none":
             levels = level_count("none", args.temporal_mask, args.frames)
@@ -436,7 +451,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preview", help="render a container to an image")
     p.add_argument("input", help="container file")
     p.add_argument("--style", choices=PREVIEW_STYLES, default="plain")
-    p.add_argument("--grid", help="grid RxC (needed for bordered style)")
+    p.add_argument("--grid", help="grid RxC, bordered style only (needed after a reload)")
     p.add_argument("--out", required=True, help="output .png or .ppm path")
     p.set_defaults(func=cmd_preview)
 
@@ -445,13 +460,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--size", default="224x224", help="mask dims HxW")
     p.add_argument(  # a mask is always dumped: every kind but "none"
-        "--spatial-mask", choices=SPATIAL_KINDS[1:], default="window", dest="spatial_mask"
+        "--spatial-mask", choices=SPATIAL_KINDS[1:], dest="spatial_mask",
+        help="spatial mask to dump (default window); not with --scales",
     )
     p.add_argument(
         "--scales", type=int, choices=(3, 4), help="dump a 3- or 4-scale interlace"
     )
     p.add_argument(
-        "--block", type=_positive_int, default=32, help="interlace block size (default 32)"
+        "--block", type=_positive_int, help="interlace block size (default 32); needs --scales"
     )
     p.add_argument(
         "--temporal-mask", choices=TEMPORAL_KINDS, dest="temporal_mask"

@@ -10,7 +10,9 @@ rows)`` is the read for callers that use each frame once: it returns
 just the rows asked for, read from the file (``imageio.read_image``) or
 taken from a kept frame, and keeps nothing, so the sampler holds one
 source frame's rows at a time. ``MediaClip.source_keys`` names the source
-behind each frame, so a reader fetches a repeated frame once.
+behind each frame, so a reader fetches a repeated frame once. A pyramid's
+levels share the clip they were built from as ``sources`` and read it
+through these two, whether they are smaller or larger than its frames.
 
 ``SamplerConfig.validate`` builds the masks a config names and asks
 ``masks.level_count``, so the mask rules live only in ``masks``.
@@ -19,7 +21,6 @@ behind each frame, so a reader fetches a repeated frame once.
 from __future__ import annotations
 
 import re
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -272,11 +273,6 @@ class SamplerConfig:
             )
         if self.n_scales > 255:
             raise ConfigError("n_scales must be in [1, 255]")
-        if spatial and temporal:
-            warnings.warn(
-                "combining spatial and temporal masks is experimental",
-                stacklevel=2,
-            )
 
 
 # Per-pixel provenance layout; also the container's on-disk record (11 bytes).

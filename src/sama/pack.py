@@ -422,13 +422,14 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     coordinate, so the cost scales with the output size and not with the
     level areas. The rule is written here apart from the resize code in
     ``pyramid``, so an interpolation fault there shows up as mismatches.
-    The frame is looked up in the level's sources, which for clips are the
-    selected clip: provenance ``frame`` still records the output slot.
+    The frame is read from the level's sources, the clip the pyramid was
+    built from (for a video, the selected clip) at its own size, also when
+    the level is larger: provenance ``frame`` still records the output slot.
 
     Out-of-range scale ids, frame indices, or coordinates count as
     mismatches rather than raising, so a corrupted tensor still yields a
     report. Output frames are taken in runs that share a source key
-    (``sources.keys``); a run's pixels are checked one recorded source
+    (``sources.source_keys``); a run's pixels are checked one recorded source
     frame at a time, and that frame is read once, only the rows its pixels'
     taps need. So each distinct source is read once, even when a short
     clip repeats it over many output frames, and only one is held.
@@ -437,7 +438,7 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
         raise MissingProvenance("tensor carries no provenance to audit")
     scale_counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
     mismatches = 0
-    keys = pyramid[0].sources.keys if pyramid else ()
+    keys = pyramid[0].sources.source_keys if pyramid else ()
 
     def key_of(f: int) -> int:
         return keys[f] if f < len(keys) else -1
@@ -510,7 +511,7 @@ def _collect_checks(
         if n_inside < sub.size:
             sub, y, x = sub[inside], y[inside], x[inside]
         if n_inside:
-            key_fr = (id(level.sources), level.sources.keys[fr])
+            key_fr = (id(level.sources), level.sources.source_keys[fr])
             checks.setdefault(key_fr, []).append(_Check(level, fr, y, x, data.take(sub, axis=0)))
     return mismatches
 
@@ -536,7 +537,7 @@ def _audit_source_frame(group: list[_Check]) -> int:
         marks[i1[used]] = True
         row_tables.append((i0, i1, fy))
     rows = np.flatnonzero(marks)
-    flat = sources[group[0].index, rows].reshape(-1, 3)
+    flat = sources.read(group[0].index, rows).reshape(-1, 3)
     # source row -> offset of its first pixel in flat
     at = np.zeros(sources.height, dtype=np.intp)
     at[rows] = np.arange(rows.size) * sources.width

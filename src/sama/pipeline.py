@@ -18,12 +18,13 @@ the plans tap are read. Source frames whose output frames draw on the
 same level tuples tap the same rows: for each such group the rows are
 marked from the plans (``tap_rows``) and each level's taps are built on
 those rows (``pixel_taps``), once. Each source frame of the group is
-then read once, just those rows (``sources[i, rows]``), every (frame,
-level) that draws on it runs one gather straight into the preallocated
-output, and it is released before the next is read. So memory is one
-source frame's rows and one group's taps plus the output. The
-provenance is the plans with the frame index broadcast in. The gather
-cost does not grow with the number of levels interlaced.
+then read once, just those rows (``sources.read(i, rows)``, on the clip
+the levels share, whose frames may be smaller than the levels), every
+(frame, level) that draws on it runs one gather straight into the
+preallocated output, and it is released before the next is read. So
+memory is one source frame's rows and one group's taps plus the output.
+The provenance is the plans with the frame index broadcast in. The
+gather cost does not grow with the number of levels interlaced.
 The tests check the bytes against a reference that materializes whole
 per-level mosaics and composes them by mask.
 """
@@ -142,9 +143,9 @@ def _render(
 
     t0 = time.perf_counter()
     data = np.empty((n_frames, config.out_h, config.out_w, 3), dtype=np.uint8)
-    sources = pyramid[0].sources  # the levels of one pyramid share their sources
+    sources = pyramid[0].sources  # the clip the levels of one pyramid share
     slots: dict[int, list[int]] = {}
-    for t, key in enumerate(sources.keys):
+    for t, key in enumerate(sources.source_keys):
         slots.setdefault(key, []).append(t)
     # source frames whose slots draw on the same level tuples tap the same rows
     groups: dict[frozenset, list[int]] = {}
@@ -165,7 +166,7 @@ def _render(
         }
         for key in keys:
             ts = slots[key]
-            src = sources[ts[0], rows]
+            src = sources.read(ts[0], rows)
             for t in ts:
                 _gather_frame(src, data[t].view(_RGB).reshape(-1), owners[frame_levels[t]])
             del src  # release this frame before the next is read

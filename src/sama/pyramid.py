@@ -1,25 +1,24 @@
 """Multi-granularity pyramid: linear min-side schedule + bilinear resize.
 
-Levels hold no pixels: the levels of one pyramid share one
-``SourceFrames``, which reads a source frame, or just some of its rows
-(``sources[i, rows]``), when asked and keeps nothing, and building a
-pyramid reads nothing. ``SourceFrames`` is also the one upscale path: a
-clip below the coarsest level's min side is read whole and upscaled as
-each frame is read. The sampler marks the source rows its plan taps
-(``tap_rows``), turns the level pixels it needs into ``PixelTaps`` on
-those rows (``pixel_taps``), then reads just those rows of each distinct
-source frame once and runs one ``gather_taps`` per (frame, level) on
-them. Whole frames (``PyramidLevel.frame``, memoized per source frame)
-serve the pyramid-cost gate in ``bench`` and the tests' reference
-sampler. Every path blends with ``_lerp_core`` on taps from
-``_axis_taps``, so they agree byte for byte, and access order never
-changes results.
+Levels hold no pixels: the levels of one pyramid share the ``MediaClip``
+they were built from as ``level.sources``, which reads a source frame, or
+just some of its rows (``sources.read(i, rows)``), when asked and keeps
+nothing, so building a pyramid reads nothing. A clip below the coarsest
+level's min side gets levels larger than its frames: they tap the raw
+frames like any other level, so there is no separate upscale. The sampler
+marks the source rows its plan taps (``tap_rows``), turns the level
+pixels it needs into ``PixelTaps`` on those rows (``pixel_taps``), then
+reads just those rows of each distinct source frame once and runs one
+``gather_taps`` per (frame, level) on them. Whole frames
+(``PyramidLevel.frame``, memoized per source frame) serve the
+pyramid-cost gate in ``bench`` and the tests' reference sampler. Every
+path blends with ``_lerp_core`` on taps from ``_axis_taps``, so they
+agree byte for byte, and access order never changes results.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,11 +94,11 @@ def scale_schedule(raw_h: int, raw_w: int, target_min: int, levels: int) -> Scal
     return ScaleSchedule(tuple(dims))
 
 
-def _axis_taps(n_in: int, n_out: int, start: int = 0, count: int | None = None):
-    """Source taps for output indices [start, start+count); the subrange of
-    the full-axis taps, computed with the identical expression."""
-    stop = n_out if count is None else start + count
-    centers = (np.arange(start, stop, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+def _axis_taps(n_in: int, n_out: int):
+    """Source taps of every output index along one axis: the index below
+    and above its half-pixel centre, clamped to the edge, and the float32
+    weight of the one above."""
+    centers = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     centers = np.clip(centers, 0.0, n_in - 1.0)
     i0 = np.floor(centers).astype(np.intp)
     i1 = np.minimum(i0 + 1, n_in - 1)
@@ -110,10 +109,10 @@ def _axis_taps(n_in: int, n_out: int, start: int = 0, count: int | None = None):
 def _lerp_core(p00, p01, p10, p11, fy, fx):
     """Bilinear blend of four float32 corner arrays, rounded half up to uint8.
 
-    ``fy`` and ``fx`` arrive already broadcastable against the corners. Every
-    resize path and the sampler's gather share this arithmetic, so windowed,
-    whole-frame and per-pixel results are byte-identical. The blend runs in
-    place: ``p01`` and ``p11`` are overwritten.
+    ``fy`` and ``fx`` arrive already broadcastable against the corners. The
+    whole-frame resize and the sampler's gather share this arithmetic, so
+    their results are byte-identical. The blend runs in place: ``p01`` and
+    ``p11`` are overwritten.
     """
     top = p01
     top -= p00
@@ -132,20 +131,6 @@ def _lerp_core(p00, p01, p10, p11, fy, fx):
     return bot.astype(np.uint8)
 
 
-def _lerp_gather(src, y0, y1, fy, x0, x1, fx):
-    # row slabs then column picks; for a window, only the window's taps
-    rows0 = src[y0]
-    rows1 = src[y1]
-    return _lerp_core(
-        rows0[:, x0].astype(np.float32),
-        rows0[:, x1].astype(np.float32),
-        rows1[:, x0].astype(np.float32),
-        rows1[:, x1].astype(np.float32),
-        fy[:, None, None],
-        fx[None, :, None],
-    )
-
-
 def resize_rgb(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of an (H, W, 3) uint8 array, half-pixel centers.
 
@@ -159,7 +144,15 @@ def resize_rgb(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         return src
     y0, y1, fy = _axis_taps(in_h, out_h)
     x0, x1, fx = _axis_taps(in_w, out_w)
-    return _lerp_gather(src, y0, y1, fy, x0, x1, fx)
+    rows0, rows1 = src[y0], src[y1]  # row slabs, then column picks
+    return _lerp_core(
+        rows0[:, x0].astype(np.float32),
+        rows0[:, x1].astype(np.float32),
+        rows1[:, x0].astype(np.float32),
+        rows1[:, x1].astype(np.float32),
+        fy[:, None, None],
+        fx[None, :, None],
+    )
 
 
 # Nothing in the library calls resize_rect; it stays only because the
@@ -167,15 +160,8 @@ def resize_rgb(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def resize_rect(
     src: np.ndarray, out_h: int, out_w: int, y0: int, x0: int, h: int, w: int
 ) -> np.ndarray:
-    """The (y0:y0+h, x0:x0+w) window of resize_rgb(src, out_h, out_w).
-
-    Bit-identical to slicing the full resize, at the cost of only the
-    window: interpolation is local, so pipelines that keep a few fragments
-    per level never pay for whole-level frames.
-    """
-    ty0, ty1, tfy = _axis_taps(src.shape[0], out_h, y0, h)
-    tx0, tx1, tfx = _axis_taps(src.shape[1], out_w, x0, w)
-    return _lerp_gather(src, ty0, ty1, tfy, tx0, tx1, tfx)
+    """The (y0:y0+h, x0:x0+w) window of resize_rgb(src, out_h, out_w)."""
+    return resize_rgb(src, out_h, out_w)[y0 : y0 + h, x0 : x0 + w]
 
 
 @dataclass(frozen=True)
@@ -212,7 +198,7 @@ def pixel_taps(
 ) -> PixelTaps:
     """Taps of level pixels (ys[k], xs[k]) into a source frame that holds
     only the source rows ``rows`` (ascending; every row when None), such
-    as ``sources[i, rows]``. They are indexed out of the full-axis taps,
+    as ``sources.read(i, rows)``. They are indexed out of the full-axis taps,
     so a gather equals the same pixels of ``level.frame``; ``rows`` must
     hold every row ``tap_rows`` marks for ``ys``."""
     src_h, src_w = level.sources.height, level.sources.width
@@ -244,50 +230,21 @@ def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:
     return _lerp_core(c[0], c[1], c[2], c[3], taps.fy, taps.fx)
 
 
-class SourceFrames(Sequence):
-    """The source frames a pyramid's levels resize from, read when indexed.
-
-    ``sources[i]`` is frame ``i`` of the clip as an (H, W, 3) array, and
-    ``sources[i, rows]`` just its rows ``rows`` (ascending), as a
-    (len(rows), W, 3) array. Both read with ``MediaClip.read``, so a frame
-    its clip has not kept is read and not kept. A clip below the pyramid's
-    min side is read whole and upscaled to ``height`` x ``width`` as each
-    frame is read, since the upscale taps every row. ``keys[i]`` names the
-    source behind frame ``i``: frames with equal keys hold the same pixels.
-    """
-
-    def __init__(self, clip: MediaClip, height: int | None = None, width: int | None = None):
-        self.clip = clip
-        self.keys = clip.source_keys
-        self.height = clip.height if height is None else height
-        self.width = clip.width if width is None else width
-
-    def __len__(self) -> int:
-        return len(self.clip)
-
-    def __getitem__(self, item) -> np.ndarray:
-        i, rows = item if isinstance(item, tuple) else (item, None)
-        if (self.clip.height, self.clip.width) == (self.height, self.width):
-            return self.clip.read(i, rows)
-        src = resize_rgb(self.clip.read(i), self.height, self.width)
-        return src if rows is None else src[rows]
-
-
 class PyramidLevel:
     """One pyramid level: target dims over source frames it does not hold.
 
-    ``sources`` is a ``SourceFrames``, or a list of arrays, which is
-    wrapped as one. The sampler reads a level through
-    ``pixel_taps``/``gather_taps`` and never materializes it. ``frame``
-    resizes a whole frame on first access and memoizes it per source frame
-    (``sources.keys``); ``rect`` resizes one window.
+    ``sources`` is the ``MediaClip`` the level resamples, or a list of
+    arrays, which is wrapped as one; its dims may be below, at or above the
+    level's. The sampler reads a level through ``pixel_taps``/``gather_taps``
+    and never materializes it. ``frame`` resizes a whole frame on first
+    access and memoizes it per source frame (``sources.source_keys``).
     """
 
     def __init__(
-        self, scale_id: int, sources: SourceFrames | list[np.ndarray], height: int, width: int
+        self, scale_id: int, sources: MediaClip | list[np.ndarray], height: int, width: int
     ):
-        if not isinstance(sources, SourceFrames):
-            sources = SourceFrames(MediaClip(tuple(FrameBuffer(a) for a in sources)))
+        if not isinstance(sources, MediaClip):
+            sources = MediaClip(tuple(FrameBuffer(a) for a in sources))
         self.scale_id = scale_id
         self.height = height
         self.width = width
@@ -300,37 +257,29 @@ class PyramidLevel:
 
     def frame(self, i: int) -> np.ndarray:
         """The (height, width, 3) pixels of frame ``i`` at this level."""
-        key = self.sources.keys[i]
+        key = self.sources.source_keys[i]
         if key not in self._cache:
-            # resize_rgb returns a raw level's (or degenerate schedule's)
+            # resize_rgb returns a level the size of its source as the
             # source itself: it shares pixels
-            self._cache[key] = resize_rgb(self.sources[i], self.height, self.width)
+            self._cache[key] = resize_rgb(self.sources.read(i), self.height, self.width)
         return self._cache[key]
 
     # Nothing in the library calls rect; it stays only because the benchmark
     # trace wraps it by name, until ROADMAP item 1 retargets the trace.
     def rect(self, i: int, y0: int, x0: int, h: int, w: int) -> np.ndarray:
-        """The (h, w, 3) window of frame ``i`` without materializing it.
-
-        Byte-identical to ``self.frame(i)[y0:y0+h, x0:x0+w]``.
-        """
-        cached = self._cache.get(self.sources.keys[i])
-        if cached is not None:
-            return cached[y0 : y0 + h, x0 : x0 + w]
-        src = self.sources[i]
-        if src.shape[:2] == (self.height, self.width):
-            return src[y0 : y0 + h, x0 : x0 + w]
-        return resize_rect(src, self.height, self.width, y0, x0, h, w)
+        """The (h, w, 3) window (y0:y0+h, x0:x0+w) of frame ``i``."""
+        return self.frame(i)[y0 : y0 + h, x0 : x0 + w]
 
 
 def build_pyramid(media, config: SamplerConfig, levels: int | None = None) -> list[PyramidLevel]:
-    """Lay out ``levels`` levels over one shared ``SourceFrames``.
+    """Lay out ``levels`` levels over one clip, which they share as ``sources``.
 
     Decodes nothing: the raw dims come from the clip. A ``FrameBuffer`` is
     read as a one-frame clip. The coarsest level is the least size at the raw
-    aspect that covers the output; a clip below its min side is upscaled
-    bilinearly as each frame is read (the one upscale path), so level 0 is
-    the raw frame, maybe upscaled. Every frame of a level gets the same dims.
+    aspect that covers the output. A clip below its min side gets a
+    degenerate schedule: every level has the dims of the raw frame upscaled
+    to that min side, and taps the raw frame bilinearly. So level 0 is the
+    raw frame, maybe upscaled. Every frame of a level gets the same dims.
     """
     if not isinstance(media, (FrameBuffer, MediaClip)):
         raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
@@ -341,5 +290,4 @@ def build_pyramid(media, config: SamplerConfig, levels: int | None = None) -> li
     if min(raw_h, raw_w) < target_min:
         raw_h, raw_w = _dims_for_min_side(raw_h, raw_w, target_min)
     schedule = scale_schedule(raw_h, raw_w, target_min, n_levels)
-    sources = SourceFrames(clip, raw_h, raw_w)
-    return [PyramidLevel(i, sources, h, w) for i, (h, w) in enumerate(schedule)]
+    return [PyramidLevel(i, clip, h, w) for i, (h, w) in enumerate(schedule)]

@@ -13,7 +13,7 @@ import sama.pack
 from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_clip, select_frames
 from sama.pack import SampledTensor, provenance_audit
 from sama.pipeline import sample_video
-from sama.pyramid import PyramidLevel, SourceFrames, build_pyramid
+from sama.pyramid import PyramidLevel, build_pyramid
 
 from conftest import coordinate_clip, write_clip
 
@@ -24,8 +24,8 @@ assert PIXELS > CHUNK + 1
 
 # Five source slots over a three-frame clip, so slots repeat source keys;
 # levels below, at and above the source size.
-_SOURCES = SourceFrames(select_frames(coordinate_clip(40, 56, 3), 5))
-assert len(set(_SOURCES.keys)) < len(_SOURCES)
+_SOURCES = select_frames(coordinate_clip(40, 56, 3), 5)
+assert len(set(_SOURCES.source_keys)) < len(_SOURCES)
 _PYRAMID = [
     PyramidLevel(s, _SOURCES, h, w)
     for s, (h, w) in enumerate([(40, 56), (29, 37), (17, 23), (50, 71)])
@@ -44,7 +44,7 @@ def _taps(i: int, n_in: int, n_out: int):
 def _rule(fr: int, h: int, w: int, y: int, x: int) -> tuple[int, int, int]:
     """Level pixel (y, x) of an h x w level over source slot ``fr``: a
     horizontal, then a vertical float32 blend, rounded half up."""
-    src = _SOURCES[fr]
+    src = _SOURCES.read(fr)
     y0, y1, fy = _taps(y, src.shape[0], h)
     x0, x1, fx = _taps(x, src.shape[1], w)
     out = []

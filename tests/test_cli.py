@@ -301,6 +301,33 @@ def test_preview_bordered_needs_grid(image_file, tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("flags, out, message", [
+    (["--style", "bordered", "--grid", "5x5"], "p.png",
+     "--grid 5x5: grid does not tile the output dims"),
+    (["--style", "plain", "--grid", "8x8"], "p.png",
+     "--grid applies to the bordered style, not 'plain'"),
+    (["--style", "tinted", "--grid", "8x8"], "p.png",
+     "--grid applies to the bordered style, not 'tinted'"),
+    ([], "p.gif", "--out must end in .png or .ppm, got 'p.gif'"),
+], ids=["untiled-grid", "plain-grid", "tinted-grid", "gif"])
+def test_preview_flag_errors_are_config_errors(
+    flags, out, message, image_file, tmp_path, capsys, monkeypatch
+):
+    import sama.cli
+
+    path = tmp_path / "img.sama"
+    assert main(["sample-image", str(image_file), "--out", str(path)]) == 0
+    capsys.readouterr()
+    reads = []
+    monkeypatch.setattr(sama.cli, "read_container", lambda p: reads.append(p) or read_container(p))
+    rc = main(["preview", str(path), *flags, "--out", str(tmp_path / out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / out).exists()
+    # only the grid's tiling needs the container's dims
+    assert len(reads) == ("does not tile" in message)
+
+
 def test_masks_dump(tmp_path, capsys):
     rc = main([
         "masks", "dump", "--out", str(tmp_path / "masks"),
@@ -331,6 +358,8 @@ def test_masks_dump_interlace(tmp_path):
     ["--temporal-mask", "progressive", "--frames", "3"],
     ["--temporal-mask", "mixed", "--frames", "6"],
     ["--scales", "3", "--size", "100x100"],
+    ["--block", "8"],  # the block of a --scales interlace
+    ["--scales", "3", "--spatial-mask", "patch"],
 ], ids="_".join)
 def test_masks_dump_flag_values_no_mask_accepts_write_nothing(flags, tmp_path, capsys):
     out = tmp_path / "m"
@@ -460,8 +489,9 @@ def test_verify_inject_fault(capsys):
 def test_bench_smoke(capsys):
     assert main(["bench", "--size", "240x320", "--reps", "3"]) == 0
     out = capsys.readouterr().out
-    for stage in ("decode", "pyramid", "fragments", "compose", "pack"):
+    for stage in ("pyramid", "fragments", "compose", "pack"):
         assert stage in out
+    assert "decode" not in out  # it timed a view of in-memory bytes
     assert "ratio" in out
 
 
@@ -532,12 +562,11 @@ def test_traced_names_are_looked_up_at_call_time(monkeypatch, image_file, clip_d
         "sama.pipeline.make_temporal_mask", "sama.cli.sample_video",
     }
     reached.clear()
-    with pytest.warns(UserWarning, match="experimental"):
-        rc = main([
-            "sample-video", str(clip_dir), "--frames", "8", "--scales", "4",
-            "--temporal-mask", "progressive", "--spatial-mask", "window",
-            "--out", str(tmp_path / "v.sama"),
-        ])
+    rc = main([
+        "sample-video", str(clip_dir), "--frames", "8", "--scales", "4",
+        "--temporal-mask", "progressive", "--spatial-mask", "window",
+        "--out", str(tmp_path / "v.sama"),
+    ])
     assert rc == 0
     assert reached == set(TRACED_NAMES) - {"sama.cli.sample_image"}
 
@@ -700,7 +729,8 @@ def test_preview_of_a_scale_beyond_the_header_is_corrupt(style, image_file, tmp_
     tensor.provenance["scale"][0, 0, 0] = 5  # the header says 2 scales
     write_container(tensor, path)
     png = tmp_path / "p.png"
-    rc = main(["preview", str(path), "--style", style, "--grid", "8x8", "--out", str(png)])
+    grid = ["--grid", "8x8"] if style == "bordered" else []
+    rc = main(["preview", str(path), "--style", style, *grid, "--out", str(png)])
     assert rc == 2
     assert capsys.readouterr().err == "i/o error: provenance names scale 5, header has 2 scales\n"
     assert not png.exists()

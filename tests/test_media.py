@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,7 +168,7 @@ def test_selecting_and_pyramiding_a_lazy_clip_decode_nothing(tmp_path, reads):
     levels = build_pyramid(short, cfg)
     assert reads == []
     assert len(levels[0].sources) == 9
-    assert levels[0].sources.keys[0] == levels[0].sources.keys[4]
+    assert levels[0].sources.source_keys[0] == levels[0].sources.source_keys[4]
     assert short.frames[0] is short.frames[4] is clip.frames[short.source_keys[0]]
 
 
@@ -354,6 +356,8 @@ def test_config_mask_rules_come_from_the_masks(overrides, kind, message):
 
 
 def test_config_mixed_masks_flagged():
+    # spatial+temporal runs the one frame-levels rule: nothing to warn about
     cfg = SamplerConfig(spatial_mask="window", temporal_mask="progressive")
-    with pytest.warns(UserWarning, match="experimental"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cfg.validate("video")

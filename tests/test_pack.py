@@ -301,20 +301,51 @@ def test_audit_oracle_hand_worked_pixel():
             assert provenance_audit(t, pyramid).mismatches == 1
 
 
+def _truncating_lerp(p00, p01, p10, p11, fy, fx):
+    top = p00 + fx * (p01 - p00)
+    bot = p10 + fx * (p11 - p10)
+    val = top + fy * (bot - top)
+    return np.floor(val).clip(0, 255).astype(np.uint8)
+
+
 def test_audit_catches_an_interpolation_fault(monkeypatch):
     """A resize that truncates instead of rounding must not audit clean."""
-
-    def truncating_lerp(p00, p01, p10, p11, fy, fx):
-        top = p00 + fx * (p01 - p00)
-        bot = p10 + fx * (p11 - p10)
-        val = top + fy * (bot - top)
-        return np.floor(val).clip(0, 255).astype(np.uint8)
-
-    monkeypatch.setattr(sama.pyramid, "_lerp_core", truncating_lerp)
+    monkeypatch.setattr(sama.pyramid, "_lerp_core", _truncating_lerp)
     clip = bench.synthetic_clip(240, 320, 6, seed=12)
     cfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=9)
     res = sample_video(clip, cfg)
     assert provenance_audit(res.tensor, res.pyramid).mismatches > 0
+
+
+# A clip below the coarsest level's min side (224): every level is larger
+# than its frames and taps them directly, with no upscale stage between.
+_SMALL_CLIP = bench.synthetic_clip(150, 170, 5, seed=3)
+_SMALL_CFG = SamplerConfig(frames_out=8, n_scales=4)
+
+
+def test_audit_of_an_upscaled_clip_checks_against_the_raw_frames(monkeypatch):
+    """The audit re-derives a level larger than its source from the raw
+    frame, so a fault in the sampler's blend active throughout the run
+    still shows up as mismatches."""
+    monkeypatch.setattr(sama.pyramid, "_lerp_core", _truncating_lerp)
+    res = sample_video(_SMALL_CLIP, _SMALL_CFG)
+    assert (res.pyramid[0].height, res.pyramid[0].width) == (224, 254)
+    assert provenance_audit(res.tensor, res.pyramid).mismatches > 0
+
+
+def test_sampling_and_auditing_an_upscaled_clip_resize_no_frame(monkeypatch):
+    calls = []
+    real = sama.pyramid.resize_rgb
+
+    def spy(src, out_h, out_w):
+        calls.append((src.shape, out_h, out_w))
+        return real(src, out_h, out_w)
+
+    monkeypatch.setattr(sama.pyramid, "resize_rgb", spy)
+    res = sample_video(_SMALL_CLIP, _SMALL_CFG)
+    assert provenance_audit(res.tensor, res.pyramid).ok
+    assert calls == []
+    assert all((lvl.sources.height, lvl.sources.width) == (150, 170) for lvl in res.pyramid)
 
 
 def test_audit_shares_no_code_with_the_resize_path():

@@ -1,6 +1,5 @@
 import itertools
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -128,7 +127,7 @@ def test_single_scale_image_is_plain_mosaic():
 
 
 # ---------------------------------------------------------------------------
-# Combined spatial + temporal (experimental)
+# Combined spatial + temporal
 
 
 def test_combined_masks_audits_clean():
@@ -137,8 +136,7 @@ def test_combined_masks_audits_clean():
         spatial_mask="window", seed=3,
     )
     clip = coordinate_clip(320, 420, 8)
-    with pytest.warns(UserWarning, match="experimental"):
-        res = sample_video(clip, cfg)
+    res = sample_video(clip, cfg)
     assert res.tensor.data.shape == (8, 224, 224, 3)
     report = provenance_audit(res.tensor, res.pyramid)
     assert report.ok
@@ -154,8 +152,7 @@ def test_progressive_window_top_pair_is_owned_by_the_top_level():
         frames_out=8, n_scales=4, temporal_mask="progressive",
         spatial_mask="window", offset_policy="random", seed=5,
     )
-    with pytest.warns(UserWarning, match="experimental"):
-        res = sample_video(coordinate_clip(300, 380, 8), cfg)
+    res = sample_video(coordinate_clip(300, 380, 8), cfg)
     scale = res.tensor.provenance["scale"]
     assert (scale[6:] == 3).all()  # the last pair is scheduled at the top level
     owner = make_spatial_mask("window", 224, 224).indices
@@ -283,16 +280,14 @@ def test_validate_passes_exactly_when_sample_video_succeeds(monkeypatch):
             spatial_mask=spatial, temporal_mask=temporal,
         )
         reads.clear()
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "combining spatial and temporal", UserWarning)
-            try:
-                cfg.validate("video")
-            except ConfigError:
-                with pytest.raises(ConfigError):
-                    sample_video(clip, cfg)
-                assert reads == [], cfg
-                continue
-            result = sample_video(clip, cfg)
+        try:
+            cfg.validate("video")
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                sample_video(clip, cfg)
+            assert reads == [], cfg
+            continue
+        result = sample_video(clip, cfg)
         accepted += 1
         assert result.tensor.data.shape == (frames, 32, 32, 3)
         assert len(result.pyramid) == n

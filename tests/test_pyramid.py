@@ -175,6 +175,19 @@ def test_resize_rect_is_a_window_of_the_full_resize(src_hw, out_hw):
         assert np.array_equal(window, full[y0 : y0 + 32, x0 : x0 + 32])
 
 
+@pytest.mark.parametrize("src_hw", [(540, 960), (224, 300), (150, 170)], ids=["down", "raw", "up"])
+def test_level_rect_is_a_window_of_its_frame(src_hw):
+    clip = coordinate_clip(*src_hw, 2)
+    cfg = SamplerConfig(frames_out=8, n_scales=4)
+    framed = build_pyramid(clip, cfg)
+    for level in build_pyramid(clip, cfg):  # rect first: nothing memoized yet
+        frame = framed[level.scale_id].frame(1)
+        h, w = level.height, level.width
+        for y0, x0 in ((0, 0), (h - 32, w - 32), (h // 3, w // 2)):
+            window = level.rect(1, y0, x0, 32, 32)
+            assert np.array_equal(window, frame[y0 : y0 + 32, x0 : x0 + 32])
+
+
 # ---------------------------------------------------------------------------
 # Upscaling: build_pyramid upscales a source below the target min side
 

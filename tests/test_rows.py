@@ -3,7 +3,6 @@ taps need, the bytes do not move, and a file that changes after listing
 fails cleanly."""
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -137,7 +136,7 @@ def _expected_rows(tensor, pyramid, identity_reads_one_row):
             prov["scale"], prov["y"], pyramid, sources.height, sources.width,
             identity_reads_one_row,
         )
-        per_key.setdefault(sources.keys[t], set()).update(rows)
+        per_key.setdefault(sources.source_keys[t], set()).update(rows)
     return {k: sorted(v) for k, v in per_key.items()}
 
 
@@ -200,18 +199,19 @@ def _same_bytes(loaded, in_memory):
 ], ids=["ppm", "png", "short-repeating", "spatial+temporal", "below-target-min"])
 def test_loaded_and_in_memory_clips_give_identical_bytes(tmp_path, reads, suffix, frames, size, cfg):
     paths = write_clip(tmp_path / "clip", frames, *size, suffix=suffix)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "combining spatial and temporal", UserWarning)
-        loaded = sample_video(load_clip(tmp_path / "clip"), cfg)
-        in_memory = sample_video(MediaClip(tuple(load_image(p) for p in paths)), cfg)
+    loaded = sample_video(load_clip(tmp_path / "clip"), cfg)
+    in_memory = sample_video(MediaClip(tuple(load_image(p) for p in paths)), cfg)
     _same_bytes(loaded, in_memory)
-    row_reads = [rows for _, rows in reads[: min(frames, 8)]]
+    row_reads = reads[: min(frames, 8)]  # the loaded clip's; load_image's follow
     raw = loaded.pyramid[0]
-    if (raw.height, raw.width) != size:
-        assert all(rows is None for rows in row_reads)  # the upscale needs every row
+    if (raw.height, raw.width) != size:  # levels larger than the frames tap raw rows
+        expected = _expected_rows(loaded.tensor, loaded.pyramid, identity_reads_one_row=True)
+        assert {name: rows.tolist() for name, rows in row_reads} == {
+            paths[key].name: rows for key, rows in expected.items()
+        }
     else:
-        assert all(rows is not None for rows in row_reads)
-        assert any(len(rows) < size[0] for rows in row_reads)
+        assert all(rows is not None for _, rows in row_reads)
+        assert any(len(rows) < size[0] for _, rows in row_reads)
 
 
 def test_loaded_iqa_image_gives_the_bytes_of_the_image(tmp_path):
