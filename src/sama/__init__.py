@@ -34,7 +34,7 @@ from .pack import (
     render_preview,
     write_container,
 )
-from .pipeline import SampleResult, sample_image, sample_media, sample_video
+from .pipeline import SampleResult, SamplingPlan, sample_image, sample_media, sample_video
 from .pyramid import (
     PyramidLevel,
     ScaleSchedule,
@@ -72,6 +72,7 @@ __all__ = [
     "PyramidLevel",
     "SampledTensor",
     "SampleResult",
+    "SamplingPlan",
     "SamplerConfig",
     "SamaError",
     "ScaleSchedule",

@@ -1,10 +1,12 @@
 """Per-stage timing harness and synthetic inputs.
 
 Stages are timed where the pipeline does the work: pyramid (schedule,
-interpolation taps and the per-frame gathers), fragments (grid, offsets,
-source maps, frame plans), compose (the provenance fill), and pack
-(container serialization, in memory so disk noise stays out of the
-numbers). Decoding is not timed here: the input is made in memory.
+and executing the plan: level coordinates, row marking, interpolation
+taps and the per-frame gathers), fragments (planning: level tuples,
+owner map, grid and offsets), compose (the provenance records the plan
+builds), and pack (container serialization, in memory so disk noise
+stays out of the numbers). Decoding is not timed here: the input is made
+in memory.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ def compare_single_vs_interlaced(
 
     Runs the video pipeline (the regime the single-scale baseline comes
     from). Both paths gather exactly one output's worth of pixels; the
-    interlace adds only a second plan and the mask constants, amortized
-    over the clip, so the ratio should stay near one.
+    interlace adds only a second level's offsets and coordinates and the
+    mask constants, amortized over the clip, so the ratio should stay near
+    one.
     """
     clip = synthetic_clip(height, width, clip_frames, seed)
     single = SamplerConfig(

@@ -46,14 +46,8 @@ from .media import (
     select_frames,
     split_snippets,
 )
-from .pack import (
-    SampledTensor,
-    container_bytes,
-    provenance_audit,
-    read_container,
-    render_preview,
-    write_container,
-)
+from .pack import container_bytes, provenance_audit, read_container
+from .pack import render_preview, write_container
 from .pipeline import sample_image, sample_video
 from .scalehead import run_property_suite
 
@@ -167,12 +161,6 @@ def _resolve_config(args, kind: str) -> tuple[SamplerConfig, dict]:
     return config, settings
 
 
-def _print_shares(tensor: SampledTensor) -> None:
-    shares = tensor.scale_shares()
-    parts = [f"scale {s}: {frac:.1%}" for s, frac in sorted(shares.items())]
-    print("per-scale pixel shares: " + "  ".join(parts))
-
-
 def _write_frames(frames, path: Path) -> None:
     """Write one frame to ``path``, or each of several to
     ``<stem>_fNNN<suffix>`` next to it."""
@@ -218,7 +206,8 @@ def cmd_sample(args) -> int:
         if style:
             previews = render_preview(result.tensor, style)
             _write_frames(previews, path.with_name(f"{path.stem}_preview.png"))
-        _print_shares(result.tensor)
+        shares = [f"scale {s}: {frac:.1%}" for s, frac in result.plan.shares().items()]
+        print("per-scale pixel shares: " + "  ".join(shares))
         print(f"wrote {path}")
     return 0
 
@@ -256,18 +245,22 @@ def cmd_masks(args) -> int:
         raise ConfigError("--block sets the --scales interlace's block; give --scales")
     if args.scales is not None and args.spatial_mask is not None:
         raise ConfigError("--scales dumps an interlace mask; --spatial-mask does not apply")
+    temporal = args.temporal_mask not in (None, "none")
+    if args.frames is not None and not temporal:
+        raise ConfigError("--frames sizes the --temporal-mask schedule; give --temporal-mask")
     tmask = None
     try:
         if args.scales is None:
             kind = args.spatial_mask or "window"
             mask = make_spatial_mask(kind, out_h, out_w)
-            n_levels = level_count(kind, "none", args.frames)
+            n_levels = level_count(kind, "none", 1)  # a spatial count takes no frames
         else:
             mask = make_interlace_mask(args.scales, out_h, out_w, args.block or 32)
             n_levels = args.scales
-        if args.temporal_mask and args.temporal_mask != "none":
-            levels = level_count("none", args.temporal_mask, args.frames)
-            tmask = make_temporal_mask(args.temporal_mask, args.frames, levels)
+        if temporal:
+            frames = args.frames or SamplerConfig().frames_out  # the VQA default's 32
+            levels = level_count("none", args.temporal_mask, frames)
+            tmask = make_temporal_mask(args.temporal_mask, frames, levels)
     except (BadArity, IndivisibleDims) as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)
@@ -473,7 +466,8 @@ def build_parser() -> _Parser:
         "--temporal-mask", choices=TEMPORAL_KINDS, dest="temporal_mask"
     )
     p.add_argument(
-        "--frames", type=_positive_int, default=32, help="frame count for schedule printout"
+        "--frames", type=_positive_int,
+        help="frame count of the temporal schedule printout (default 32); needs --temporal-mask",
     )
     p.set_defaults(func=cmd_masks)
 

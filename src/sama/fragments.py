@@ -5,7 +5,9 @@ frag_h x frag_w patch copied byte-for-byte (pure gather, no resampling).
 Offsets are drawn per (seed, level, row, col), so cells and frames can be
 processed in any order. For clips the same offsets apply to every frame,
 keeping the mosaic temporally aligned. ``plan_level`` makes every
-placement decision of a level; the sampler reads it.
+placement decision of a level and returns it as the cells' fragment
+offsets; ``pipeline.SamplingPlan.coords`` is the one rule that turns them
+into per-pixel level coordinates.
 """
 
 from __future__ import annotations
@@ -102,46 +104,12 @@ def choose_offsets(
     return offsets
 
 
-def offsets_array(offsets: Sequence[tuple[int, int]], grid_rows: int, grid_cols: int) -> np.ndarray:
-    """(grid_rows, grid_cols, 2) int array of per-cell (y, x) offsets."""
-    arr = np.asarray(offsets, dtype=np.int64).reshape(grid_rows, grid_cols, 2)
-    return arr
-
-
-def source_coord_maps(
-    offsets: np.ndarray, frag_h: int, frag_w: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-output-pixel source coordinates implied by per-cell offsets.
-
-    Returns (src_y, src_x), each (grid_rows*frag_h, grid_cols*frag_w) uint32:
-    output pixel (i, j) copies level pixel (src_y[i, j], src_x[i, j]).
-    """
-    grid_rows, grid_cols = offsets.shape[:2]
-    shape = (grid_rows, frag_h, grid_cols, frag_w)  # (row, dy, col, dx)
-    ys = offsets[:, None, :, None, 0] + np.arange(frag_h)[:, None, None]
-    xs = offsets[:, None, :, None, 1] + np.arange(frag_w)
-    out_shape = (grid_rows * frag_h, grid_cols * frag_w)
-    return (
-        np.broadcast_to(ys, shape).astype(np.uint32).reshape(out_shape),
-        np.broadcast_to(xs, shape).astype(np.uint32).reshape(out_shape),
-    )
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    """Offsets and per-pixel source coordinates for one pyramid level."""
-
-    scale_id: int
-    offsets: np.ndarray  # (grid_rows, grid_cols, 2)
-    src_y: np.ndarray  # (H, W) uint32
-    src_x: np.ndarray  # (H, W) uint32
-
-
-def plan_level(level: PyramidLevel, config: SamplerConfig) -> LevelPlan:
-    """Cut a level into the config's grid, place one fragment per cell and
-    map every mosaic pixel to its level coordinates."""
+def plan_level(level: PyramidLevel, config: SamplerConfig) -> np.ndarray:
+    """Cut a level into the config's grid and place one fragment per cell:
+    the (grid_rows, grid_cols, 2) top-left (y, x) of each cell's fragment,
+    in level coordinates."""
     cells = grid_partition(level.height, level.width, config.grid_rows, config.grid_cols)
-    offs = choose_offsets(
+    offsets = choose_offsets(
         cells,
         config.frag_h,
         config.frag_w,
@@ -150,6 +118,4 @@ def plan_level(level: PyramidLevel, config: SamplerConfig) -> LevelPlan:
         scale_id=level.scale_id,
         aligned=config.aligned_offsets,
     )
-    offsets = offsets_array(offs, config.grid_rows, config.grid_cols)
-    src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
-    return LevelPlan(level.scale_id, offsets, src_y, src_x)
+    return np.asarray(offsets, dtype=np.int64).reshape(config.grid_rows, config.grid_cols, 2)

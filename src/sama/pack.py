@@ -110,7 +110,8 @@ class SampledTensor:
         return self.data.shape[2]
 
     def scale_shares(self) -> dict[int, float]:
-        """Fraction of output pixels each pyramid level contributed."""
+        """Fraction of output pixels each pyramid level contributed, counted
+        from the stored records; ``SamplingPlan.shares`` needs no records."""
         if self.provenance is None:
             raise MissingProvenance("tensor carries no provenance")
         counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
@@ -532,7 +533,7 @@ def _audit_source_frame(group: list[_Check]) -> int:
     for c in group:
         i0, i1, fy = _axis_table(sources.height, c.level.height)
         used = np.zeros(c.level.height, dtype=bool)
-        used[c.y] = True
+        used[c.y.astype(np.intp)] = True  # numpy indexes faster with intp than uint32
         marks[i0[used]] = True
         marks[i1[used]] = True
         row_tables.append((i0, i1, fy))

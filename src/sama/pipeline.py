@@ -1,52 +1,148 @@
-"""End-to-end sampling: pyramid -> plan -> one gather per (frame, level).
+"""End-to-end sampling: select -> pyramid -> plan -> one gather per (frame, level).
 
 An image is a one-frame clip: ``sample_image`` and ``sample_video`` run
 the same selection, pyramid, plan and gather, and differ only in the
 validation they apply and the number of output frames.
 
-Every mode reduces to the same two steps. The plan of an output frame is
-its per-pixel (scale, y, x): which level owns each pixel and where in that
-level it lies. A frame draws on a tuple of levels (one level, or a level
-pair under a spatial mask), and one owner map, the spatial mask's
-``indices`` or all zeros without one, says which of them owns each pixel.
-Single-scale frames, temporal schedules, spatial window and patch masks
-and their combination differ only in their level tuples and owner map. A
-plan is built once per distinct level tuple.
+Every output byte follows from one value, a ``SamplingPlan``, which
+``plan_sampling`` builds from the config, the levels' dims and the
+selected clip's source keys without reading a pixel. An output frame
+draws on a tuple of levels (one level, or a level pair under a spatial
+mask), and one owner map, the spatial mask's ``indices`` or all zeros,
+says which of them owns each pixel; every mode differs only in its level
+tuples and owner map. The plan alone states where a pixel lies in its
+level (``coords``), which level of a tuple owns which pixels (``parts``)
+and each level's share of the output (``shares``).
 
-Then the selected source frames are streamed, and only the source rows
-the plans tap are read. Source frames whose output frames draw on the
-same level tuples tap the same rows: for each such group the rows are
-marked from the plans (``tap_rows``) and each level's taps are built on
-those rows (``pixel_taps``), once. Each source frame of the group is
-then read once, just those rows (``sources.read(i, rows)``, on the clip
-the levels share, whose frames may be smaller than the levels), every
-(frame, level) that draws on it runs one gather straight into the
-preallocated output, and it is released before the next is read. So
-memory is one source frame's rows and one group's taps plus the output.
-The provenance is the plans with the frame index broadcast in. The
-gather cost does not grow with the number of levels interlaced.
-The tests check the bytes against a reference that materializes whole
-per-level mosaics and composes them by mask.
+``_render`` executes a plan. Source frames whose output frames draw on
+the same level tuples tap the same source rows: for each such group the
+rows are marked (``tap_rows``) and each level's taps built on them
+(``pixel_taps``) once. Each source frame is then read once, just those
+rows, every (frame, level) drawing on it runs one gather straight into
+the output, and it is released before the next is read. So memory is one
+source frame's rows and one group's taps plus the output, and the gather
+cost does not grow with the number of levels interlaced. The tests check
+the bytes against a reference that composes whole per-level mosaics.
+
+``SampleResult.timings``: ``pyramid`` is the pyramid layout plus the
+plan's execution (coordinates, row marking, taps, row reads, gathers),
+``fragments`` the planning (level tuples, owner map, offsets), and
+``compose`` the v1 provenance records (``plan.provenance()``).
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fragments import LevelPlan, plan_level
+from .fragments import plan_level
 from .masks import level_count, make_spatial_mask, make_temporal_mask
-from .media import (
-    PROVENANCE_DTYPE,
-    FrameBuffer,
-    MediaClip,
-    SamplerConfig,
-    select_frames,
-)
+from .media import PROVENANCE_DTYPE, FrameBuffer, MediaClip, SamplerConfig, select_frames
 from .pack import SampledTensor
-from .pyramid import PixelTaps, PyramidLevel, build_pyramid, gather_taps, pixel_taps, tap_rows
+from .pyramid import PyramidLevel, build_pyramid, gather_taps, pixel_taps, tap_rows
+
+
+# ---------------------------------------------------------------------------
+# The plan
+
+
+@dataclass(frozen=True)
+class SamplingPlan:
+    """Which source frame, level and level pixel feed each output pixel:
+    pixel p of output frame t is pixel ``coords(s)[:, p]`` of level
+    ``s = frame_levels[t][owner[p]]`` over source frame ``source_keys[t]``
+    of the selected clip."""
+
+    config: SamplerConfig
+    source_keys: tuple[int, ...]  # per output frame
+    frame_levels: tuple[tuple[int, ...], ...]  # per output frame
+    schedule: tuple[int, ...]  # per frame pair; empty without a temporal mask
+    offsets: dict[int, np.ndarray]  # needed level -> (grid_rows, grid_cols, 2)
+    owner: np.ndarray  # (out_h, out_w) uint8, an index into a frame's level tuple
+
+    def coords(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ys, xs), each (out_h, out_w): the level-``s`` coordinates of the
+        output pixels. A pixel's coordinate is its cell's fragment offset
+        plus its place in the fragment."""
+        c = self.config
+        off = self.offsets[s]
+        shape = (c.grid_rows, c.frag_h, c.grid_cols, c.frag_w)  # (row, dy, col, dx)
+        ys = off[:, None, :, None, 0] + np.arange(c.frag_h)[:, None, None]
+        xs = off[:, None, :, None, 1] + np.arange(c.frag_w)
+        return tuple(np.broadcast_to(a, shape).reshape(c.out_h, c.out_w) for a in (ys, xs))
+
+    def parts(self, levels: tuple[int, ...]) -> list[tuple[int, np.ndarray | None]]:
+        """(s, owned) for each level s of the tuple ``levels`` that owns
+        output pixels. Pixel p is owned by ``levels[owner[p]]``, so a level
+        named twice owns the union of its indices. ``owned`` is an
+        (out_h*out_w,) bool over the output, None when s owns every pixel."""
+        owner = self.owner.reshape(-1)
+        parts = []
+        for s in sorted(set(levels)):
+            index = [k for k, level in enumerate(levels) if level == s]
+            owned = None if len(index) == len(levels) else np.isin(owner, index)
+            if owned is None or owned.any():
+                parts.append((s, owned))
+        return parts
+
+    def shares(self) -> dict[int, float]:
+        """Fraction of output pixels each level feeds: the frames drawing on
+        it times the owner-map pixels it owns in them."""
+        pixels: dict[int, int] = {}
+        for levels, n_frames in Counter(self.frame_levels).items():
+            for s, owned in self.parts(levels):
+                owns = self.owner.size if owned is None else int(np.count_nonzero(owned))
+                pixels[s] = pixels.get(s, 0) + n_frames * owns
+        total = len(self.frame_levels) * self.owner.size
+        return {s: pixels[s] / total for s in sorted(pixels)}
+
+    def provenance(self) -> np.ndarray:
+        """The (T, out_h, out_w) PROVENANCE_DTYPE records of a v1 container:
+        each output pixel's level, output frame and level coordinates."""
+        n_frames = len(self.frame_levels)
+        frame_records = {}  # level tuple -> one frame's records, frame 0
+        for levels in set(self.frame_levels):
+            rec = np.zeros(self.owner.size, dtype=PROVENANCE_DTYPE)
+            for s, owned in self.parts(levels):
+                where = slice(None) if owned is None else owned
+                ys, xs = self.coords(s)
+                rec["scale"][where] = s
+                rec["y"][where] = ys.reshape(-1)[where]
+                rec["x"][where] = xs.reshape(-1)[where]
+            frame_records[levels] = rec.view(np.uint8)
+        prov = np.empty((n_frames, *self.owner.shape), dtype=PROVENANCE_DTYPE)
+        # raw record copies: ~25x faster than field-wise
+        records = prov.reshape(n_frames, -1).view(np.uint8)
+        for t, levels in enumerate(self.frame_levels):
+            records[t] = frame_records[levels]
+        prov["frame"] = np.arange(n_frames)[:, None, None]
+        return prov
+
+
+def plan_sampling(pyramid: list[PyramidLevel], config: SamplerConfig) -> SamplingPlan:
+    """The plan that samples each frame of the clip ``pyramid`` was built
+    from into one output frame, under a validated ``config``; reads no
+    pixel. A frame draws on its scheduled level (0 without a temporal mask)
+    and the next coarser ones the spatial mask staggers, capped at the top."""
+    clip = pyramid[0].sources  # the clip the levels of one pyramid share
+    frames_out = len(clip)
+    scales, schedule = [0] * frames_out, ()
+    if config.temporal_mask != "none":
+        tmask = make_temporal_mask(config.temporal_mask, frames_out, config.n_scales)
+        scales, schedule = tmask.frame_scales().tolist(), tmask.schedule
+    width = level_count(config.spatial_mask, "none", frames_out)
+    top = config.n_scales - 1
+    frame_levels = tuple(tuple(min(s + k, top) for k in range(width)) for s in scales)
+    if config.spatial_mask == "none":
+        owner = np.zeros((config.out_h, config.out_w), dtype=np.uint8)
+    else:
+        owner = make_spatial_mask(config.spatial_mask, config.out_h, config.out_w).indices
+    needed = sorted({s for levels in frame_levels for s in levels})
+    offsets = {s: plan_level(pyramid[s], config) for s in needed}
+    return SamplingPlan(config, clip.source_keys, frame_levels, schedule, offsets, owner)
 
 
 @dataclass
@@ -54,113 +150,49 @@ class SampleResult:
     tensor: SampledTensor
     pyramid: list[PyramidLevel]
     timings: dict[str, float]
+    plan: SamplingPlan
 
 
 # ---------------------------------------------------------------------------
-# Plan and gather
+# Gather
 
 
 # An RGB pixel as one 3-byte item, so owned pixels move as whole records.
 _RGB = np.dtype("V3")
 
 
-@dataclass(frozen=True)
-class _Owner:
-    """The output pixels of a frame plan that one level owns, with their taps."""
+def _render(plan: SamplingPlan, pyramid: list[PyramidLevel]) -> np.ndarray:
+    """The (T, out_h, out_w, 3) pixels ``plan`` assigns, read from the clip
+    the levels of ``pyramid`` share: one group of source frames drawing on
+    the same level tuples at a time, one source frame's rows at a time."""
+    parts: dict[tuple[int, ...], list] = {}  # level tuple -> [(s, owned, ys, xs)]
+    for levels in set(plan.frame_levels):
+        parts[levels] = []
+        for s, owned in plan.parts(levels):
+            ys, xs = (a.reshape(-1) for a in plan.coords(s))
+            if owned is not None:
+                ys, xs = ys[owned], xs[owned]
+            parts[levels].append((s, owned, ys, xs))
 
-    owned: np.ndarray | None  # (H*W,) bool over the output; None when it owns all
-    taps: PixelTaps
-
-
-def _frame_plan(
-    levels: tuple[int, ...], plans: dict[int, LevelPlan], owner: np.ndarray
-) -> tuple[np.ndarray, list]:
-    """Per-pixel (scale, y, x) of an output frame whose pixel p is drawn from
-    level ``levels[owner[p]]`` (``frame`` left 0), and each level's part of
-    it: (s, owned, ys, xs), ``owned`` None when the level owns every pixel.
-    A level named twice in ``levels`` owns the union of its indices."""
-    plan = np.zeros(owner.size, dtype=PROVENANCE_DTYPE)
-    parts = []
-    for s in sorted(set(levels)):
-        index = [k for k, level in enumerate(levels) if level == s]
-        owned = None if len(index) == len(levels) else np.isin(owner.reshape(-1), index)
-        where = slice(None) if owned is None else owned
-        p = plans[s]
-        ys, xs = p.src_y.reshape(-1)[where], p.src_x.reshape(-1)[where]
-        for field, value in (("scale", p.scale_id), ("y", ys), ("x", xs)):
-            plan[field][where] = value
-        parts.append((s, owned, ys, xs))
-    return plan.reshape(owner.shape), parts
-
-
-def _gather_frame(src: np.ndarray, out: np.ndarray, owners: list[_Owner]) -> None:
-    """Fill one output frame, viewed as (H*W,) RGB items, from its source."""
-    for owner in owners:
-        pixels = gather_taps(src, owner.taps).view(_RGB).reshape(-1)
-        if owner.owned is None:
-            out[:] = pixels
-        else:
-            out[owner.owned] = pixels
-
-
-def _render(
-    pyramid: list[PyramidLevel],
-    config: SamplerConfig,
-    frame_levels: list[tuple[int, ...]],
-    timings: dict[str, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(data, provenance) of output frames ``t`` drawn from ``frame_levels[t]``.
-
-    Each distinct level tuple gets one frame plan. Source frames are taken
-    in groups that draw on the same level tuples; a group's tapped rows
-    and taps are found once, then each of its source frames is read once,
-    those rows only, every output frame drawn from it is gathered, and it
-    is released before the next is read, so the sources held at once are
-    one frame's rows. Adds the planning time to ``timings["fragments"]``,
-    the taps, row reads and gathers to ``timings["pyramid"]`` and the
-    provenance fill to ``timings["compose"]``.
-    """
-    t0 = time.perf_counter()
-    needed = sorted({s for levels in frame_levels for s in levels})
-    plans = {s: plan_level(pyramid[s], config) for s in needed}
-    if config.spatial_mask == "none":
-        owner_map = np.zeros((config.out_h, config.out_w), dtype=np.uint8)
-    else:
-        owner_map = make_spatial_mask(config.spatial_mask, config.out_h, config.out_w).indices
-    frame_plans, frame_parts = {}, {}
-    for levels in set(frame_levels):
-        frame_plans[levels], frame_parts[levels] = _frame_plan(levels, plans, owner_map)
-    timings["fragments"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    n_frames = len(frame_levels)
-    prov = np.empty((n_frames, config.out_h, config.out_w), dtype=PROVENANCE_DTYPE)
-    records = prov.view(np.uint8)  # raw copies: ~25x faster than field-wise
-    for t, levels in enumerate(frame_levels):
-        records[t] = frame_plans[levels].view(np.uint8)
-    prov["frame"] = np.arange(n_frames)[:, None, None]
-    timings["compose"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    data = np.empty((n_frames, config.out_h, config.out_w, 3), dtype=np.uint8)
-    sources = pyramid[0].sources  # the clip the levels of one pyramid share
+    c = plan.config
+    data = np.empty((len(plan.frame_levels), c.out_h, c.out_w, 3), dtype=np.uint8)
+    sources = pyramid[0].sources
     slots: dict[int, list[int]] = {}
-    for t, key in enumerate(sources.source_keys):
+    for t, key in enumerate(plan.source_keys):
         slots.setdefault(key, []).append(t)
     # source frames whose slots draw on the same level tuples tap the same rows
     groups: dict[frozenset, list[int]] = {}
     for key, ts in slots.items():
-        groups.setdefault(frozenset(frame_levels[t] for t in ts), []).append(key)
+        groups.setdefault(frozenset(plan.frame_levels[t] for t in ts), []).append(key)
     for tuples, keys in groups.items():
         marks = np.zeros(sources.height, dtype=bool)
         for levels in tuples:
-            for s, _, ys, _ in frame_parts[levels]:
+            for s, _, ys, _ in parts[levels]:
                 tap_rows(pyramid[s], ys, marks)
         rows = np.flatnonzero(marks)
-        owners = {
+        taps = {
             levels: [
-                _Owner(owned, pixel_taps(pyramid[s], ys, xs, rows))
-                for s, owned, ys, xs in frame_parts[levels]
+                (owned, pixel_taps(pyramid[s], ys, xs, rows)) for s, owned, ys, xs in parts[levels]
             ]
             for levels in tuples
         }
@@ -168,42 +200,38 @@ def _render(
             ts = slots[key]
             src = sources.read(ts[0], rows)
             for t in ts:
-                _gather_frame(src, data[t].view(_RGB).reshape(-1), owners[frame_levels[t]])
+                out = data[t].view(_RGB).reshape(-1)  # one frame as (H*W,) RGB items
+                for owned, level_taps in taps[plan.frame_levels[t]]:
+                    pixels = gather_taps(src, level_taps).view(_RGB).reshape(-1)
+                    if owned is None:
+                        out[:] = pixels
+                    else:
+                        out[owned] = pixels
             del src  # release this frame before the next is read
-    timings["pyramid"] += time.perf_counter() - t0
-    return data, prov
+    return data
 
 
 # ---------------------------------------------------------------------------
 # Entry points: an image is a one-frame clip
 
 
-def _frame_levels(
-    config: SamplerConfig, frames_out: int
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """The pyramid levels each output frame draws from, and the temporal
-    schedule (empty without a temporal mask). In every mode a frame draws on
-    its scheduled level (0 without a temporal mask) and the next coarser
-    ones, as many as the spatial mask staggers, capped at the coarsest."""
-    scales, schedule = [0] * frames_out, ()
-    if config.temporal_mask != "none":
-        tmask = make_temporal_mask(config.temporal_mask, frames_out, config.n_scales)
-        scales, schedule = tmask.frame_scales().tolist(), tmask.schedule
-    width = level_count(config.spatial_mask, "none", frames_out)
-    top = config.n_scales - 1
-    return [tuple(min(s + k, top) for k in range(width)) for s in scales], schedule
-
-
 def _sample(kind: str, clip: MediaClip, config: SamplerConfig, frames_out: int) -> SampleResult:
-    """Select ``frames_out`` frames of ``clip``, pyramid them and render each
-    output frame from its levels; ``config`` is already validated for ``kind``."""
+    """Select ``frames_out`` frames of ``clip``, pyramid and plan them, and
+    render the plan; ``config`` is already validated for ``kind``."""
     selected = select_frames(clip, frames_out, config.seed, config.offset_policy)
-    frame_levels, schedule = _frame_levels(config, frames_out)
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     pyramid = build_pyramid(selected, config)
-    timings["pyramid"] = time.perf_counter() - t0
-    data, prov = _render(pyramid, config, frame_levels, timings)
+    t1 = time.perf_counter()
+    plan = plan_sampling(pyramid, config)
+    t2 = time.perf_counter()
+    data = _render(plan, pyramid)
+    t3 = time.perf_counter()
+    prov = plan.provenance()
+    timings = {
+        "pyramid": (t1 - t0) + (t3 - t2),
+        "fragments": t2 - t1,
+        "compose": time.perf_counter() - t3,
+    }
     tensor = SampledTensor(
         kind=kind,
         data=data,
@@ -211,11 +239,11 @@ def _sample(kind: str, clip: MediaClip, config: SamplerConfig, frames_out: int) 
         spatial_mask=config.spatial_mask,
         temporal_mask=config.temporal_mask,
         seed=config.seed,
-        schedule=schedule,
+        schedule=plan.schedule,
         provenance=prov,
         grid=(config.grid_rows, config.grid_cols),
     )
-    return SampleResult(tensor=tensor, pyramid=pyramid, timings=timings)
+    return SampleResult(tensor=tensor, pyramid=pyramid, timings=timings, plan=plan)
 
 
 def sample_image(frame: FrameBuffer, config: SamplerConfig) -> SampleResult:

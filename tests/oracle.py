@@ -7,7 +7,8 @@ into a mosaic, and masks then pick each output pixel from exactly one
 mosaic, never blending. Tests compare ``sama.pipeline`` against it byte
 for byte, data and provenance. It shares only ``plan_level`` (where the
 fragments go) and ``PyramidLevel.frame`` (the whole-frame resize) with
-the library, never the per-pixel taps or gather it checks.
+the library, never the per-pixel coordinates, taps or gather it checks:
+``source_coord_maps`` fills each cell's coordinates on its own.
 """
 
 from __future__ import annotations
@@ -58,6 +59,27 @@ class FragmentMosaic:
         return int(pos[0])
 
 
+def source_coord_maps(
+    offsets: np.ndarray, frag_h: int, frag_w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mosaic-pixel level coordinates implied by per-cell offsets.
+
+    Returns (src_y, src_x), each (grid_rows*frag_h, grid_cols*frag_w) uint32:
+    mosaic pixel (i, j) copies level pixel (src_y[i, j], src_x[i, j]). Each
+    cell's fragment is filled from its own offset, one cell at a time.
+    """
+    grid_rows, grid_cols = offsets.shape[:2]
+    src_y = np.empty((grid_rows * frag_h, grid_cols * frag_w), dtype=np.uint32)
+    src_x = np.empty_like(src_y)
+    for r in range(grid_rows):
+        for c in range(grid_cols):
+            y, x = offsets[r, c]
+            cell = np.s_[r * frag_h : (r + 1) * frag_h, c * frag_w : (c + 1) * frag_w]
+            src_y[cell] = (y + np.arange(frag_h))[:, None]
+            src_x[cell] = (x + np.arange(frag_w))[None, :]
+    return src_y, src_x
+
+
 def gather_mosaic_frame(
     level_frame: np.ndarray,
     offsets: np.ndarray,
@@ -86,13 +108,14 @@ def sample_fragments(
     For clips the same per-cell offsets are reused for every frame, so a
     static clip yields a static mosaic.
     """
-    plan = plan_level(level, config)
+    offsets = plan_level(level, config)
+    src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
     if frame_indices is None:
         frame_indices = range(level.frame_count)
     indices = np.asarray(list(frame_indices), dtype=np.int64)
     frames = np.stack(
         [
-            gather_mosaic_frame(level.frame(int(i)), plan.offsets, config.frag_h, config.frag_w)
+            gather_mosaic_frame(level.frame(int(i)), offsets, config.frag_h, config.frag_w)
             for i in indices
         ]
     )
@@ -100,9 +123,9 @@ def sample_fragments(
         scale_id=level.scale_id,
         frames=frames,
         frame_indices=indices,
-        offsets=plan.offsets,
-        src_y=plan.src_y,
-        src_x=plan.src_x,
+        offsets=offsets,
+        src_y=src_y,
+        src_x=src_x,
     )
 
 

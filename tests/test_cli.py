@@ -342,7 +342,8 @@ def test_masks_dump(tmp_path, capsys):
     a = np.frombuffer(files[0].read_bytes()[-224 * 224:], dtype=np.uint8)
     b = np.frombuffer(files[1].read_bytes()[-224 * 224:], dtype=np.uint8)
     assert ((a == 255) ^ (b == 255)).all()
-    assert "schedule" in capsys.readouterr().out
+    # without --frames the schedule is the VQA default's 32 frames
+    assert f"progressive schedule (per frame pair): {list(range(16))}" in capsys.readouterr().out
 
 
 def test_masks_dump_interlace(tmp_path):
@@ -360,6 +361,8 @@ def test_masks_dump_interlace(tmp_path):
     ["--scales", "3", "--size", "100x100"],
     ["--block", "8"],  # the block of a --scales interlace
     ["--scales", "3", "--spatial-mask", "patch"],
+    ["--frames", "5"],  # the frame count of a --temporal-mask schedule
+    ["--temporal-mask", "none", "--frames", "5"],
 ], ids="_".join)
 def test_masks_dump_flag_values_no_mask_accepts_write_nothing(flags, tmp_path, capsys):
     out = tmp_path / "m"

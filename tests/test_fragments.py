@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sama.errors import CellSmallerThanFragment, GridTooFine
-from sama.fragments import GridCell, choose_offsets, grid_partition, source_coord_maps
-from sama.media import SamplerConfig
+from sama.fragments import GridCell, choose_offsets, grid_partition
+from sama.media import SamplerConfig, select_frames
+from sama.pipeline import plan_sampling
 from sama.pyramid import PyramidLevel, build_pyramid
 
 from conftest import constant_frame, coordinate_clip, coordinate_frame
-from oracle import sample_fragments
+from oracle import sample_fragments, source_coord_maps
 
 # chi2.ppf(0.99, dof=48); frozen so the test needs no scipy
 CHI2_99_DOF48 = 73.6826
@@ -187,10 +188,25 @@ def test_gather_oracle_random_policy_small():
             y = mosaic.offsets[i // 8, j // 8, 0] + i % 8
             x = mosaic.offsets[i // 8, j // 8, 1] + j % 8
             assert (out[i, j] == frame.data[y, x]).all()
-    # source maps agree with the same arithmetic
-    ys, xs = source_coord_maps(mosaic.offsets, 8, 8)
-    assert np.array_equal(mosaic.src_y, ys)
+            # the source maps follow the same arithmetic
+            assert (mosaic.src_y[i, j], mosaic.src_x[i, j]) == (y, x)
     assert (out == frame.data[mosaic.src_y, mosaic.src_x]).all()
+
+
+@pytest.mark.parametrize("cfg", [
+    SamplerConfig(grid_rows=3, grid_cols=4, frag_h=8, frag_w=6, frames_out=4, n_scales=2,
+                  offset_policy="random", seed=21),
+    SamplerConfig(frames_out=4, n_scales=2, temporal_mask="none", spatial_mask="window",
+                  offset_policy="random", seed=6),
+], ids=["progressive-random", "window-random"])
+def test_plan_coords_equal_the_cell_by_cell_maps(cfg):
+    selected = select_frames(coordinate_clip(150, 200, 2), cfg.frames_out)
+    plan = plan_sampling(build_pyramid(selected, cfg), cfg)
+    assert sorted(plan.offsets) == [0, 1]
+    for s, offsets in plan.offsets.items():
+        ys, xs = plan.coords(s)
+        want_y, want_x = source_coord_maps(offsets, cfg.frag_h, cfg.frag_w)
+        assert np.array_equal(ys, want_y) and np.array_equal(xs, want_x)
 
 
 def test_constant_level_gives_constant_mosaic():

@@ -6,7 +6,6 @@ A change to the sampler that moves any byte in any mode fails here.
 """
 
 import hashlib
-import warnings
 
 import pytest
 
@@ -69,7 +68,5 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_container_bytes_are_pinned(name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # combined masks are experimental
-        tensor = CASES[name]().tensor
+    tensor = CASES[name]().tensor
     assert hashlib.sha256(container_bytes(tensor)).hexdigest() == GOLDEN[name]

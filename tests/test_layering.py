@@ -104,7 +104,7 @@ def test_oracle_shares_no_code_with_the_gather_it_checks():
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
-    assert not used & {"pixel_taps", "gather_taps"}
+    assert not used & {"pixel_taps", "gather_taps", "coords", "plan_sampling", "SamplingPlan"}
     assert not {m for m in _imports(ORACLE) if m.startswith("sama.pipeline")}
     assert "pipeline" not in used
 
@@ -117,10 +117,17 @@ def test_public_names_resolve_once():
 
 def test_one_mask_type_and_one_frame_plan_path():
     # a spatial mask is an owner map (``indices``); the sampler reads it
-    # with no two-level special case
+    # with no two-level special case. A pixel's level coordinate is stated
+    # once, by SamplingPlan.coords from the fragment offsets: no per-level
+    # coordinate maps and no second frame plan.
+    gone_names = (
+        "InterlaceMask", "bitmap", "pick_a",
+        "LevelPlan", "source_coord_maps", "offsets_array", "_frame_plan",
+        "_frame_levels", "_Owner",
+    )
     for name, path in _modules().items():
         text = path.read_text()
-        for gone in ("InterlaceMask", "bitmap", "pick_a"):
+        for gone in gone_names:
             assert gone not in text, (name, gone)
 
 

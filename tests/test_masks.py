@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sama.errors import BadArity, DimMismatch, IndivisibleDims
-from sama.fragments import source_coord_maps
 from sama.masks import (
     SPATIAL_KINDS,
     TEMPORAL_KINDS,
@@ -17,7 +16,13 @@ from sama.media import SamplerConfig
 from sama.pyramid import PyramidLevel
 
 from conftest import coordinate_frame
-from oracle import FragmentMosaic, compose_spatial, compose_temporal, sample_fragments
+from oracle import (
+    FragmentMosaic,
+    compose_spatial,
+    compose_temporal,
+    sample_fragments,
+    source_coord_maps,
+)
 
 
 def checkerboard_count_oracle(tiles_h, tiles_w):

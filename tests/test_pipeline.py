@@ -10,10 +10,10 @@ from sama.errors import ConfigError
 from sama.masks import SPATIAL_KINDS, TEMPORAL_KINDS, make_spatial_mask, make_temporal_mask
 from sama.media import MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
-from sama.pipeline import sample_image, sample_media, sample_video
+from sama.pipeline import plan_sampling, sample_image, sample_media, sample_video
 from sama.pyramid import build_pyramid
 
-from conftest import constant_frame, coordinate_clip, coordinate_frame
+from conftest import constant_frame, coordinate_clip, coordinate_frame, write_clip
 from oracle import compose_spatial, compose_temporal, sample_fragments
 
 
@@ -169,15 +169,46 @@ def test_progressive_window_top_pair_is_owned_by_the_top_level():
 ], ids=["iqa-window", "iqa-patch", "video-window"])
 def test_scale_shares_are_the_mask_tile_counts(cfg, media):
     if media == "image":
-        tensor = sample_image(coordinate_frame(500, 600), cfg).tensor
+        result = sample_image(coordinate_frame(500, 600), cfg)
     else:
-        tensor = sample_video(coordinate_clip(300, 600, 4), cfg).tensor
+        result = sample_video(coordinate_clip(300, 600, 4), cfg)
     counts = make_spatial_mask(cfg.spatial_mask, cfg.out_h, cfg.out_w).tile_counts()
     tiles = sum(counts.values())
     # mask index 0 is the raw level, index 1 the coarsest
     levels = (0, cfg.n_scales - 1)
     expected = {levels[k]: n / tiles for k, n in counts.items()}
-    assert tensor.scale_shares() == pytest.approx(expected)
+    assert result.tensor.scale_shares() == pytest.approx(expected)
+    assert result.plan.shares() == pytest.approx(expected)
+
+
+def test_planning_reads_no_frame(monkeypatch, tmp_path):
+    # the plan is a function of the config and the clip's dims: planning the
+    # VQA default on a loaded clip reads nothing, and sampling it reads
+    reads = []
+    real = media._FrameStore.read
+
+    def spy(store, i, rows=None):
+        reads.append(i)
+        return real(store, i, rows)
+
+    monkeypatch.setattr(media._FrameStore, "read", spy)
+    write_clip(tmp_path / "clip", 12, 120, 160)
+    clip = media.load_clip(tmp_path / "clip")
+    config = SamplerConfig.vqa_default()
+    selected = select_frames(clip, config.frames_out, config.seed, config.offset_policy)
+    plan = plan_sampling(build_pyramid(selected, config), config)
+    assert reads == []
+    assert plan.source_keys == selected.source_keys
+    assert plan.frame_levels == tuple((t // 2,) for t in range(32))
+    assert sorted(plan.offsets) == list(range(16))
+    result = sample_video(clip, config)
+    assert sorted(set(reads)) == sorted(set(selected.source_keys))
+    assert plan.shares() == result.plan.shares() == result.tensor.scale_shares()
+
+
+def test_plan_shares_are_the_record_counts_of_the_iqa_default():
+    result = sample_image(coordinate_frame(300, 400), SamplerConfig.iqa_default())
+    assert result.plan.shares() == result.tensor.scale_shares() == {0: 0.5, 1: 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +323,7 @@ def test_validate_passes_exactly_when_sample_video_succeeds(monkeypatch):
         assert result.tensor.data.shape == (frames, 32, 32, 3)
         assert len(result.pyramid) == n
         assert provenance_audit(result.tensor, result.pyramid).mismatches == 0, cfg
+        assert result.plan.shares() == result.tensor.scale_shares(), cfg
     assert accepted > 50
 
 
