@@ -12,17 +12,23 @@ mask), and one owner map, the spatial mask's ``indices`` or all zeros,
 says which of them owns each pixel; every mode differs only in its level
 tuples and owner map. The plan alone states where a pixel lies in its
 level (``coords``), which level of a tuple owns which pixels (``parts``)
-and each level's share of the output (``shares``).
+and each level's share of the output (``shares``). The output is a grid
+of fragments, so a pixel's level row depends only on its (cell row, cell
+col, dy) and its level column only on (cell row, cell col, dx):
+``coords`` returns those two compact factors, and every consumer
+broadcasts them rather than expanding them per pixel.
 
 ``_render`` executes a plan. Source frames whose output frames draw on
 the same level tuples tap the same source rows: for each such group the
 rows are marked (``tap_rows``) and each level's taps built on them
-(``pixel_taps``) once. Each source frame is then read once, just those
+(``pixel_taps``) once, into tap tables allocated once per call and
+refilled for each group. Each source frame is then read once, just those
 rows, every (frame, level) drawing on it runs one gather straight into
-the output, and it is released before the next is read. So memory is one
-source frame's rows and one group's taps plus the output, and the gather
-cost does not grow with the number of levels interlaced. The tests check
-the bytes against a reference that composes whole per-level mosaics.
+the output, and it is released before the next is read. So memory is the
+output, one source frame's rows and one group's tap tables, and the
+gather cost does not grow with the number of levels interlaced. The
+tests check the bytes against a reference that composes whole per-level
+mosaics.
 
 ``SampleResult.timings``: ``pyramid`` is the pyramid layout plus the
 plan's execution (coordinates, row marking, taps, row reads, gathers),
@@ -42,7 +48,7 @@ from .fragments import plan_level
 from .masks import level_count, make_spatial_mask, make_temporal_mask
 from .media import PROVENANCE_DTYPE, FrameBuffer, MediaClip, SamplerConfig, select_frames
 from .pack import SampledTensor
-from .pyramid import PyramidLevel, build_pyramid, gather_taps, pixel_taps, tap_rows
+from .pyramid import PixelTaps, PyramidLevel, build_pyramid, gather_taps, pixel_taps, tap_rows
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +58,10 @@ from .pyramid import PyramidLevel, build_pyramid, gather_taps, pixel_taps, tap_r
 @dataclass(frozen=True)
 class SamplingPlan:
     """Which source frame, level and level pixel feed each output pixel:
-    pixel p of output frame t is pixel ``coords(s)[:, p]`` of level
-    ``s = frame_levels[t][owner[p]]`` over source frame ``source_keys[t]``
-    of the selected clip."""
+    pixel (i, j) of output frame t is the pixel of level
+    ``s = frame_levels[t][owner[i, j]]`` over source frame
+    ``source_keys[t]`` of the selected clip at the (i, j) entry of the
+    ``coords(s)`` factors broadcast to (out_h, out_w)."""
 
     config: SamplerConfig
     source_keys: tuple[int, ...]  # per output frame
@@ -64,15 +71,24 @@ class SamplingPlan:
     owner: np.ndarray  # (out_h, out_w) uint8, an index into a frame's level tuple
 
     def coords(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ys, xs), each (out_h, out_w): the level-``s`` coordinates of the
-        output pixels. A pixel's coordinate is its cell's fragment offset
-        plus its place in the fragment."""
+        """(ys, xs): the level-``s`` coordinates of the output pixels as two
+        factors in (row, dy, col, dx) order, ``ys`` of shape (grid_rows,
+        frag_h, grid_cols, 1) and ``xs`` of shape (grid_rows, 1, grid_cols,
+        frag_w). A pixel's coordinate is its cell's fragment offset plus its
+        place in the fragment, so broadcast together and reshaped to
+        (out_h, out_w) they are the per-pixel maps."""
         c = self.config
         off = self.offsets[s]
-        shape = (c.grid_rows, c.frag_h, c.grid_cols, c.frag_w)  # (row, dy, col, dx)
         ys = off[:, None, :, None, 0] + np.arange(c.frag_h)[:, None, None]
         xs = off[:, None, :, None, 1] + np.arange(c.frag_w)
-        return tuple(np.broadcast_to(a, shape).reshape(c.out_h, c.out_w) for a in (ys, xs))
+        return ys, xs
+
+    @property
+    def grid_shape(self) -> tuple[int, int, int, int]:
+        """The (row, dy, col, dx) shape the ``coords`` factors broadcast to;
+        it reshapes to (out_h, out_w) without a copy."""
+        c = self.config
+        return (c.grid_rows, c.frag_h, c.grid_cols, c.frag_w)
 
     def parts(self, levels: tuple[int, ...]) -> list[tuple[int, np.ndarray | None]]:
         """(s, owned) for each level s of the tuple ``levels`` that owns
@@ -106,12 +122,11 @@ class SamplingPlan:
         frame_records = {}  # level tuple -> one frame's records, frame 0
         for levels in set(self.frame_levels):
             rec = np.zeros(self.owner.size, dtype=PROVENANCE_DTYPE)
+            grid = rec.reshape(self.grid_shape)  # a view: fields write into rec
             for s, owned in self.parts(levels):
-                where = slice(None) if owned is None else owned
-                ys, xs = self.coords(s)
-                rec["scale"][where] = s
-                rec["y"][where] = ys.reshape(-1)[where]
-                rec["x"][where] = xs.reshape(-1)[where]
+                where = True if owned is None else owned.reshape(self.grid_shape)
+                for name, value in zip(("scale", "y", "x"), (s, *self.coords(s))):
+                    np.copyto(grid[name], value, where=where, casting="unsafe")
             frame_records[levels] = rec.view(np.uint8)
         prov = np.empty((n_frames, *self.owner.shape), dtype=PROVENANCE_DTYPE)
         # raw record copies: ~25x faster than field-wise
@@ -165,13 +180,16 @@ def _render(plan: SamplingPlan, pyramid: list[PyramidLevel]) -> np.ndarray:
     """The (T, out_h, out_w, 3) pixels ``plan`` assigns, read from the clip
     the levels of ``pyramid`` share: one group of source frames drawing on
     the same level tuples at a time, one source frame's rows at a time."""
-    parts: dict[tuple[int, ...], list] = {}  # level tuple -> [(s, owned, ys, xs)]
+    shape = plan.grid_shape
+    # level tuple -> [(s, owned, ys, xs)]: a level owning every pixel keeps
+    # the compact coords factors, a part the owned pixels' coordinates
+    parts: dict[tuple[int, ...], list] = {}
     for levels in set(plan.frame_levels):
         parts[levels] = []
         for s, owned in plan.parts(levels):
-            ys, xs = (a.reshape(-1) for a in plan.coords(s))
+            ys, xs = plan.coords(s)
             if owned is not None:
-                ys, xs = ys[owned], xs[owned]
+                ys, xs = (np.broadcast_to(a, shape)[owned.reshape(shape)] for a in (ys, xs))
             parts[levels].append((s, owned, ys, xs))
 
     c = plan.config
@@ -184,18 +202,29 @@ def _render(plan: SamplingPlan, pyramid: list[PyramidLevel]) -> np.ndarray:
     groups: dict[frozenset, list[int]] = {}
     for key, ts in slots.items():
         groups.setdefault(frozenset(plan.frame_levels[t] for t in ts), []).append(key)
+    # one group's tap tables, allocated once and refilled for every group
+    widest = max(
+        sum(np.broadcast(ys, xs).size for levels in tuples for _, _, ys, xs in parts[levels])
+        for tuples in groups
+    )
+    index_pool = np.empty(4 * widest, dtype=np.intp)
+    frac_pool = np.empty((2, 3 * widest), dtype=np.float32)
     for tuples, keys in groups.items():
         marks = np.zeros(sources.height, dtype=bool)
         for levels in tuples:
             for s, _, ys, _ in parts[levels]:
                 tap_rows(pyramid[s], ys, marks)
         rows = np.flatnonzero(marks)
-        taps = {
-            levels: [
-                (owned, pixel_taps(pyramid[s], ys, xs, rows)) for s, owned, ys, xs in parts[levels]
-            ]
-            for levels in tuples
-        }
+        taps: dict[tuple[int, ...], list] = {}
+        start = 0
+        for levels in tuples:
+            taps[levels] = []
+            for s, owned, ys, xs in parts[levels]:
+                n = np.broadcast(ys, xs).size
+                fy, fx = (f[3 * start : 3 * (start + n)].reshape(n, 3) for f in frac_pool)
+                tables = PixelTaps(index_pool[4 * start : 4 * (start + n)].reshape(4, n), fy, fx)
+                taps[levels].append((owned, pixel_taps(pyramid[s], ys, xs, rows, tables)))
+                start += n
         for key in keys:
             ts = slots[key]
             src = sources.read(ts[0], rows)

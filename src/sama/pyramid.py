@@ -9,7 +9,10 @@ frames like any other level, so there is no separate upscale. The sampler
 marks the source rows its plan taps (``tap_rows``), turns the level
 pixels it needs into ``PixelTaps`` on those rows (``pixel_taps``), then
 reads just those rows of each distinct source frame once and runs one
-``gather_taps`` per (frame, level) on them. Whole frames
+``gather_taps`` per (frame, level) on them. Both take level coordinates
+as broadcastable arrays, so the sampler's compact row and column factors
+are looked up at their own size and only the index adds and fraction
+fills run once per pixel. Whole frames
 (``PyramidLevel.frame``, memoized per source frame) serve the
 pyramid-cost gate in ``bench`` and the tests' reference sampler. Every
 path blends with ``_lerp_core`` on taps from ``_axis_taps``, so they
@@ -166,13 +169,15 @@ def resize_rect(
 
 @dataclass(frozen=True)
 class PixelTaps:
-    """Bilinear taps of scattered level pixels, as flat source-pixel indices.
+    """Bilinear taps of N level pixels, as flat source-pixel indices.
 
     ``index`` is (4, N): the top-left, top-right, bottom-left and
     bottom-right source pixel behind each of N level pixels, and ``fy`` and
     ``fx`` are their (N, 3) float32 fractions, repeated per channel so the
     blend runs on contiguous operands. A level the size of its source has a
-    (1, N) index and no fractions: its pixels are source pixels.
+    (1, N) index and no fractions: its pixels are source pixels. The N
+    pixels are the coordinates given to ``pixel_taps`` broadcast together,
+    in C order.
     """
 
     index: np.ndarray
@@ -182,7 +187,9 @@ class PixelTaps:
 
 def tap_rows(level: PyramidLevel, ys: np.ndarray, marks: np.ndarray) -> None:
     """Set ``marks[r]`` (one bool per source row) for every source row r
-    that the taps of level rows ``ys`` read, as ``pixel_taps`` makes them."""
+    that the taps of level rows ``ys`` read, as ``pixel_taps`` makes them.
+    ``ys`` may have any shape, such as a row factor of
+    ``SamplingPlan.coords``; the work is the size of ``ys``."""
     if (level.sources.height, level.sources.width) == (level.height, level.width):
         marks[ys] = True
         return
@@ -193,32 +200,71 @@ def tap_rows(level: PyramidLevel, ys: np.ndarray, marks: np.ndarray) -> None:
     marks[y1[used]] = True
 
 
+def _row_starts(positions: np.ndarray, ys: np.ndarray, src_w: int) -> np.ndarray:
+    """Flat index of the first pixel of the held source row each level row
+    of ``ys`` taps, given each level row's position among the held rows
+    (negative where the row is not held)."""
+    pos = positions[ys]
+    if pos.size and pos.min() < 0:
+        raise ValueError("rows misses a source row that the taps read")
+    return pos * src_w
+
+
 def pixel_taps(
-    level: PyramidLevel, ys: np.ndarray, xs: np.ndarray, rows: np.ndarray | None = None
+    level: PyramidLevel,
+    ys: np.ndarray,
+    xs: np.ndarray,
+    rows: np.ndarray | None = None,
+    out: PixelTaps | None = None,
 ) -> PixelTaps:
-    """Taps of level pixels (ys[k], xs[k]) into a source frame that holds
-    only the source rows ``rows`` (ascending; every row when None), such
-    as ``sources.read(i, rows)``. They are indexed out of the full-axis taps,
-    so a gather equals the same pixels of ``level.frame``; ``rows`` must
-    hold every row ``tap_rows`` marks for ``ys``."""
+    """Taps of the level pixels at rows ``ys`` and columns ``xs`` broadcast
+    together, into a source frame that holds only the source rows ``rows``
+    (ascending; every row when None), such as ``sources.read(i, rows)``.
+
+    Every table lookup runs on ``ys`` and ``xs`` as given, so the compact
+    factors of ``SamplingPlan.coords`` cost their own size; only the index
+    adds and fraction fills run once per pixel, broadcasting into the
+    tables. The taps are indexed out of the full-axis taps, so a gather
+    equals the same pixels of ``level.frame``. A source row that the taps
+    read and ``rows`` misses raises ValueError. ``out``, C-contiguous
+    tables for the N pixels (a (4, N) index and (N, 3) fractions), is
+    refilled instead of allocating; the result is then views of it."""
     src_h, src_w = level.sources.height, level.sources.width
-    ys = ys.astype(np.intp)
-    xs = xs.astype(np.intp)
-    rowmap = np.arange(src_h)  # source row -> its position among ``rows``
+    ys = np.asarray(ys, dtype=np.intp)
+    xs = np.asarray(xs, dtype=np.intp)
+    shape = np.broadcast_shapes(ys.shape, xs.shape)
+    n = math.prod(shape)
+    if out is None:
+        out = PixelTaps(
+            np.empty((4, n), np.intp), np.empty((n, 3), np.float32), np.empty((n, 3), np.float32)
+        )
+    elif not (
+        out.index.shape == (4, n)
+        and out.fy.shape == out.fx.shape == (n, 3)
+        and all(a.flags.c_contiguous for a in (out.index, out.fy, out.fx))
+    ):
+        raise ValueError(f"out must hold C-contiguous tables for {n} pixels")
+    # source row -> its position among ``rows``; -1 marks a row not held
+    rowmap = np.arange(src_h)
     if rows is not None:
+        rowmap = np.full(src_h, -1, dtype=np.intp)
         rowmap[rows] = np.arange(len(rows))
     if (src_h, src_w) == (level.height, level.width):
-        return PixelTaps((rowmap[ys] * src_w + xs)[None], None, None)
+        index = out.index[:1]
+        cols = np.arange(src_w)[xs]  # a column past the edge raises, as x0[xs] does
+        np.add(_row_starts(rowmap, ys, src_w), cols, out=index.reshape(shape))
+        return PixelTaps(index, None, None)
     y0, y1, fy = _axis_taps(src_h, level.height)
     x0, x1, fx = _axis_taps(src_w, level.width)
-    r0 = (rowmap[y0] * src_w)[ys]
-    r1 = (rowmap[y1] * src_w)[ys]
+    r0 = _row_starts(rowmap[y0], ys, src_w)
+    r1 = _row_starts(rowmap[y1], ys, src_w)
     c0 = x0[xs]
     c1 = x1[xs]
-    index = np.empty((4, ys.size), dtype=np.intp)
     for k, (r, c) in enumerate(((r0, c0), (r0, c1), (r1, c0), (r1, c1))):
-        np.add(r, c, out=index[k])
-    return PixelTaps(index, np.repeat(fy[ys, None], 3, axis=1), np.repeat(fx[xs, None], 3, axis=1))
+        np.add(r, c, out=out.index[k].reshape(shape))
+    np.copyto(out.fy.reshape(*shape, 3), fy[ys][..., None])
+    np.copyto(out.fx.reshape(*shape, 3), fx[xs][..., None])
+    return out
 
 
 def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:

@@ -204,9 +204,20 @@ def test_plan_coords_equal_the_cell_by_cell_maps(cfg):
     plan = plan_sampling(build_pyramid(selected, cfg), cfg)
     assert sorted(plan.offsets) == [0, 1]
     for s, offsets in plan.offsets.items():
-        ys, xs = plan.coords(s)
+        ys, xs = (a.reshape(cfg.out_h, cfg.out_w) for a in np.broadcast_arrays(*plan.coords(s)))
         want_y, want_x = source_coord_maps(offsets, cfg.frag_h, cfg.frag_w)
         assert np.array_equal(ys, want_y) and np.array_equal(xs, want_x)
+
+
+def test_plan_coords_are_compact_factors():
+    cfg = SamplerConfig(grid_rows=3, grid_cols=4, frag_h=8, frag_w=6, frames_out=4, n_scales=2)
+    plan = plan_sampling(build_pyramid(select_frames(coordinate_clip(150, 200, 2), 4), cfg), cfg)
+    for s in plan.offsets:
+        ys, xs = plan.coords(s)
+        # one entry per (cell, dy) and per (cell, dx), never one per pixel
+        assert ys.size == cfg.grid_rows * cfg.frag_h * cfg.grid_cols
+        assert xs.size == cfg.grid_rows * cfg.grid_cols * cfg.frag_w
+        assert np.broadcast_shapes(ys.shape, xs.shape) == plan.grid_shape
 
 
 def test_constant_level_gives_constant_mosaic():

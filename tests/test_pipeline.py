@@ -1,16 +1,18 @@
 import itertools
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sama import media
+from sama.bench import synthetic_clip
 from sama.errors import ConfigError
 from sama.masks import SPATIAL_KINDS, TEMPORAL_KINDS, make_spatial_mask, make_temporal_mask
 from sama.media import MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
-from sama.pipeline import plan_sampling, sample_image, sample_media, sample_video
+from sama.pipeline import _render, plan_sampling, sample_image, sample_media, sample_video
 from sama.pyramid import build_pyramid
 
 from conftest import constant_frame, coordinate_clip, coordinate_frame, write_clip
@@ -343,3 +345,32 @@ def test_video_timings_are_disjoint_wall_spans():
     assert all(t >= 0 for t in res.timings.values())
     assert sum(res.timings.values()) <= wall
 
+
+
+def test_render_working_set_is_the_output_and_one_group_of_taps():
+    cfg = SamplerConfig.vqa_default()
+    height, width, n_frames = 540, 960, 8
+    clip = select_frames(synthetic_clip(height, width, n_frames), cfg.frames_out)
+    pyramid = build_pyramid(clip, cfg)
+    plan = plan_sampling(pyramid, cfg)
+    pixels = cfg.out_h * cfg.out_w
+    # a source frame feeds frames_out / n_frames slots on distinct levels, and
+    # without a spatial mask each slot's level taps every output pixel
+    slots = cfg.frames_out // n_frames
+    tuples: dict[int, set] = {}
+    for key, levels in zip(plan.source_keys, plan.frame_levels):
+        tuples.setdefault(key, set()).add(levels)
+    assert [len(group) for group in tuples.values()] == [slots] * n_frames
+    output = cfg.frames_out * pixels * 3
+    group_tables = slots * pixels * (4 * np.dtype(np.intp).itemsize + 2 * 3 * 4)
+    frame_rows = height * width * 3
+    corners = pixels * 3 * (4 + 4 * 4 + 1)  # uint8 taps, their float32 copy, the blend
+    slack = 2 * 2**20
+    _render(plan, pyramid)  # warm up outside the measure
+    tracemalloc.start()
+    try:
+        _render(plan, pyramid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < output + group_tables + frame_rows + corners + slack, peak

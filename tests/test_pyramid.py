@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from sama.errors import InputTooSmall
 from sama.media import FrameBuffer, MediaClip, SamplerConfig, load_clip, load_image
 from sama.pyramid import (
+    PixelTaps,
     PyramidLevel,
     build_pyramid,
+    gather_taps,
+    pixel_taps,
     resize_rect,
     resize_rgb,
     scale_schedule,
+    tap_rows,
 )
 
 from conftest import constant_frame, coordinate_clip, coordinate_frame, write_clip
@@ -186,6 +190,86 @@ def test_level_rect_is_a_window_of_its_frame(src_hw):
         for y0, x0 in ((0, 0), (h - 32, w - 32), (h // 3, w // 2)):
             window = level.rect(1, y0, x0, 32, 32)
             assert np.array_equal(window, frame[y0 : y0 + 32, x0 : x0 + 32])
+
+
+# ---------------------------------------------------------------------------
+# Taps: pixel_taps and tap_rows on compact coordinate factors
+
+
+_TAP_LEVELS = {"below": (20, 15), "at": (40, 30), "above": (64, 48)}
+
+
+def _random_level(level_hw, seed=0):
+    """A level of the given dims over one random 40x30 source frame."""
+    frame = np.random.default_rng(seed).integers(0, 256, (40, 30, 3), dtype=np.uint8)
+    return PyramidLevel(0, [frame], *level_hw), frame
+
+
+def _factors(level, rng, rows=2, frag_h=3, cols=3, frag_w=4):
+    """(ys, xs) shaped like SamplingPlan.coords: per-cell offsets plus the
+    place in the fragment, over the level's upper rows only."""
+    oy = rng.integers(0, level.height // 2 - frag_h, (rows, 1, cols, 1))
+    ox = rng.integers(0, level.width - frag_w, (rows, 1, cols, 1))
+    return oy + np.arange(frag_h)[:, None, None], ox + np.arange(frag_w)
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["all-rows", "tapped-rows"])
+@pytest.mark.parametrize("size", sorted(_TAP_LEVELS))
+def test_taps_of_coordinate_factors_equal_taps_of_the_flat_maps(size, subset):
+    level, frame = _random_level(_TAP_LEVELS[size])
+    ys, xs = _factors(level, np.random.default_rng(1))
+    flat_y, flat_x = (a.reshape(-1) for a in np.broadcast_arrays(ys, xs))
+    marks, flat_marks = (np.zeros(40, dtype=bool) for _ in range(2))
+    tap_rows(level, ys, marks)
+    tap_rows(level, flat_y, flat_marks)
+    assert np.array_equal(marks, flat_marks)
+    assert not marks[30:].any()  # the factors tap only the upper rows
+    rows = np.flatnonzero(marks) if subset else None
+    taps = pixel_taps(level, ys, xs, rows)
+    flat = pixel_taps(level, flat_y, flat_x, rows)
+    assert np.array_equal(taps.index, flat.index)
+    for got, want in ((taps.fy, flat.fy), (taps.fx, flat.fx)):
+        assert (got is None and want is None) or np.array_equal(got, want)
+    assert (taps.fy is None) == (size == "at")
+    held = frame if rows is None else frame[rows]
+    assert np.array_equal(gather_taps(held, taps), level.frame(0)[flat_y, flat_x])
+
+
+@pytest.mark.parametrize("size", sorted(_TAP_LEVELS))
+def test_pixel_taps_refills_its_out_tables(size):
+    level, frame = _random_level(_TAP_LEVELS[size])
+    ys, xs = _factors(level, np.random.default_rng(2))
+    n = np.broadcast(ys, xs).size
+    out = PixelTaps(np.empty((4, n), np.intp), np.empty((n, 3), np.float32),
+                    np.empty((n, 3), np.float32))
+    taps = pixel_taps(level, ys, xs, out=out)
+    want = pixel_taps(level, ys, xs)
+    assert np.shares_memory(taps.index, out.index)
+    assert np.array_equal(taps.index, want.index)
+    if size != "at":
+        assert taps.fy is out.fy and taps.fx is out.fx
+        assert np.array_equal(taps.fy, want.fy) and np.array_equal(taps.fx, want.fx)
+    with pytest.raises(ValueError):
+        pixel_taps(level, ys, xs, out=PixelTaps(out.index[:, :-1], out.fy, out.fx))
+
+
+@pytest.mark.parametrize("size", sorted(_TAP_LEVELS))
+def test_pixel_taps_rejects_rows_missing_a_tapped_row(size):
+    level, _ = _random_level(_TAP_LEVELS[size])
+    ys, xs = np.arange(level.height), np.zeros(1, dtype=np.intp)
+    marks = np.zeros(40, dtype=bool)
+    tap_rows(level, ys, marks)
+    assert marks[10]
+    marks[10] = False  # row 10 is tapped but not held
+    with pytest.raises(ValueError, match="rows misses"):
+        pixel_taps(level, ys, xs, np.flatnonzero(marks))
+
+
+@pytest.mark.parametrize("size", sorted(_TAP_LEVELS))
+def test_pixel_taps_rejects_a_column_past_the_level_edge(size):
+    level, _ = _random_level(_TAP_LEVELS[size])
+    with pytest.raises(IndexError):  # not the next row's first pixel
+        pixel_taps(level, np.zeros(1, dtype=np.intp), np.array([level.width]))
 
 
 # ---------------------------------------------------------------------------
