@@ -12,8 +12,8 @@ the one read path, and takes a row set: it re-reads the header, checks
 the dims and the raster length, and returns just the rows asked for
 (every row by default). A PPM raster has rows of a fixed length, so its
 rows are read with ``os.preadv`` straight into numpy memory, one call per
-run of rows, and nothing else of the raster is read but the short gaps
-that join runs. A PNG is decoded whole and its rows taken.
+run of consecutive rows, and no other byte of the raster is read. A PNG
+is decoded whole and its rows taken.
 """
 
 from __future__ import annotations
@@ -32,16 +32,6 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 # Largest pixel count a PNG may declare (8K UHD, 7680x4320, fits); checked
 # before anything is inflated.
 MAX_PIXELS = 1 << 25
-
-# Row runs of a PPM read that are at most this many unread rows apart are
-# read as one run, the gap rows into scratch memory. On a 1080p frame of the
-# VQA default this takes the coarse levels' reads from up to 224 runs of one
-# or two rows to at most 7 runs, for 42.5 % of the rows read instead of
-# 33.5 %; a pread costs about as much as a few cached rows.
-ROW_GAP = 4
-
-# Buffers one preadv call takes at most (POSIX IOV_MAX on Linux).
-_IOV_MAX = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -390,42 +380,26 @@ def _read_rows(fd: int, offset: int, stride: int, rows: np.ndarray, head: bytes)
     """``head`` then rows ``rows`` of the ``stride``-byte rows at ``offset``
     in file ``fd``, read into one uint8 buffer.
 
-    Rows at most ROW_GAP rows apart form one run and one preadv, whose
-    buffers are the run's rows in place and scratch memory for its gaps.
+    Each run of consecutive rows is one single-buffer preadv straight into
+    its place in the buffer, so exactly the rows asked for are read. A
+    short read (the file shrank) raises CorruptFile.
     """
     buf = np.empty(len(head) + len(rows) * stride, dtype=np.uint8)
     buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     out = memoryview(buf)[len(head) :]
-    scratch = memoryview(bytearray(ROW_GAP * stride))
-    # blocks of consecutive rows [starts[k], stops[k]) of the output
-    steps = np.diff(rows)
-    cuts = np.flatnonzero(steps > 1) + 1
-    starts = np.concatenate(([0], cuts)).tolist()
-    stops = np.concatenate((cuts, [len(rows)])).tolist()
-    gaps = np.append(steps[cuts - 1] - 1, ROW_GAP + 1).tolist()  # unread rows after each block
-    pos = offset + int(rows[0]) * stride
-    iov: list[memoryview] = []
-    for start, stop, gap in zip(starts, stops, gaps):
-        iov.append(out[start * stride : stop * stride])
-        if gap > ROW_GAP:  # the run ends: read it and skip the gap
-            pos = _preadv_exactly(fd, iov, pos) + gap * stride
-            iov = []
-        else:
-            iov.append(scratch[: gap * stride])
-            if len(iov) >= _IOV_MAX - 1:
-                pos = _preadv_exactly(fd, iov, pos)
-                iov = []
+    # runs of consecutive rows [starts[k], stops[k]) of the output
+    cuts = np.flatnonzero(np.diff(rows) > 1) + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.append(cuts, len(rows))
+    for start, stop, row in zip(starts.tolist(), stops.tolist(), rows[starts].tolist()):
+        pos = offset + row * stride
+        want = (stop - start) * stride
+        got = os.preadv(fd, [out[start * stride : stop * stride]], pos)
+        if got != want:
+            raise CorruptFile(
+                f"PPM raster truncated during the read: {got} of {want} bytes at {pos}"
+            )
     return buf
-
-
-def _preadv_exactly(fd: int, iov: list, pos: int) -> int:
-    """Fill the buffers ``iov`` from ``pos`` in ``fd``; returns the offset
-    after them. A short read (the file shrank) raises CorruptFile."""
-    want = sum(len(b) for b in iov)
-    got = os.preadv(fd, iov, pos)
-    if got != want:
-        raise CorruptFile(f"PPM raster truncated during the read: {got} of {want} bytes at {pos}")
-    return pos + want
 
 
 def read_buffer(fh) -> np.ndarray:

@@ -128,9 +128,10 @@ def _lerp_core(p00, p01, p10, p11, fy, fx):
     bot -= top
     bot *= fy
     bot += top  # top + fy * (bot - top)
+    # a convex blend of uint8 corners lies in [0, 255] up to float32
+    # rounding, so bot + 0.5 lies in (0, 256), where the cast truncates
+    # as floor would and nothing needs clipping
     bot += 0.5
-    np.floor(bot, out=bot)
-    np.clip(bot, 0, 255, out=bot)
     return bot.astype(np.uint8)
 
 

@@ -10,6 +10,8 @@ from sama.media import FrameBuffer, MediaClip, SamplerConfig, load_clip, load_im
 from sama.pyramid import (
     PixelTaps,
     PyramidLevel,
+    _axis_taps,
+    _lerp_core,
     build_pyramid,
     gather_taps,
     pixel_taps,
@@ -163,6 +165,48 @@ def test_resize_gradient_plane_within_one_step():
             sx = min(max((dx + 0.5) * 64 / 40 - 0.5, 0.0), 63.0)
             ox = min(max((sx + 0.5) * 16 / 64 - 0.5, 0.0), 15.0)
             assert abs(int(down[dy, dx, 0]) - (2 * oy + 3 * ox)) <= 1.0 + 1e-6
+
+
+def _lerp_with_floor_and_clip(p00, p01, p10, p11, fy, fx):
+    """The blend with explicit rounding passes: the float32 steps of
+    ``_lerp_core``, then floor, clip to [0, 255] and the cast."""
+    top = p01 - p00
+    top *= fx
+    top += p00
+    bot = p11 - p10
+    bot *= fx
+    bot += p10
+    bot -= top
+    bot *= fy
+    bot += top
+    bot += 0.5
+    np.floor(bot, out=bot)
+    np.clip(bot, 0, 255, out=bot)
+    return bot.astype(np.uint8)
+
+
+def test_blend_without_floor_and_clip_equals_the_old_formula_for_every_corner_pair():
+    """Every (p0, p1) uint8 pair, at 0, 0.5, the float32 just below 1 and
+    every fraction ``_axis_taps`` gives the VQA default's 16 levels of a
+    1080p frame: the blend's cast alone rounds as floor and clip did."""
+    levels = build_pyramid(
+        FrameBuffer(np.zeros((1080, 1920, 3), np.uint8)), SamplerConfig.vqa_default()
+    )
+    fracs = np.unique(np.concatenate(
+        [np.float32([0.0, 0.5, np.nextafter(np.float32(1), np.float32(0))])]
+        + [_axis_taps(1080, lv.height)[2] for lv in levels]
+        + [_axis_taps(1920, lv.width)[2] for lv in levels]
+    ))
+    assert fracs.dtype == np.float32 and len(fracs) > 10_000
+    p0, p1 = (a.ravel().astype(np.float32) for a in np.mgrid[0:256, 0:256])
+    top, bot = np.empty_like(p0), np.empty_like(p0)  # _lerp_core overwrites p01 and p11
+    # both blend stages see every fraction: fx in order, fy half a turn on
+    for fx, fy in zip(fracs, np.roll(fracs, len(fracs) // 2)):
+        old = _lerp_with_floor_and_clip(p0, p1, p1, p0, fy, fx)
+        np.copyto(top, p1)
+        np.copyto(bot, p0)
+        new = _lerp_core(p0, top, p1, bot, fy, fx)
+        assert np.array_equal(new, old), f"fx {fx!r}, fy {fy!r}"
 
 
 @pytest.mark.parametrize("src_hw, out_hw", [

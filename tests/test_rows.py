@@ -42,37 +42,35 @@ def test_read_rows_equal_the_rows_of_the_whole_frame(tmp_path, rows, suffix):
     assert np.array_equal(got, frame[rows])
 
 
-def test_row_read_takes_more_buffers_than_one_preadv_holds(tmp_path, monkeypatch):
+@pytest.fixture
+def preadv_calls(monkeypatch):
+    """The ``os.preadv`` calls made, as lists of their buffers' byte counts."""
+    calls = []
+    real = os.preadv
+
+    def spy(fd, buffers, offset):
+        calls.append([len(b) for b in buffers])
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", spy)
+    return calls
+
+
+def test_each_of_many_row_runs_is_read_with_one_buffer(tmp_path, preadv_calls):
     frame = coordinate_frame(3001, 2).data
     path = _ppm(tmp_path, frame, head=b"P6\n# a comment\n2 3001\n255\n")
-    calls = []
-    real = os.preadv
-
-    def spy(fd, buffers, offset):
-        calls.append(len(buffers))
-        return real(fd, buffers, offset)
-
-    monkeypatch.setattr(os, "preadv", spy)
-    rows = np.arange(0, 3001, 2)  # one run: gaps of one row
+    rows = np.arange(0, 3001, 2)  # 1,501 runs of one row
     assert np.array_equal(imageio.read_image(path, rows), frame[rows])
-    assert len(calls) > 1 and max(calls) <= 1024
+    assert preadv_calls == [[6]] * 1501
 
 
-def test_row_runs_apart_by_more_than_the_gap_are_read_apart(tmp_path, monkeypatch):
+def test_row_read_reads_exactly_the_rows_asked_for(tmp_path, preadv_calls):
     frame = coordinate_frame(64, 5).data
     path = _ppm(tmp_path, frame)
-    calls = []
-    real = os.preadv
-
-    def spy(fd, buffers, offset):
-        calls.append(sum(len(b) for b in buffers) // 15)
-        return real(fd, buffers, offset)
-
-    monkeypatch.setattr(os, "preadv", spy)
-    gap = imageio.ROW_GAP
-    rows = np.array([3, 4, 4 + gap + 1, 20 + gap + 2])
+    rows = np.array([3, 4, 6, 20])
     assert np.array_equal(imageio.read_image(path, rows), frame[rows])
-    assert calls == [gap + 3, 1]  # rows 3..4+gap+1 in one run, then the far row
+    assert preadv_calls == [[2 * 15], [15], [15]]  # rows 3-4, 6, 20; no gap row
+    assert sum(map(sum, preadv_calls)) == len(rows) * 5 * 3
 
 
 def test_row_read_checks_the_rows_and_the_dims(tmp_path):
@@ -113,9 +111,9 @@ def _tapped(scale, y, pyramid, src_h, src_w, identity_reads_one_row):
     """Source rows behind recorded level rows (scale[k], y[k]), by the
     half-pixel rule: level row y has its centre at (y + 0.5) * src_h / h - 0.5
     in the source, clamped, and reads the rows either side of it."""
-    pairs = np.unique(np.stack([scale.astype(np.int64), y.astype(np.int64)]), axis=1)
+    pairs = np.unique(scale.astype(np.int64) << 32 | y.astype(np.int64))
     rows = set()
-    for s, yy in pairs.T.tolist():
+    for s, yy in zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist()):
         h, w = pyramid[s].height, pyramid[s].width
         if identity_reads_one_row and (h, w) == (src_h, src_w):
             rows.add(yy)  # a level the size of its source: its rows as they are
@@ -178,6 +176,24 @@ def test_audit_reads_only_the_recorded_rows_and_still_finds_faults(tmp_path, rea
     res.tensor.provenance[5, 9, 9]["y"] = level.height
     report, _ = audit(res.tensor)
     assert report.mismatches == 2
+
+
+def test_sampler_and_audit_request_the_bytes_of_the_tapped_rows_alone(
+    tmp_path, reads, preadv_calls
+):
+    paths = write_clip(tmp_path / "clip", 8, 540, 960)
+    key_of = {p.name: k for k, p in enumerate(paths)}
+    res = sample_video(load_clip(tmp_path / "clip"), SamplerConfig.vqa_default())
+    sampler = reads[:], preadv_calls[:]
+    del reads[:], preadv_calls[:]
+    assert provenance_audit(res.tensor, res.pyramid).ok
+    for (made, calls), identity_reads_one_row in ((sampler, True), ((reads, preadv_calls), False)):
+        expected = _expected_rows(res.tensor, res.pyramid, identity_reads_one_row)
+        # the coarse levels leave short gaps between tapped rows
+        assert any((np.diff(rows) == 2).any() for rows in expected.values())
+        tapped_bytes = sum(len(expected[key_of[name]]) for name, _ in made) * 960 * 3
+        assert sum(map(sum, calls)) == tapped_bytes
+        assert all(len(call) == 1 for call in calls)
 
 
 # ---------------------------------------------------------------------------
