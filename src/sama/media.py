@@ -31,6 +31,7 @@ from . import imageio, masks
 from .errors import (
     BadArity,
     ConfigError,
+    CorruptFile,
     EmptyClip,
     IndivisibleDims,
     InsufficientFrames,
@@ -239,8 +240,10 @@ class SamplerConfig:
         for name in ("grid_rows", "grid_cols", "frag_h", "frag_w"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if kind == "video" and self.frames_out < 1:
-            raise ConfigError("frames_out must be >= 1")
+        # a provenance record names its output frame in a u16
+        slots = np.iinfo(PROVENANCE_DTYPE["frame"]).max + 1
+        if kind == "video" and not 1 <= self.frames_out <= slots:
+            raise ConfigError(f"frames_out must be in [1, {slots}], got {self.frames_out}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.spatial_mask not in masks.SPATIAL_KINDS:
@@ -317,6 +320,9 @@ def load_clip(directory: str | Path) -> MediaClip:
     if not entries:
         raise EmptyClip(f"no frame_NNNNNN.(png|ppm) files in {directory}")
     entries.sort()
+    for (i, a, _), (j, b, _) in zip(entries, entries[1:]):
+        if i == j:
+            raise CorruptFile(f"{a} and {b} both hold frame {i} in {directory}")
     paths = tuple(p for _, _, p in entries)
     store = _FrameStore(tuple(imageio.probe_image(p) for p in paths), paths, {})
     return MediaClip(_StoreFrames(store, tuple(range(len(paths)))))

@@ -6,9 +6,10 @@ just some of its rows (``sources.read(i, rows)``), when asked and keeps
 nothing, so building a pyramid reads nothing. A clip below the coarsest
 level's min side gets levels larger than its frames: they tap the raw
 frames like any other level, so there is no separate upscale. The sampler
-marks the source rows its plan taps (``tap_rows``), turns the level
-pixels it needs into ``PixelTaps`` on those rows (``pixel_taps``), then
-reads just those rows of each distinct source frame once and runs one
+marks the source rows a group of its frames taps (``tap_rows``), turns
+the level pixels that group needs into ``PixelTaps`` on those rows
+(``pixel_taps``, which allocates each at its own size), then reads just
+those rows of each of the group's source frames once and runs one
 ``gather_taps`` per (frame, level) on them. Both take level coordinates
 as broadcastable arrays, so the sampler's compact row and column factors
 are looked up at their own size and only the index adds and fraction
@@ -176,7 +177,8 @@ class PixelTaps:
     bottom-right source pixel behind each of N level pixels, and ``fy`` and
     ``fx`` are their (N, 3) float32 fractions, repeated per channel so the
     blend runs on contiguous operands. A level the size of its source has a
-    (1, N) index and no fractions: its pixels are source pixels. The N
+    (1, N) index and no fractions: its pixels are source pixels, so its
+    taps hold 8 bytes a pixel where a resampled level's hold 56. The N
     pixels are the coordinates given to ``pixel_taps`` broadcast together,
     in C order.
     """
@@ -212,11 +214,7 @@ def _row_starts(positions: np.ndarray, ys: np.ndarray, src_w: int) -> np.ndarray
 
 
 def pixel_taps(
-    level: PyramidLevel,
-    ys: np.ndarray,
-    xs: np.ndarray,
-    rows: np.ndarray | None = None,
-    out: PixelTaps | None = None,
+    level: PyramidLevel, ys: np.ndarray, xs: np.ndarray, rows: np.ndarray | None = None
 ) -> PixelTaps:
     """Taps of the level pixels at rows ``ys`` and columns ``xs`` broadcast
     together, into a source frame that holds only the source rows ``rows``
@@ -224,48 +222,36 @@ def pixel_taps(
 
     Every table lookup runs on ``ys`` and ``xs`` as given, so the compact
     factors of ``SamplingPlan.coords`` cost their own size; only the index
-    adds and fraction fills run once per pixel, broadcasting into the
-    tables. The taps are indexed out of the full-axis taps, so a gather
-    equals the same pixels of ``level.frame``. A source row that the taps
-    read and ``rows`` misses raises ValueError. ``out``, C-contiguous
-    tables for the N pixels (a (4, N) index and (N, 3) fractions), is
-    refilled instead of allocating; the result is then views of it."""
+    adds and fraction fills run once per pixel, broadcasting into new
+    tables of exactly the size ``PixelTaps`` describes. The taps are indexed
+    out of the full-axis taps, so a gather equals the same pixels of
+    ``level.frame``. A source row that the taps read and ``rows`` misses
+    raises ValueError."""
     src_h, src_w = level.sources.height, level.sources.width
     ys = np.asarray(ys, dtype=np.intp)
     xs = np.asarray(xs, dtype=np.intp)
     shape = np.broadcast_shapes(ys.shape, xs.shape)
-    n = math.prod(shape)
-    if out is None:
-        out = PixelTaps(
-            np.empty((4, n), np.intp), np.empty((n, 3), np.float32), np.empty((n, 3), np.float32)
-        )
-    elif not (
-        out.index.shape == (4, n)
-        and out.fy.shape == out.fx.shape == (n, 3)
-        and all(a.flags.c_contiguous for a in (out.index, out.fy, out.fx))
-    ):
-        raise ValueError(f"out must hold C-contiguous tables for {n} pixels")
     # source row -> its position among ``rows``; -1 marks a row not held
     rowmap = np.arange(src_h)
     if rows is not None:
         rowmap = np.full(src_h, -1, dtype=np.intp)
         rowmap[rows] = np.arange(len(rows))
     if (src_h, src_w) == (level.height, level.width):
-        index = out.index[:1]
         cols = np.arange(src_w)[xs]  # a column past the edge raises, as x0[xs] does
-        np.add(_row_starts(rowmap, ys, src_w), cols, out=index.reshape(shape))
-        return PixelTaps(index, None, None)
+        return PixelTaps((_row_starts(rowmap, ys, src_w) + cols).reshape(1, -1), None, None)
     y0, y1, fy = _axis_taps(src_h, level.height)
     x0, x1, fx = _axis_taps(src_w, level.width)
     r0 = _row_starts(rowmap[y0], ys, src_w)
     r1 = _row_starts(rowmap[y1], ys, src_w)
     c0 = x0[xs]
     c1 = x1[xs]
+    index = np.empty((4, *shape), np.intp)
     for k, (r, c) in enumerate(((r0, c0), (r0, c1), (r1, c0), (r1, c1))):
-        np.add(r, c, out=out.index[k].reshape(shape))
-    np.copyto(out.fy.reshape(*shape, 3), fy[ys][..., None])
-    np.copyto(out.fx.reshape(*shape, 3), fx[xs][..., None])
-    return out
+        np.add(r, c, out=index[k])
+    fys, fxs = (np.empty((*shape, 3), np.float32) for _ in range(2))
+    np.copyto(fys, fy[ys][..., None])
+    np.copyto(fxs, fx[xs][..., None])
+    return PixelTaps(index.reshape(4, -1), fys.reshape(-1, 3), fxs.reshape(-1, 3))
 
 
 def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:

@@ -245,6 +245,26 @@ def test_truncated_ppm_in_an_unselected_frame_fails_at_load(tmp_path, reads, cap
     assert reads == []
 
 
+def test_two_files_with_one_frame_index_fail_at_load(tmp_path, capsys):
+    write_clip(tmp_path / "clip", 4)
+    write_clip(tmp_path / "clip", 1, suffix="png")
+    rc = main(["sample-video", str(tmp_path / "clip"), "--out", str(tmp_path / "v.sama")])
+    assert rc == 2
+    assert "frame_000000.png and frame_000000.ppm" in capsys.readouterr().err
+
+
+def test_more_frames_than_provenance_can_name_fail_before_any_read(tmp_path, reads, capsys):
+    write_clip(tmp_path / "clip", 4)
+    rc = main([
+        "sample-video", str(tmp_path / "clip"), "--frames", "131074",
+        "--out", str(tmp_path / "v.sama"),
+    ])
+    assert rc == 1
+    assert "frames_out must be in [1, 65536]" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "v.sama").exists()
+
+
 @pytest.mark.parametrize("index, code", [(0, 0), (1, 2)], ids=["unselected", "selected"])
 def test_corrupt_png_pixel_data_shows_only_when_its_frame_is_selected(
     tmp_path, index, code, capsys

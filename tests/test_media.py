@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sama import imageio
-from sama.errors import EmptyClip, InsufficientFrames, MixedDimensions
+from sama.errors import CorruptFile, EmptyClip, InsufficientFrames, MixedDimensions
 from sama.media import (
     FrameBuffer,
     MediaClip,
@@ -81,6 +81,13 @@ def test_load_clip_mixed_dimensions(tmp_path):
 
 def test_load_clip_empty(tmp_path):
     with pytest.raises(EmptyClip):
+        load_clip(tmp_path)
+
+
+def test_load_clip_rejects_two_files_with_one_frame_index(tmp_path):
+    write_clip(tmp_path, 3)
+    write_clip(tmp_path, 1, suffix="png")  # a second frame 0
+    with pytest.raises(CorruptFile, match="frame_000000.png and frame_000000.ppm"):
         load_clip(tmp_path)
 
 

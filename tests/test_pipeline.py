@@ -10,7 +10,7 @@ from sama import media
 from sama.bench import synthetic_clip
 from sama.errors import ConfigError
 from sama.masks import SPATIAL_KINDS, TEMPORAL_KINDS, make_spatial_mask, make_temporal_mask
-from sama.media import MediaClip, SamplerConfig, select_frames
+from sama.media import PROVENANCE_DTYPE, MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
 from sama.pipeline import _render, plan_sampling, sample_image, sample_media, sample_video
 from sama.pyramid import build_pyramid
@@ -329,6 +329,19 @@ def test_validate_passes_exactly_when_sample_video_succeeds(monkeypatch):
     assert accepted > 50
 
 
+def test_frames_out_is_bounded_by_the_frames_provenance_can_name():
+    # a record's frame field is u16: slot 65,536 would be recorded as slot 0
+    cfg = SamplerConfig(
+        grid_rows=1, grid_cols=1, frag_h=1, frag_w=1, frames_out=2**16,
+        n_scales=2, temporal_mask="choppy",
+    )
+    clip = coordinate_clip(1, 1, 3)
+    frames = sample_video(clip, cfg).tensor.provenance["frame"]
+    assert np.array_equal(frames.reshape(-1), np.arange(2**16))
+    with pytest.raises(ConfigError, match="frames_out must be in"):
+        sample_video(clip, replace(cfg, frames_out=2**16 + 2))
+
+
 def test_timings_reported():
     res = sample_image(coordinate_frame(400, 400), SamplerConfig.iqa_default())
     assert set(res.timings) == {"pyramid", "fragments", "compose"}
@@ -347,30 +360,71 @@ def test_video_timings_are_disjoint_wall_spans():
 
 
 
-def test_render_working_set_is_the_output_and_one_group_of_taps():
-    cfg = SamplerConfig.vqa_default()
-    height, width, n_frames = 540, 960, 8
+_WORKING_SETS = {
+    "vqa": (SamplerConfig.vqa_default(), 8),
+    "vqa-window": (SamplerConfig.vqa_default(spatial_mask="window"), 8),
+    "iqa-window": (SamplerConfig.iqa_default(), 1),
+}
+
+
+def _working_set(name):
+    """(plan, pyramid, frame bytes) of a config over a 540x960 synthetic clip."""
+    cfg, n_frames = _WORKING_SETS[name]
+    height, width = 540, 960
     clip = select_frames(synthetic_clip(height, width, n_frames), cfg.frames_out)
     pyramid = build_pyramid(clip, cfg)
-    plan = plan_sampling(pyramid, cfg)
-    pixels = cfg.out_h * cfg.out_w
-    # a source frame feeds frames_out / n_frames slots on distinct levels, and
-    # without a spatial mask each slot's level taps every output pixel
-    slots = cfg.frames_out // n_frames
+    return plan_sampling(pyramid, cfg), pyramid, height * width * 3
+
+
+def _peak(call):
+    call()  # warm up outside the measure
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _largest_group_bytes(plan, pyramid):
+    """The most bytes one group of source frames drawing on the same level
+    tuples holds in taps and owned coordinates: each part's taps, plus a
+    part that owns some pixels' owner mask and coordinates."""
+    pixels = plan.owner.size
+    src = pyramid[0].sources
     tuples: dict[int, set] = {}
     for key, levels in zip(plan.source_keys, plan.frame_levels):
         tuples.setdefault(key, set()).add(levels)
-    assert [len(group) for group in tuples.values()] == [slots] * n_frames
-    output = cfg.frames_out * pixels * 3
-    group_tables = slots * pixels * (4 * np.dtype(np.intp).itemsize + 2 * 3 * 4)
-    frame_rows = height * width * 3
+    largest = 0
+    for group in {frozenset(levels) for levels in tuples.values()}:
+        held = 0
+        for levels in group:
+            for s, owned in plan.parts(levels):
+                n = pixels if owned is None else int(np.count_nonzero(owned))
+                at_source = (pyramid[s].height, pyramid[s].width) == (src.height, src.width)
+                held += n * (8 if at_source else 4 * 8 + 2 * 3 * 4)  # index, fractions
+                if owned is not None:
+                    held += pixels + 2 * n * 8  # the owner mask, (ys, xs)
+        largest = max(largest, held)
+    return largest
+
+
+@pytest.mark.parametrize("name", sorted(_WORKING_SETS))
+def test_render_working_set_is_the_output_and_one_group_of_taps(name):
+    plan, pyramid, frame_rows = _working_set(name)
+    pixels = plan.owner.size
+    output = len(plan.frame_levels) * pixels * 3
     corners = pixels * 3 * (4 + 4 * 4 + 1)  # uint8 taps, their float32 copy, the blend
     slack = 2 * 2**20
-    _render(plan, pyramid)  # warm up outside the measure
-    tracemalloc.start()
-    try:
-        _render(plan, pyramid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < output + group_tables + frame_rows + corners + slack, peak
+    peak = _peak(lambda: _render(plan, pyramid))
+    group = _largest_group_bytes(plan, pyramid)
+    assert peak < output + group + frame_rows + corners + slack, (peak, group)
+
+
+@pytest.mark.parametrize("name", sorted(_WORKING_SETS))
+def test_provenance_working_set_is_the_records_and_one_frame(name):
+    plan, _, _ = _working_set(name)
+    frame = plan.owner.size * PROVENANCE_DTYPE.itemsize
+    records = len(plan.frame_levels) * frame
+    peak = _peak(plan.provenance)
+    assert peak < records + frame + 2**20, peak

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sama.errors import InputTooSmall
 from sama.media import FrameBuffer, MediaClip, SamplerConfig, load_clip, load_image
 from sama.pyramid import (
-    PixelTaps,
     PyramidLevel,
     _axis_taps,
     _lerp_core,
@@ -275,26 +274,9 @@ def test_taps_of_coordinate_factors_equal_taps_of_the_flat_maps(size, subset):
     for got, want in ((taps.fy, flat.fy), (taps.fx, flat.fx)):
         assert (got is None and want is None) or np.array_equal(got, want)
     assert (taps.fy is None) == (size == "at")
+    assert taps.index.shape == (1 if size == "at" else 4, flat_y.size)
     held = frame if rows is None else frame[rows]
     assert np.array_equal(gather_taps(held, taps), level.frame(0)[flat_y, flat_x])
-
-
-@pytest.mark.parametrize("size", sorted(_TAP_LEVELS))
-def test_pixel_taps_refills_its_out_tables(size):
-    level, frame = _random_level(_TAP_LEVELS[size])
-    ys, xs = _factors(level, np.random.default_rng(2))
-    n = np.broadcast(ys, xs).size
-    out = PixelTaps(np.empty((4, n), np.intp), np.empty((n, 3), np.float32),
-                    np.empty((n, 3), np.float32))
-    taps = pixel_taps(level, ys, xs, out=out)
-    want = pixel_taps(level, ys, xs)
-    assert np.shares_memory(taps.index, out.index)
-    assert np.array_equal(taps.index, want.index)
-    if size != "at":
-        assert taps.fy is out.fy and taps.fx is out.fx
-        assert np.array_equal(taps.fy, want.fy) and np.array_equal(taps.fx, want.fx)
-    with pytest.raises(ValueError):
-        pixel_taps(level, ys, xs, out=PixelTaps(out.index[:, :-1], out.fy, out.fx))
 
 
 @pytest.mark.parametrize("size", sorted(_TAP_LEVELS))
