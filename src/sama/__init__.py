@@ -8,7 +8,6 @@ the pooling head that consume such mosaics.
 """
 
 from .errors import SamaError
-from .fragments import GridCell, grid_partition
 from .masks import (
     SpatialMask,
     TemporalMask,
@@ -35,12 +34,7 @@ from .pack import (
     write_container,
 )
 from .pipeline import SampleResult, SamplingPlan, sample_image, sample_media, sample_video
-from .pyramid import (
-    PyramidLevel,
-    ScaleSchedule,
-    build_pyramid,
-    scale_schedule,
-)
+from .pyramid import PyramidLevel, build_pyramid, scale_schedule
 from .scalehead import (
     AttnInputs,
     FeatureGrid,
@@ -65,7 +59,6 @@ __all__ = [
     "AuditReport",
     "FeatureGrid",
     "FrameBuffer",
-    "GridCell",
     "HeadParams",
     "MediaClip",
     "ProvenanceEntry",
@@ -75,7 +68,6 @@ __all__ = [
     "SamplingPlan",
     "SamplerConfig",
     "SamaError",
-    "ScaleSchedule",
     "SpatialMask",
     "SqueezeExciteParams",
     "TemporalMask",
@@ -85,7 +77,6 @@ __all__ = [
     "build_pyramid",
     "feature_grid_dims",
     "grad_check",
-    "grid_partition",
     "load_clip",
     "load_image",
     "make_interlace_mask",

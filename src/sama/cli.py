@@ -238,6 +238,10 @@ def cmd_masks(args) -> int:
     if args.action != "dump":
         raise ConfigError(f"unknown masks action {args.action!r}")
     out_h, out_w = _parse_pair(args.size, "--size")
+    if out_h * out_w > imageio.MAX_PIXELS:
+        raise ConfigError(
+            f"--size {out_h}x{out_w} has more than the {imageio.MAX_PIXELS} pixels allowed"
+        )
     # every mask is built before anything is written: a flag value no mask
     # accepts, or a flag the dumped mask does not take, is a configuration
     # error and leaves no files behind

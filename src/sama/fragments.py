@@ -1,19 +1,19 @@
-"""Grid partition and per-cell raw-resolution patch extraction.
+"""Grid cells and fragment offsets: where each cell's fragment lies in a level.
 
 A level is cut into grid_rows x grid_cols cells; each cell contributes one
 frag_h x frag_w patch copied byte-for-byte (pure gather, no resampling).
-Offsets are drawn per (seed, level, row, col), so cells and frames can be
-processed in any order. For clips the same offsets apply to every frame,
-keeping the mosaic temporally aligned. ``plan_level`` makes every
-placement decision of a level and returns it as the cells' fragment
-offsets; ``pipeline.SamplingPlan.coords`` is the one rule that turns them
-into per-pixel level coordinates.
+The cells are stated per axis: cell (r, c) spans level rows
+[r*H//grid_rows, (r+1)*H//grid_rows) and the analogous columns, so a cell
+row shares its height and a cell column its width, and cell sizes differ
+by at most one pixel. Offsets are drawn per (seed, level, row, col), so
+cells and frames can be processed in any order. For clips the same
+offsets apply to every frame, keeping the mosaic temporally aligned.
+``plan_level`` makes every placement decision of a level and returns it
+as the cells' fragment offsets; ``pipeline.SamplingPlan.coords`` is the
+one rule that turns them into per-pixel level coordinates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,96 +26,54 @@ from .rng import DOMAIN_OFFSET, bounded
 ALIGNED_SCALE_KEY = -1
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One rectangle of the balanced integer partition."""
-
-    row: int
-    col: int
-    y0: int
-    x0: int
-    h: int
-    w: int
-
-
-def grid_partition(level_h: int, level_w: int, grid_rows: int, grid_cols: int) -> list[GridCell]:
-    """Tile (level_h, level_w) into grid_rows x grid_cols cells exactly.
-
-    Cell (r, c) spans rows [r*H//G_h, (r+1)*H//G_h) and the analogous
-    columns, so cell sizes differ by at most one pixel.
-    """
-    if grid_rows < 1 or grid_cols < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    if level_h < grid_rows or level_w < grid_cols:
-        raise GridTooFine(
-            f"cannot cut {level_h}x{level_w} into {grid_rows}x{grid_cols} cells"
-        )
-    row_b = [(r * level_h) // grid_rows for r in range(grid_rows + 1)]
-    col_b = [(c * level_w) // grid_cols for c in range(grid_cols + 1)]
-    return [
-        GridCell(
-            row=r,
-            col=c,
-            y0=row_b[r],
-            x0=col_b[c],
-            h=row_b[r + 1] - row_b[r],
-            w=col_b[c + 1] - col_b[c],
-        )
-        for r in range(grid_rows)
-        for c in range(grid_cols)
-    ]
-
-
-def choose_offsets(
-    cells: Sequence[GridCell],
-    frag_h: int,
-    frag_w: int,
-    policy: str,
-    seed: int,
-    scale_id: int = 0,
-    aligned: bool = False,
-) -> list[tuple[int, int]]:
-    """Pick a fragment top-left inside every cell.
-
-    ``center`` centers the fragment (ties toward top-left); ``random``
-    draws uniformly over valid positions from the counter-based generator.
-    With ``aligned`` the draw ignores the level id, so all levels place a
-    cell's fragment at the same relative position.
-    """
-    key_scale = ALIGNED_SCALE_KEY if aligned else scale_id
-    offsets = []
-    for cell in cells:
-        ny = cell.h - frag_h + 1
-        nx = cell.w - frag_w + 1
-        if ny < 1 or nx < 1:
-            raise CellSmallerThanFragment(
-                f"cell ({cell.row},{cell.col}) is {cell.h}x{cell.w}, "
-                f"fragment is {frag_h}x{frag_w}"
-            )
-        if policy == "center":
-            y = cell.y0 + (cell.h - frag_h) // 2
-            x = cell.x0 + (cell.w - frag_w) // 2
-        elif policy == "random":
-            y = cell.y0 + bounded(seed, DOMAIN_OFFSET, key_scale, cell.row, cell.col, 0, n=ny)
-            x = cell.x0 + bounded(seed, DOMAIN_OFFSET, key_scale, cell.row, cell.col, 1, n=nx)
-        else:
-            raise ValueError(f"unknown offset policy {policy!r}")
-        offsets.append((y, x))
-    return offsets
-
-
 def plan_level(level: PyramidLevel, config: SamplerConfig) -> np.ndarray:
     """Cut a level into the config's grid and place one fragment per cell:
-    the (grid_rows, grid_cols, 2) top-left (y, x) of each cell's fragment,
-    in level coordinates."""
-    cells = grid_partition(level.height, level.width, config.grid_rows, config.grid_cols)
-    offsets = choose_offsets(
-        cells,
-        config.frag_h,
-        config.frag_w,
-        config.offset_policy,
-        config.seed,
-        scale_id=level.scale_id,
-        aligned=config.aligned_offsets,
-    )
-    return np.asarray(offsets, dtype=np.int64).reshape(config.grid_rows, config.grid_cols, 2)
+    the (grid_rows, grid_cols, 2) int64 top-left (y, x) of each cell's
+    fragment, in level coordinates.
+
+    ``center`` centres the fragment in its cell (ties toward top-left);
+    ``random`` draws it uniformly over the cell's valid positions from the
+    counter-based generator. With ``aligned_offsets`` the draw ignores the
+    level id, so all levels place a cell's fragment at the same relative
+    position. Raises GridTooFine when a cell would be empty and
+    CellSmallerThanFragment, naming cell (0,0), when a fragment does not
+    fit every cell.
+    """
+    c = config
+    if c.grid_rows < 1 or c.grid_cols < 1:
+        raise ValueError("grid dimensions must be >= 1")
+    # cell sizes differ by at most one, and the first cell row and column
+    # are the smallest: cell (0,0), the first in row-major order, fits least
+    h0, w0 = level.height // c.grid_rows, level.width // c.grid_cols
+    if h0 < 1 or w0 < 1:
+        raise GridTooFine(
+            f"cannot cut {level.height}x{level.width} into {c.grid_rows}x{c.grid_cols} cells"
+        )
+    if h0 < c.frag_h or w0 < c.frag_w:
+        raise CellSmallerThanFragment(
+            f"cell (0,0) is {h0}x{w0}, fragment is {c.frag_h}x{c.frag_w}"
+        )
+    y_edges = np.arange(c.grid_rows + 1) * level.height // c.grid_rows
+    x_edges = np.arange(c.grid_cols + 1) * level.width // c.grid_cols
+    # valid fragment positions per cell row and per cell column
+    ny = np.diff(y_edges) - c.frag_h + 1
+    nx = np.diff(x_edges) - c.frag_w + 1
+    offsets = np.empty((c.grid_rows, c.grid_cols, 2), dtype=np.int64)
+    offsets[..., 0] = y_edges[:-1, None]
+    offsets[..., 1] = x_edges[:-1]
+    if c.offset_policy == "center":
+        offsets[..., 0] += ((ny - 1) // 2)[:, None]
+        offsets[..., 1] += (nx - 1) // 2
+    elif c.offset_policy == "random":
+        key = ALIGNED_SCALE_KEY if c.aligned_offsets else level.scale_id
+        # n as a Python int: the draw's 64-bit product overflows a numpy int
+        draws = [
+            bounded(c.seed, DOMAIN_OFFSET, key, r, col, axis, n=n)
+            for r, n_y in enumerate(ny.tolist())
+            for col, n_x in enumerate(nx.tolist())
+            for axis, n in ((0, n_y), (1, n_x))
+        ]
+        offsets += np.array(draws, dtype=np.int64).reshape(offsets.shape)
+    else:
+        raise ValueError(f"unknown offset policy {c.offset_policy!r}")
+    return offsets

@@ -29,8 +29,8 @@ from .errors import CorruptFile, MixedDimensions, UnsupportedFormat
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
-# Largest pixel count a PNG may declare (8K UHD, 7680x4320, fits); checked
-# before anything is inflated.
+# Largest pixel count a PNG or PPM may declare (8K UHD, 7680x4320, fits);
+# checked before anything is inflated or read.
 MAX_PIXELS = 1 << 25
 
 
@@ -247,6 +247,10 @@ def _ppm_header(data) -> tuple[int, int, int]:
         raise UnsupportedFormat(f"PPM maxval {maxval}; only 255 is supported")
     if width < 1 or height < 1:
         raise CorruptFile("non-positive PPM dimensions")
+    if width * height > MAX_PIXELS:
+        raise CorruptFile(
+            f"PPM declares {width}x{height} pixels, more than the {MAX_PIXELS} allowed"
+        )
     return width, height, offset
 
 
@@ -323,8 +327,8 @@ def _ppm_file_header(fh, head: bytes) -> tuple[int, int, int]:
 def probe_image(path: str | Path) -> tuple[int, int]:
     """(height, width) of a PNG or binary-PPM file, from its header alone.
 
-    Checks the format, the dimensions (a PNG's IHDR length and CRC, and
-    the pixel cap; a PPM's maxval) and that a PPM file holds its whole
+    Checks the format, the dimensions (the pixel cap; a PNG's IHDR length
+    and CRC; a PPM's maxval) and that a PPM file holds its whole
     raster. PNG pixel data is not read, so its corruption shows only when
     the file is decoded.
     """

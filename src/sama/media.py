@@ -240,6 +240,13 @@ class SamplerConfig:
         for name in ("grid_rows", "grid_cols", "frag_h", "frag_w"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # before any mask or output array is built, cap the output frame
+        # as the readers cap an input frame
+        if self.out_h * self.out_w > imageio.MAX_PIXELS:
+            raise ConfigError(
+                f"output {self.out_h}x{self.out_w} has more than the "
+                f"{imageio.MAX_PIXELS} pixels allowed"
+            )
         # a provenance record names its output frame in a u16
         slots = np.iinfo(PROVENANCE_DTYPE["frame"]).max + 1
         if kind == "video" and not 1 <= self.frames_out <= slots:

@@ -22,11 +22,11 @@ broadcasts them rather than expanding them per pixel.
 the same level tuples tap the same source rows, and ``_render_group``
 renders one such group at a time: it builds the group's coordinates,
 marks the rows they tap (``tap_rows``) and builds each level's taps on
-those rows (``pixel_taps``), all as locals that die when it returns.
-Each source frame is then read once, just those rows, every (frame,
-level) drawing on it runs one gather straight into the output, and it is
-released before the next is read. So in every mask mode memory is the
-output, one source frame's rows and one group's coordinates and taps,
+those rows (``pixel_taps``), all as locals; the coordinates are dropped
+once the taps are built. Each source frame is then read once, just those
+rows, every (frame, level) drawing on it runs one gather straight into
+the output, and it is released before the next is read. So in every mask
+mode memory is the output, one source frame's rows and one group's taps,
 and the gather cost does not grow with the number of levels interlaced.
 ``provenance`` likewise fills one level tuple's records at a time,
 straight into the array it returns. The tests check the bytes against a
@@ -202,7 +202,8 @@ def _render_group(
 ) -> None:
     """Render into ``data`` one group's output frames, ``slots`` (source
     key -> its output frames), whose source frames draw on the same level
-    tuples. The group's coordinates and taps are locals, freed on return."""
+    tuples. The group's coordinates are dropped once its taps are built,
+    and its taps on return."""
     shape = plan.grid_shape
     sources = pyramid[0].sources
     marks = np.zeros(sources.height, dtype=bool)
@@ -222,6 +223,7 @@ def _render_group(
         levels: [(owned, pixel_taps(pyramid[s], ys, xs, rows)) for s, owned, ys, xs in part]
         for levels, part in parts.items()
     }
+    del parts  # only the taps live through the gathers
     for key, ts in slots.items():
         src = sources.read(ts[0], rows)
         for t in ts:

@@ -53,30 +53,13 @@ def _covering_min_side(raw_h: int, raw_w: int, out_h: int, out_w: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ScaleSchedule:
-    """Per-level (height, width) targets; level 0 is the raw resolution."""
+def scale_schedule(
+    raw_h: int, raw_w: int, target_min: int, levels: int
+) -> tuple[tuple[int, int], ...]:
+    """Per-level (height, width) targets; level 0 is the raw resolution.
 
-    dims: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        return self.dims[i]
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    @property
-    def min_sides(self) -> tuple[int, ...]:
-        return tuple(min(h, w) for h, w in self.dims)
-
-
-def scale_schedule(raw_h: int, raw_w: int, target_min: int, levels: int) -> ScaleSchedule:
-    """Min-side decreases linearly from the raw value to ``target_min``.
-
-    The off side is derived from the raw aspect ratio at every level so
+    Min-side decreases linearly from the raw value to ``target_min``. The
+    off side is derived from the raw aspect ratio at every level so
     rounding never accumulates. With a raw min-side equal to the target the
     schedule degenerates to repeated raw dims, which is fine: consecutive
     equal levels just share pixels.
@@ -95,7 +78,7 @@ def scale_schedule(raw_h: int, raw_w: int, target_min: int, levels: int) -> Scal
         else:
             m = _round_half_up(raw_min + k * (target_min - raw_min) / (levels - 1))
         dims.append(_dims_for_min_side(raw_h, raw_w, m))
-    return ScaleSchedule(tuple(dims))
+    return tuple(dims)
 
 
 def _axis_taps(n_in: int, n_out: int):

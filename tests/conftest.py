@@ -54,6 +54,16 @@ def write_clip(directory, frames: int, height: int = 8, width: int = 8, suffix: 
     return paths
 
 
+def sparse_ppm(path, width: int, height: int):
+    """Write a PPM of a black raster that takes no disk space: a header and
+    a hole the raster's length; returns ``path``."""
+    head = b"P6\n%d %d\n255\n" % (width, height)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.truncate(len(head) + width * height * 3)
+    return path
+
+
 @pytest.fixture
 def reads(monkeypatch):
     """The image reads made, as (file name, rows), spied on through

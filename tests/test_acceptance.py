@@ -71,10 +71,11 @@ def test_pyramid_schedule():
     """Linear min-side interpolant within 0.5, exact terminal, 2-level oracle."""
     with criterion("pyramid schedule (linear interpolant, terminal 224)"):
         sched = scale_schedule(1080, 1920, 224, 16)
-        for k, m in enumerate(sched.min_sides):
+        mins = [min(dims) for dims in sched]
+        for k, m in enumerate(mins):
             ideal = 1080 + k * (224 - 1080) / 15
             assert abs(m - ideal) <= 0.5
-        assert sched.min_sides[-1] == 224
+        assert mins[-1] == 224
         assert list(scale_schedule(1080, 1920, 224, 2)) == [(1080, 1920), (224, 398)]
 
 

@@ -15,7 +15,7 @@ from sama.media import SamplerConfig, load_image
 from sama.pack import provenance_audit, read_container, render_preview, write_container
 from sama.pipeline import sample_image
 
-from conftest import coordinate_clip, coordinate_frame, write_clip
+from conftest import coordinate_clip, coordinate_frame, sparse_ppm, write_clip
 
 
 @pytest.fixture
@@ -163,6 +163,37 @@ def test_count_and_size_flags_below_one_are_config_errors(argv, tmp_path, capsys
     assert "config error" in err
     assert "Traceback" not in err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-image", "{image}", "--grid", "156250x156250", "--out", "{out}"],
+    ["sample-video", "{clip}", "--spatial-mask", "window", "--grid", "156250x156250",
+     "--out", "{out}"],
+    ["masks", "dump", "--size", "5000000x5000000", "--out", "{out}"],
+    ["masks", "dump", "--scales", "3", "--size", "5000000x5000000", "--out", "{out}"],
+], ids=lambda argv: "_".join(a for a in argv if not a.startswith("{")))
+def test_output_frames_over_the_pixel_cap_are_config_errors(
+    argv, image_file, clip_dir, tmp_path, capsys
+):
+    """A 5e6 x 5e6 output is refused before any mask or array is built:
+    its int64 mask temporary alone would exceed any address space."""
+    out = tmp_path / "o.sama"
+    argv = [a.format(image=image_file, clip=clip_dir, out=out) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"config error: [^\n]*more than the 33554432 pixels allowed\n",
+                        captured.err)
+    assert not out.exists()
+
+
+def test_sample_video_of_a_frame_over_the_pixel_cap_is_corrupt(tmp_path, capsys):
+    clip = tmp_path / "clip"
+    clip.mkdir()
+    sparse_ppm(clip / "frame_000000.ppm", 8193, 4097)
+    out = tmp_path / "v.sama"
+    assert main(["sample-video", str(clip), "--out", str(out)]) == 2
+    assert "more than the" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_video_defaults(clip_dir, tmp_path):

@@ -1,10 +1,13 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sama.errors import CellSmallerThanFragment, GridTooFine
-from sama.fragments import GridCell, choose_offsets, grid_partition
+from sama.fragments import plan_level
 from sama.media import SamplerConfig, select_frames
 from sama.pipeline import plan_sampling
 from sama.pyramid import PyramidLevel, build_pyramid
@@ -32,109 +35,157 @@ def _level(frame_or_clip, scale_id=0):
 
 
 # ---------------------------------------------------------------------------
-# grid_partition
+# plan_level: cells and fragment offsets
+
+# plan_level reads only a level's dims and id, never its pixels
+_TINY = [np.zeros((1, 1, 3), dtype=np.uint8)]
+
+
+def _plan(h, w, grid=(1, 1), frag=(32, 32), policy="center", seed=0, scale_id=0, aligned=False):
+    cfg = SamplerConfig(
+        grid_rows=grid[0], grid_cols=grid[1], frag_h=frag[0], frag_w=frag[1],
+        offset_policy=policy, seed=seed, aligned_offsets=aligned,
+    )
+    return plan_level(PyramidLevel(scale_id, _TINY, h, w), cfg)
+
+
+def _per_cell(row_values, col_values):
+    """(rows, cols, 2): each cell's (value of its row, value of its column)."""
+    ys, xs = np.meshgrid(row_values, col_values, indexing="ij")
+    return np.stack([ys, xs], axis=-1)
 
 
 def test_partition_224_by_7_is_uniform():
-    cells = grid_partition(224, 224, 7, 7)
-    assert len(cells) == 49
-    assert all(c.h == 32 and c.w == 32 for c in cells)
-    assert cells[0].y0 == 0 and cells[-1].y0 == 192
+    off = _plan(224, 224, (7, 7))
+    assert off.shape == (7, 7, 2) and off.dtype == np.int64
+    starts = [32 * k for k in range(7)]  # 32x32 cells, each filled by its fragment
+    assert np.array_equal(off, _per_cell(starts, starts))
+
+
+def test_exact_fit_cell_has_single_offset():
+    for policy in ("center", "random"):
+        for seed in (0, 1, 99):
+            off = _plan(64, 64, (2, 2), policy=policy, seed=seed)
+            assert np.array_equal(off, _per_cell([0, 32], [0, 32]))
 
 
 def test_partition_230_by_7_matches_floor_oracle():
-    cells = grid_partition(230, 230, 7, 7)
-    heights = [c.h for c in cells if c.col == 0]
-    assert heights == partition_oracle(230, 7)
+    heights = partition_oracle(230, 7)
     assert heights == [32, 33, 33, 33, 33, 33, 33]  # frozen from the oracle
-    assert sum(heights) == 230
+    off = _plan(230, 230, (7, 7))
+    # every cell is 32 or 33 wide, so a centred 32-pixel fragment sits at its origin
+    assert off[:, 0, 0].tolist() == [0, 32, 65, 98, 131, 164, 197]
+    assert off[0, :, 1].tolist() == off[:, 0, 0].tolist()
 
 
 def test_partition_minimal():
-    cells = grid_partition(7, 7, 7, 7)
-    assert len(cells) == 49
-    assert all(c.h == 1 and c.w == 1 for c in cells)
+    off = _plan(7, 7, (7, 7), frag=(1, 1), policy="random", seed=3)
+    assert np.array_equal(off, _per_cell(range(7), range(7)))
 
 
 def test_partition_too_fine():
-    with pytest.raises(GridTooFine):
-        grid_partition(6, 100, 7, 7)
+    with pytest.raises(GridTooFine, match="cannot cut 6x100 into 7x7 cells"):
+        _plan(6, 100, (7, 7), frag=(1, 1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     h=st.integers(1, 300),
     w=st.integers(1, 300),
     gr=st.integers(1, 12),
     gc=st.integers(1, 12),
+    fh=st.integers(1, 40),
+    fw=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
 )
-def test_partition_tiles_exactly(h, w, gr, gc):
+def test_partition_tiles_exactly(h, w, gr, gc, fh, fw, seed):
+    """The cells are the independent floor partition's, which tiles the
+    level: centred offsets over uneven cells are its cells' centres, and
+    random ones keep the fragment inside its cell."""
     if h < gr or w < gc:
         with pytest.raises(GridTooFine):
-            grid_partition(h, w, gr, gc)
+            _plan(h, w, (gr, gc), (fh, fw))
         return
-    cells = grid_partition(h, w, gr, gc)
-    cover = np.zeros((h, w), dtype=np.int32)
-    for c in cells:
-        cover[c.y0 : c.y0 + c.h, c.x0 : c.x0 + c.w] += 1
-    assert (cover == 1).all()
-
-
-# ---------------------------------------------------------------------------
-# choose_offsets
-
-
-def test_exact_fit_cell_has_single_offset():
-    cells = [GridCell(0, 0, 10, 20, 32, 32)]
-    for policy in ("center", "random"):
-        for seed in (0, 1, 99):
-            assert choose_offsets(cells, 32, 32, policy, seed) == [(10, 20)]
+    heights, widths = partition_oracle(h, gr), partition_oracle(w, gc)
+    if min(heights) < fh or min(widths) < fw:
+        with pytest.raises(CellSmallerThanFragment):
+            _plan(h, w, (gr, gc), (fh, fw))
+        return
+    origins = _per_cell(np.cumsum([0] + heights[:-1]), np.cumsum([0] + widths[:-1]))
+    slack = _per_cell(np.subtract(heights, fh), np.subtract(widths, fw))  # room left per cell
+    centre = _plan(h, w, (gr, gc), (fh, fw))
+    assert np.array_equal(centre, origins + slack // 2)
+    rel = _plan(h, w, (gr, gc), (fh, fw), policy="random", seed=seed) - origins
+    assert (rel >= 0).all() and (rel <= slack).all()
 
 
 def test_center_offset_frozen():
-    cells = [GridCell(0, 0, 0, 0, 154, 274)]
-    assert choose_offsets(cells, 32, 32, "center", 0) == [(61, 121)]
+    assert _plan(154, 274).tolist() == [[[61, 121]]]
 
 
 def test_random_offsets_bounded_and_deterministic():
-    cells = [GridCell(0, 0, 0, 0, 154, 274)]
-    a = choose_offsets(cells, 32, 32, "random", 7)
-    b = choose_offsets(cells, 32, 32, "random", 7)
-    assert a == b
-    (y, x) = a[0]
+    a = _plan(154, 274, policy="random", seed=7)
+    assert np.array_equal(a, _plan(154, 274, policy="random", seed=7))
+    (y, x) = a[0, 0]
     assert 0 <= y <= 122 and 0 <= x <= 242
 
 
 def test_cell_smaller_than_fragment():
-    cells = [GridCell(0, 0, 0, 0, 31, 40)]
-    with pytest.raises(CellSmallerThanFragment):
-        choose_offsets(cells, 32, 32, "center", 0)
+    with pytest.raises(CellSmallerThanFragment, match=r"cell \(0,0\) is 31x40, fragment is 32x32"):
+        _plan(31, 40)
+    # 2x3 cells of 32x31, 32x32 and 32x32 (the first column is narrowest)
+    with pytest.raises(CellSmallerThanFragment, match=r"cell \(0,0\) is 32x31, fragment is 32x32"):
+        _plan(64, 95, (2, 3))
 
 
 def test_offsets_independent_across_levels_by_default():
-    cells = [GridCell(r, c, r * 50, c * 50, 50, 50) for r in range(2) for c in range(2)]
-    lvl0 = choose_offsets(cells, 32, 32, "random", 3, scale_id=0)
-    lvl1 = choose_offsets(cells, 32, 32, "random", 3, scale_id=1)
-    assert lvl0 != lvl1
+    lvl0 = _plan(100, 100, (2, 2), policy="random", seed=3, scale_id=0)
+    lvl1 = _plan(100, 100, (2, 2), policy="random", seed=3, scale_id=1)
+    assert not np.array_equal(lvl0, lvl1)
 
 
 def test_aligned_offsets_share_relative_position():
-    cells = [GridCell(0, 0, 0, 0, 64, 64)]
-    a = choose_offsets(cells, 32, 32, "random", 3, scale_id=0, aligned=True)
-    b = choose_offsets(cells, 32, 32, "random", 3, scale_id=5, aligned=True)
-    assert a == b  # same cell geometry, any level: identical draw
+    a = _plan(100, 100, (2, 2), policy="random", seed=3, scale_id=0, aligned=True)
+    b = _plan(100, 100, (2, 2), policy="random", seed=3, scale_id=5, aligned=True)
+    assert np.array_equal(a, b)  # same cell geometry, any level: identical draw
+    # the cells draw independently of each other
+    assert len({tuple(o) for o in (a - _per_cell([0, 50], [0, 50])).reshape(-1, 2)}) > 1
 
 
 def test_offset_histogram_uniform_chi_square():
     """10k draws over a 7x7 offset range stay uniform at the 1% level."""
-    cells = [GridCell(0, 0, 0, 0, 38, 38)]  # 7 valid offsets per axis
     counts = np.zeros((7, 7), dtype=np.int64)
     for seed in range(10_000):
-        (y, x) = choose_offsets(cells, 32, 32, "random", seed)[0]
+        (y, x) = _plan(38, 38, policy="random", seed=seed)[0, 0]  # 7 valid offsets per axis
         counts[y, x] += 1
     expected = 10_000 / 49
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_99_DOF48
+
+
+# (level_h, level_w, grid, frag): exact fit, uneven cells, one cell, one-pixel cells
+_SWEEP_DIMS = [
+    (224, 224, (7, 7), (32, 32)),
+    (230, 230, (7, 7), (32, 32)),
+    (1080, 1920, (7, 7), (32, 32)),
+    (154, 274, (1, 1), (32, 32)),
+    (100, 150, (3, 4), (8, 8)),
+    (37, 53, (5, 3), (5, 7)),
+    (9, 13, (9, 13), (1, 1)),
+]
+
+
+def test_plan_level_sweep_is_frozen():
+    """Every offset over both policies, aligned on and off, several level
+    ids and seeds; aligned random draws are in no golden case. The digest
+    was recorded from the cell-by-cell planner this one replaced."""
+    digest = hashlib.sha256()
+    for (h, w, grid, frag), policy, aligned, scale_id, seed in itertools.product(
+        _SWEEP_DIMS, ("center", "random"), (False, True), (0, 1, 5), (0, 7, 2**64 - 1)
+    ):
+        off = _plan(h, w, grid, frag, policy, seed, scale_id, aligned)
+        digest.update(np.ascontiguousarray(off, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == "3a230bfa8de413a626cb118d02fc7a1ca6cbfb77a4d175cc042c22440cb2a919"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sama import imageio
 from sama.errors import CorruptFile, UnsupportedFormat
 
-from conftest import coordinate_frame
+from conftest import coordinate_frame, sparse_ppm
 
 
 def rgb_strategy(max_side=12):
@@ -305,6 +305,22 @@ def test_png_pixel_cap_admits_8k_uhd(tmp_path):
     assert arr.shape == (height, width, 3) and not arr.any()
     with pytest.raises(CorruptFile, match="more than the"):
         imageio.probe_image(_png_file(tmp_path, _raw_png(8192, 4097, 8, 2, b"")))
+
+
+def test_ppm_pixel_cap_admits_8k_uhd(tmp_path):
+    width, height = 7680, 4320
+    assert width * height <= imageio.MAX_PIXELS < 8192 * 4097
+    path = sparse_ppm(tmp_path / "img.ppm", width, height)
+    assert imageio.probe_image(path) == (height, width)
+    rows = imageio.read_image(path, np.array([0, height - 1]))
+    assert rows.shape == (2, width, 3) and not rows.any()
+    over = sparse_ppm(tmp_path / "over.ppm", 8193, 4097)
+    for read in (imageio.probe_image, imageio.read_image):
+        with pytest.raises(CorruptFile, match="PPM declares 8193x4097 pixels, more than the"):
+            read(over)
+    # the cap holds before the raster's length is checked
+    with pytest.raises(CorruptFile, match="more than the"):
+        imageio.decode_ppm(b"P6\n8193 4097\n255\n")
 
 
 def test_png_probe_checks_ihdr_but_not_pixel_data(tmp_path):

@@ -1,11 +1,12 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sama import imageio
+from sama import imageio, masks
 from sama.errors import CorruptFile, EmptyClip, InsufficientFrames, MixedDimensions
 from sama.media import (
     FrameBuffer,
@@ -360,6 +361,33 @@ def test_config_mask_rules_come_from_the_masks(overrides, kind, message):
     )
     with pytest.raises(ConfigError, match=message):
         cfg.validate(kind)
+
+
+@pytest.mark.parametrize("spatial", masks.SPATIAL_KINDS)
+@pytest.mark.parametrize("temporal", masks.TEMPORAL_KINDS)
+def test_config_caps_the_output_frame_in_every_mode(spatial, temporal):
+    """An output of 5e6 x 5e6 pixels is refused before any mask is built:
+    a spatial mask's int64 temporary would exceed any address space."""
+    from sama.errors import ConfigError
+
+    levels = masks.level_count(spatial, temporal, 8)
+    cfg = SamplerConfig(frames_out=8, n_scales=levels, spatial_mask=spatial, temporal_mask=temporal)
+    huge = replace(cfg, grid_rows=156_250, grid_cols=156_250)
+    for kind in ("image", "video") if temporal == "none" else ("video",):
+        cfg.validate(kind)
+        with pytest.raises(ConfigError, match="output 5000000x5000000 has more than the"):
+            huge.validate(kind)
+
+
+def test_config_output_cap_is_the_input_cap():
+    from sama.errors import ConfigError
+
+    at_cap = SamplerConfig(grid_rows=1, grid_cols=1, frag_h=4096, frag_w=8192, frames_out=1,
+                           n_scales=1, temporal_mask="none")
+    assert at_cap.out_h * at_cap.out_w == imageio.MAX_PIXELS
+    at_cap.validate("image")
+    with pytest.raises(ConfigError, match=f"4096x8193 has more than the {imageio.MAX_PIXELS}"):
+        replace(at_cap, frag_w=8193).validate("image")
 
 
 def test_config_mixed_masks_flagged():

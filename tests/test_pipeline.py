@@ -388,8 +388,9 @@ def _peak(call):
 
 def _largest_group_bytes(plan, pyramid):
     """The most bytes one group of source frames drawing on the same level
-    tuples holds in taps and owned coordinates: each part's taps, plus a
-    part that owns some pixels' owner mask and coordinates."""
+    tuples holds through its gathers: each part's taps, plus a part that
+    owns some pixels' owner mask. The group's coordinates are dropped once
+    its taps are built."""
     pixels = plan.owner.size
     src = pyramid[0].sources
     tuples: dict[int, set] = {}
@@ -404,7 +405,7 @@ def _largest_group_bytes(plan, pyramid):
                 at_source = (pyramid[s].height, pyramid[s].width) == (src.height, src.width)
                 held += n * (8 if at_source else 4 * 8 + 2 * 3 * 4)  # index, fractions
                 if owned is not None:
-                    held += pixels + 2 * n * 8  # the owner mask, (ys, xs)
+                    held += pixels  # the owner mask
         largest = max(largest, held)
     return largest
 

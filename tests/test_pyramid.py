@@ -48,7 +48,7 @@ def schedule_oracle(raw_h, raw_w, target, levels):
 
 def test_two_level_full_hd():
     sched = scale_schedule(1080, 1920, 224, 2)
-    assert list(sched) == [(1080, 1920), (224, 398)]
+    assert sched == ((1080, 1920), (224, 398))  # a plain tuple of (h, w)
 
 
 def test_single_level_degenerate():
@@ -59,7 +59,7 @@ def test_sixteen_levels_match_oracle():
     sched = scale_schedule(1080, 1920, 224, 16)
     assert list(sched) == schedule_oracle(1080, 1920, 224, 16)
     # frozen from the oracle: min-sides step down by ~57
-    assert sched.min_sides == (
+    assert tuple(min(dims) for dims in sched) == (
         1080, 1023, 966, 909, 852, 795, 738, 681,
         623, 566, 509, 452, 395, 338, 281, 224,
     )
@@ -69,17 +69,18 @@ def test_schedule_linearity_and_terminal():
     for raw_h, raw_w, levels in [(1080, 1920, 16), (2160, 1000, 7), (500, 500, 3)]:
         sched = scale_schedule(raw_h, raw_w, 224, levels)
         raw_min = min(raw_h, raw_w)
-        for k, m in enumerate(sched.min_sides):
+        mins = [min(dims) for dims in sched]
+        for k, m in enumerate(mins):
             ideal = raw_min + k * (224 - raw_min) / (levels - 1)
             assert abs(m - ideal) <= 0.5
-        assert sched.min_sides[-1] == 224
+        assert mins[-1] == 224
         assert sched[0] == (raw_h, raw_w)
 
 
 def test_schedule_allows_rounding_ties():
     # raw min barely above the target: consecutive levels may repeat
     sched = scale_schedule(225, 300, 224, 16)
-    mins = sched.min_sides
+    mins = [min(dims) for dims in sched]
     assert all(a >= b for a, b in zip(mins, mins[1:]))
     assert mins[-1] == 224
 
