@@ -39,6 +39,7 @@ from .errors import (
 from .masks import SPATIAL_KINDS, TEMPORAL_KINDS, level_count
 from .masks import make_interlace_mask, make_spatial_mask, make_temporal_mask
 from .media import (
+    MAX_FRAMES_OUT,
     OFFSET_POLICIES,
     SamplerConfig,
     load_clip,
@@ -113,6 +114,14 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     if min(pair) < 1:
         raise ConfigError(f"{what} values must be >= 1, got {text!r}")
     return pair
+
+
+def _parse_size(text: str, what: str) -> tuple[int, int]:
+    """An HxW frame to draw, capped as the readers cap an input frame."""
+    h, w = _parse_pair(text, what)
+    if h * w > imageio.MAX_PIXELS:
+        raise ConfigError(f"{what} {h}x{w} has more than the {imageio.MAX_PIXELS} pixels allowed")
+    return h, w
 
 
 def load_run_config(path: str | Path) -> dict:
@@ -237,11 +246,7 @@ def cmd_preview(args) -> int:
 def cmd_masks(args) -> int:
     if args.action != "dump":
         raise ConfigError(f"unknown masks action {args.action!r}")
-    out_h, out_w = _parse_pair(args.size, "--size")
-    if out_h * out_w > imageio.MAX_PIXELS:
-        raise ConfigError(
-            f"--size {out_h}x{out_w} has more than the {imageio.MAX_PIXELS} pixels allowed"
-        )
+    out_h, out_w = _parse_size(args.size, "--size")
     # every mask is built before anything is written: a flag value no mask
     # accepts, or a flag the dumped mask does not take, is a configuration
     # error and leaves no files behind
@@ -252,6 +257,8 @@ def cmd_masks(args) -> int:
     temporal = args.temporal_mask not in (None, "none")
     if args.frames is not None and not temporal:
         raise ConfigError("--frames sizes the --temporal-mask schedule; give --temporal-mask")
+    if args.frames is not None and args.frames > MAX_FRAMES_OUT:
+        raise ConfigError(f"--frames must be in [1, {MAX_FRAMES_OUT}], got {args.frames}")
     tmask = None
     try:
         if args.scales is None:
@@ -280,7 +287,7 @@ def cmd_masks(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    height, width = _parse_pair(args.size, "--size")
+    height, width = _parse_size(args.size, "--size")
     reps = args.reps
     config, _ = _resolve_config(args, "image")
     stats = bench_mod.bench_image(height, width, config, reps, config.seed)
@@ -336,14 +343,17 @@ def cmd_verify(args) -> int:
     frame = bench_mod.synthetic_frame(600, 800, seed=11)
     icfg = SamplerConfig.iqa_default(offset_policy="random", seed=7)
     ires = sample_image(frame, icfg)
-    if args.inject_fault:
-        ires.tensor.data[0, 5, 5, 0] ^= 0xFF
     report = provenance_audit(ires.tensor, ires.pyramid)
     check(
         "image gather audit",
         report.ok,
         f"{report.mismatches} mismatches over {report.total_pixels} pixels",
     )
+    # the audit must be able to fail: one flipped byte is one mismatch
+    flipped = replace(ires.tensor, data=ires.tensor.data.copy())
+    flipped.data[0, 5, 5, 0] ^= 0xFF
+    caught = provenance_audit(flipped, ires.pyramid).mismatches
+    check("audit catches a flipped byte", caught == 1, f"{caught} mismatches, expected 1")
 
     clip = bench_mod.synthetic_clip(240, 320, 6, seed=12)
     vcfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=9)
@@ -490,12 +500,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="audits, partitions, determinism, numerics")
     p.add_argument("--seeds", type=_positive_int, default=25, help="property-suite seeds")
     p.add_argument("--seed-replay", type=_positive_int, default=2, dest="seed_replay")
-    p.add_argument(
-        "--inject-fault",
-        action="store_true",
-        dest="inject_fault",
-        help="testing hook: corrupt one gathered byte to prove the audit trips",
-    )
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -247,10 +247,10 @@ class SamplerConfig:
                 f"output {self.out_h}x{self.out_w} has more than the "
                 f"{imageio.MAX_PIXELS} pixels allowed"
             )
-        # a provenance record names its output frame in a u16
-        slots = np.iinfo(PROVENANCE_DTYPE["frame"]).max + 1
-        if kind == "video" and not 1 <= self.frames_out <= slots:
-            raise ConfigError(f"frames_out must be in [1, {slots}], got {self.frames_out}")
+        if kind == "video" and not 1 <= self.frames_out <= MAX_FRAMES_OUT:
+            raise ConfigError(
+                f"frames_out must be in [1, {MAX_FRAMES_OUT}], got {self.frames_out}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.spatial_mask not in masks.SPATIAL_KINDS:
@@ -289,6 +289,7 @@ class SamplerConfig:
 PROVENANCE_DTYPE = np.dtype(
     [("scale", "u1"), ("frame", "<u2"), ("y", "<u4"), ("x", "<u4")]
 )
+MAX_FRAMES_OUT = np.iinfo(PROVENANCE_DTYPE["frame"]).max + 1  # a record names its frame in a u16
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ The audit streams the source frames as the sampler does: it visits
 output frames in the order of their source frames, and reads each
 distinct source frame once, just the rows the recorded coordinates tap
 under its own bilinear rule, before it moves to the next. It files each
-output frame's pixels by (source frame, level) with one sort, builds each
-such check's tap tables once, and evaluates the rule in chunks of
+output frame's pixels by (source frame, level) with one sort, builds tap
+tables once per (source frame, level), and evaluates the rule in chunks of
 ``_AUDIT_CHUNK`` pixels whose coordinates it widens to ``intp`` once and
-whose corners it blends in place, so it holds one output frame's checks,
+whose corners it blends in place, so it holds one run's filed pixels,
 one source frame's rows and one chunk.
 """
 
@@ -373,7 +373,7 @@ def _bilinear_at(
     """(N, 3) uint8: the level pixels at (y[k], x[k]), recomputed from the
     (pixels, 3) source ``flat``.
 
-    ``rows`` and ``cols`` are one check's tables, indexed by level
+    ``rows`` and ``cols`` are one level's tables, indexed by level
     coordinate: the flat offsets of the top and bottom tap rows and of the
     left and right tap columns, then the (n, 3) float32 fraction of each
     second tap. The coordinates are widened to ``intp`` once, since numpy
@@ -430,10 +430,11 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     Out-of-range scale ids, frame indices, or coordinates count as
     mismatches rather than raising, so a corrupted tensor still yields a
     report. Output frames are taken in runs that share a source key
-    (``sources.source_keys``); a run's pixels are checked one recorded source
-    frame at a time, and that frame is read once, only the rows its pixels'
-    taps need. So each distinct source is read once, even when a short
-    clip repeats it over many output frames, and only one is held.
+    (``sources.source_keys``); a run's pixels are filed by (source frame,
+    level) and checked one source frame at a time, which is read once, only
+    the rows its pixels' taps need. So each distinct source is read once
+    and each of its levels builds its tables once, however many output
+    frames repeat it, and one run's filed pixels are held.
     """
     if t.provenance is None:
         raise MissingProvenance("tensor carries no provenance to audit")
@@ -446,12 +447,12 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
 
     # output frame f records source frame f, so frames sharing a key are one run
     for _, run in itertools.groupby(sorted(range(t.frames_out), key=key_of), key=key_of):
-        checks: dict = {}  # (source list, key) -> [_Check]
+        filed: dict = {}  # (source list, key) -> (sources, index, {level: parts})
         for f in run:
             prov, data = t.provenance[f].reshape(-1), t.data[f].reshape(-1, 3)
-            mismatches += _collect_checks(prov, data, pyramid, checks, scale_counts)
-        for key in list(checks):  # popped, so no group outlives its check
-            mismatches += _audit_source_frame(checks.pop(key))
+            mismatches += _collect_checks(prov, data, pyramid, filed, scale_counts)
+        for key in list(filed):  # popped, so no source's pixels outlive its audit
+            mismatches += _audit_source_frame(*filed.pop(key))
     total = t.provenance.size
     per_scale = {int(s): int(scale_counts[s]) for s in np.flatnonzero(scale_counts)}
     shares = {s: c / total for s, c in per_scale.items()}
@@ -463,30 +464,19 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     )
 
 
-@dataclass(frozen=True)
-class _Check:
-    """Output pixels that record level coordinates (y, x) of source frame
-    ``index`` and hold ``got``."""
-
-    level: PyramidLevel
-    index: int
-    y: np.ndarray
-    x: np.ndarray
-    got: np.ndarray  # (N, 3) uint8
-
-
 def _collect_checks(
-    prov: np.ndarray, data: np.ndarray, pyramid, checks: dict, scale_counts: np.ndarray
+    prov: np.ndarray, data: np.ndarray, pyramid, filed: dict, scale_counts: np.ndarray
 ) -> int:
-    """File one output frame's pixels under their source frame in
-    ``checks``, one ``_Check`` per (source frame, level), and add each
-    level's pixel count to ``scale_counts``. ``prov`` holds the frame's
-    records and ``data`` its (pixels, 3) values. Returns the mismatches
-    found without reading: pixels whose level, frame or coordinates lie
-    outside the pyramid.
+    """File one output frame's in-range pixels in ``filed``: under their
+    source frame, as ``(sources, index, {level: parts})``, each part the
+    ``(y, x, got)`` of the frame's pixels at that level. Add each level's
+    pixel count to ``scale_counts``. ``prov`` holds the frame's records and
+    ``data`` its (pixels, 3) values. Returns the mismatches found without
+    reading: pixels whose level, frame or coordinates lie outside the
+    pyramid.
 
     The pixels are grouped by one stable sort of their (frame, scale) keys,
-    read from the records in one pass, so each group keeps pixel order.
+    read from the records in one pass, so each part keeps pixel order.
     """
     key = prov.view(_SOURCE_KEY)["key"] & 0xFFFFFF
     order = np.argsort(key, kind="stable")
@@ -512,8 +502,9 @@ def _collect_checks(
         if n_inside < sub.size:
             sub, y, x = sub[inside], y[inside], x[inside]
         if n_inside:
-            key_fr = (id(level.sources), level.sources.source_keys[fr])
-            checks.setdefault(key_fr, []).append(_Check(level, fr, y, x, data.take(sub, axis=0)))
+            src = level.sources
+            entry = filed.setdefault((id(src), src.source_keys[fr]), (src, fr, {}))
+            entry[2].setdefault(level, []).append((y, x, data.take(sub, axis=0)))
     return mismatches
 
 
@@ -522,34 +513,37 @@ def _collect_checks(
 _AUDIT_CHUNK = 8192
 
 
-def _audit_source_frame(group: list[_Check]) -> int:
-    """Mismatches among the checks of one source frame. The rows their
-    taps need are marked (a bool per source row), and only those rows are
-    read, once. Each check's tables are then built once: the row taps as
-    offsets into the rows read, the fractions repeated per channel."""
-    sources = group[0].level.sources
+def _audit_source_frame(sources, index: int, levels: dict) -> int:
+    """Mismatches among the pixels filed under frame ``index`` of
+    ``sources``: ``levels`` maps a level to its ``(y, x, got)`` parts, joined
+    unless there is one. The rows their taps need are marked (a bool per
+    source row) and read once. Each level's tables are built once: the row
+    taps as offsets into the rows read, the fractions repeated per channel."""
     marks = np.zeros(sources.height, dtype=bool)
-    row_tables = []
-    for c in group:
-        i0, i1, fy = _axis_table(sources.height, c.level.height)
-        used = np.zeros(c.level.height, dtype=bool)
-        used[c.y.astype(np.intp)] = True  # numpy indexes faster with intp than uint32
+    checks = []
+    while levels:  # popped, so a level's parts go once they are joined
+        level, parts = levels.popitem()
+        y, x, got = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        del parts
+        i0, i1, fy = _axis_table(sources.height, level.height)
+        used = np.zeros(level.height, dtype=bool)
+        used[y.astype(np.intp)] = True  # numpy indexes faster with intp than uint32
         marks[i0[used]] = True
         marks[i1[used]] = True
-        row_tables.append((i0, i1, fy))
+        checks.append((level, y, x, got, (i0, i1, fy)))
     rows = np.flatnonzero(marks)
-    flat = sources.read(group[0].index, rows).reshape(-1, 3)
+    flat = sources.read(index, rows).reshape(-1, 3)
     # source row -> offset of its first pixel in flat
     at = np.zeros(sources.height, dtype=np.intp)
     at[rows] = np.arange(rows.size) * sources.width
     mismatches = 0
-    for c, (i0, i1, fy) in zip(group, row_tables):
-        c0, c1, fx = _axis_table(sources.width, c.level.width)
+    for level, y, x, got, (i0, i1, fy) in checks:
+        c0, c1, fx = _axis_table(sources.width, level.width)
         row_taps = (at[i0], at[i1], np.repeat(fy, 3).reshape(-1, 3))
         col_taps = (c0, c1, np.repeat(fx, 3).reshape(-1, 3))
-        for lo in range(0, c.y.size, _AUDIT_CHUNK):
+        for lo in range(0, y.size, _AUDIT_CHUNK):
             hi = lo + _AUDIT_CHUNK
-            expected = _bilinear_at(flat, c.y[lo:hi], c.x[lo:hi], row_taps, col_taps)
-            differ = np.flatnonzero(expected != c.got[lo:hi])  # flat (pixel, channel)
+            expected = _bilinear_at(flat, y[lo:hi], x[lo:hi], row_taps, col_taps)
+            differ = np.flatnonzero(expected != got[lo:hi])  # flat (pixel, channel)
             mismatches += np.unique(differ // 3).size
     return mismatches

@@ -149,6 +149,39 @@ def test_audit_matches_a_per_pixel_oracle(seed, faults):
         assert mismatches == 0
 
 
+def test_audit_builds_tables_once_per_source_frame_and_level(monkeypatch):
+    """Output frames that repeat a source frame at one level share its row
+    and column tables: two ``_axis_table`` calls per distinct (source frame,
+    level), however many output frames record it, and every pixel is still
+    checked."""
+    cfg = SamplerConfig(
+        grid_rows=2, grid_cols=2, frag_h=4, frag_w=4, frames_out=64,
+        n_scales=2, temporal_mask="choppy",
+    )
+    res = sample_video(coordinate_clip(40, 56, 3), cfg)
+    keys = res.pyramid[0].sources.source_keys
+    owner = {}  # (source key, level) -> the output frames recording it
+    for f, rec in enumerate(res.tensor.provenance):
+        for s, fr in set(zip(rec["scale"].flat, rec["frame"].flat)):
+            owner.setdefault((keys[fr], int(s)), []).append(f)
+    assert len(owner) == 6
+    calls = []
+    real = sama.pack._axis_table
+
+    def spy(n_in, n_out):
+        calls.append((n_in, n_out))
+        return real(n_in, n_out)
+
+    monkeypatch.setattr(sama.pack, "_axis_table", spy)
+    assert provenance_audit(res.tensor, res.pyramid).mismatches == 0
+    assert len(calls) == 2 * len(owner) == 12
+    # one flipped byte in each of two output frames sharing (source frame, level)
+    f0, f1 = next(fs for fs in owner.values() if len(fs) > 1)[:2]
+    res.tensor.data[f0, 0, 0, 0] ^= 0x01
+    res.tensor.data[f1, 7, 7, 2] ^= 0x01
+    assert provenance_audit(res.tensor, res.pyramid).mismatches == 2
+
+
 def test_audit_memory_is_one_frame_of_records_and_one_source_of_rows(tmp_path, reads):
     """The audit holds one output frame's checks, the tapped rows of one
     source frame and one chunk's temporaries, so its peak does not grow

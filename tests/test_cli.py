@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,7 @@ def test_count_and_size_flags_below_one_are_config_errors(argv, tmp_path, capsys
      "--out", "{out}"],
     ["masks", "dump", "--size", "5000000x5000000", "--out", "{out}"],
     ["masks", "dump", "--scales", "3", "--size", "5000000x5000000", "--out", "{out}"],
+    ["bench", "--size", "5000000x5000000", "--reps", "3"],
 ], ids=lambda argv: "_".join(a for a in argv if not a.startswith("{")))
 def test_output_frames_over_the_pixel_cap_are_config_errors(
     argv, image_file, clip_dir, tmp_path, capsys
@@ -183,6 +185,20 @@ def test_output_frames_over_the_pixel_cap_are_config_errors(
     captured = capsys.readouterr()
     assert re.fullmatch(r"config error: [^\n]*more than the 33554432 pixels allowed\n",
                         captured.err)
+    assert not out.exists()
+
+
+def test_masks_dump_frames_over_the_output_frame_cap_is_a_config_error(tmp_path, capsys):
+    """--frames is capped at the sampler's frames_out bound before any mask
+    is built; 65,538 is the smallest even count above it."""
+    out = tmp_path / "m"
+    argv = ["masks", "dump", "--temporal-mask", "progressive", "--frames", "65538",
+            "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"config error: --frames must be in \[1, 65536\], got 65538\n",
+                        captured.err)
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -509,6 +525,7 @@ def test_verify_clean(capsys):
     assert main(["verify", "--seeds", "3"]) == 0
     out = capsys.readouterr().out
     assert "image gather audit" in out
+    assert "PASS  audit catches a flipped byte (1 mismatches, expected 1, " in out
     assert "determinism replay" in out
     assert "FAIL" not in out
     checks = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
@@ -534,10 +551,21 @@ def test_verify_partition_check_fails_on_a_mask_missing_a_level(monkeypatch, cap
     assert "PASS  temporal schedules" in out
 
 
-def test_verify_inject_fault(capsys):
-    assert main(["verify", "--seeds", "2", "--inject-fault"]) == 3
+def test_verify_inject_fault(monkeypatch, capsys):
+    """An audit blind to pixel values passes the clean runs but misses the
+    flipped byte, so verify fails."""
+    import sama.cli
+
+    real = sama.cli.provenance_audit
+
+    def blind(t, pyramid):
+        return replace(real(t, pyramid), mismatches=0)
+
+    monkeypatch.setattr(sama.cli, "provenance_audit", blind)
+    assert main(["verify", "--seeds", "2"]) == 3
     out = capsys.readouterr().out
-    assert "FAIL  image gather audit" in out
+    assert "PASS  image gather audit" in out
+    assert "FAIL  audit catches a flipped byte (0 mismatches, expected 1, " in out
 
 
 def test_bench_smoke(capsys):
