@@ -364,6 +364,13 @@ def cmd_verify(args) -> int:
         vreport.ok,
         f"{vreport.mismatches} mismatches over {vreport.total_pixels} pixels",
     )
+    # a video frame's pixels are filed as views (its keys are in order), and
+    # the image's after a sort (a window mask interleaves them): both must fail
+    flipped = replace(vres.tensor, data=vres.tensor.data.copy())
+    flipped.data[3, 5, 5, 1] ^= 0xFF
+    caught = provenance_audit(flipped, vres.pyramid).mismatches
+    check("audit catches a flipped byte in a video", caught == 1,
+          f"{caught} mismatches, expected 1")
 
     # mask partitions: the indices of an n-level mask take exactly the
     # values 0..n-1, so every pixel has one owner and every level some pixels

@@ -24,11 +24,14 @@ The audit streams the source frames as the sampler does: it visits
 output frames in the order of their source frames, and reads each
 distinct source frame once, just the rows the recorded coordinates tap
 under its own bilinear rule, before it moves to the next. It files each
-output frame's pixels by (source frame, level) with one sort, builds tap
-tables once per (source frame, level), and evaluates the rule in chunks of
+output frame's pixels by (source frame, level): as views of the container
+when the frame's keys are already grouped, as every frame under a temporal
+mask is, and after one sort otherwise. It builds tap tables once per
+(source frame, level), and evaluates the rule in chunks of
 ``_AUDIT_CHUNK`` pixels whose coordinates it widens to ``intp`` once and
-whose corners it blends in place, so it holds one run's filed pixels,
-one source frame's rows and one chunk.
+whose corners it blends in place. So beyond views of the records it holds
+copies only for out-of-order frames and repeated sources, one source
+frame's rows and one chunk.
 """
 
 from __future__ import annotations
@@ -434,7 +437,10 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     level) and checked one source frame at a time, which is read once, only
     the rows its pixels' taps need. So each distinct source is read once
     and each of its levels builds its tables once, however many output
-    frames repeat it, and one run's filed pixels are held.
+    frames repeat it. A frame whose keys are already grouped (one level and
+    source frame, or contiguous runs of them) is filed as views of ``t``;
+    only out-of-order frames and the joined parts of a repeated source are
+    copied.
     """
     if t.provenance is None:
         raise MissingProvenance("tensor carries no provenance to audit")
@@ -475,12 +481,19 @@ def _collect_checks(
     reading: pixels whose level, frame or coordinates lie outside the
     pyramid.
 
-    The pixels are grouped by one stable sort of their (frame, scale) keys,
-    read from the records in one pass, so each part keeps pixel order.
+    The pixels are grouped by their (frame, scale) keys, read from the
+    records in one pass, so each part keeps pixel order. When the keys are
+    already non-decreasing, as in every frame the sampler writes under a
+    temporal mask or none, each group is a slice of the frame, filed as
+    views of ``prov`` and ``data``. Otherwise (a spatial mask interleaves
+    levels, or the records are corrupt) one stable sort reorders copies of
+    the frame's records and values, and the groups are slices of those. A
+    group with pixels out of range files copies of just the pixels in range.
     """
     key = prov.view(_SOURCE_KEY)["key"] & 0xFFFFFF
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    if (key[1:] < key[:-1]).any():  # out of order: one stable sort groups them
+        order = np.argsort(key, kind="stable")
+        key, prov, data = key[order], prov.take(order), data.take(order, axis=0)
     first = np.ones(key.size, dtype=bool)  # each group's first pixel
     np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first).tolist()
@@ -492,19 +505,17 @@ def _collect_checks(
             mismatches += hi - lo
             continue
         level = pyramid[s]
-        sub = order[lo:hi]
-        y = prov["y"].take(sub)
-        x = prov["x"].take(sub)
+        y, x, got = prov["y"][lo:hi], prov["x"][lo:hi], data[lo:hi]
         inside = y < level.height
         inside &= x < level.width
         n_inside = int(np.count_nonzero(inside))
-        mismatches += sub.size - n_inside
-        if n_inside < sub.size:
-            sub, y, x = sub[inside], y[inside], x[inside]
+        mismatches += hi - lo - n_inside
+        if n_inside < hi - lo:
+            y, x, got = y[inside], x[inside], got[inside]
         if n_inside:
             src = level.sources
             entry = filed.setdefault((id(src), src.source_keys[fr]), (src, fr, {}))
-            entry[2].setdefault(level, []).append((y, x, data.take(sub, axis=0)))
+            entry[2].setdefault(level, []).append((y, x, got))
     return mismatches
 
 

@@ -77,16 +77,20 @@ def _oracle(t: SampledTensor, pyramid) -> tuple[int, dict[int, int]]:
     return mismatches, dict(Counter(scales))
 
 
-def _tensor(rng, frames: int) -> SampledTensor:
+def _tensor(rng, frames: int, groups=None) -> SampledTensor:
     """Output frames whose first ``split`` pixels record one (level, source
     frame) and the rest another, at random in-range coordinates; the values
-    are the levels' own pixels."""
+    are the levels' own pixels. Frame ``f``'s two (level, source frame)
+    pairs are ``groups[f]`` if given, else drawn at random."""
     prov = np.zeros((frames, PIXELS), dtype=PROVENANCE_DTYPE)
     data = np.zeros((frames, PIXELS, 3), dtype=np.uint8)
     for f in range(frames):
         split = int(rng.integers(CHUNK + 1, PIXELS))
-        scales = rng.choice(len(_PYRAMID), size=2, replace=False)
-        slots = rng.choice(len(_SOURCES), size=2, replace=False)
+        if groups is None:
+            scales = rng.choice(len(_PYRAMID), size=2, replace=False)
+            slots = rng.choice(len(_SOURCES), size=2, replace=False)
+        else:
+            scales, slots = zip(*groups[f])
         for (lo, hi), s, fr in zip(((0, split), (split, PIXELS)), scales, slots):
             level = _PYRAMID[s]
             part = prov[f, lo:hi]
@@ -149,6 +153,36 @@ def test_audit_matches_a_per_pixel_oracle(seed, faults):
         assert mismatches == 0
 
 
+def test_audit_files_frames_in_and_out_of_key_order_alike():
+    """Frame 0's two (level, source frame) groups are in key order, so the
+    audit files them as views of the tensor; frame 1's are not, so it sorts
+    and copies them. Each frame has one flipped byte and one ``y`` outside
+    its level, and both give the oracle's report."""
+    # a record's key is frame << 8 | scale: (1, 0) sorts before (0, 2)
+    t = _tensor(np.random.default_rng(23), 2, [((1, 0), (0, 2)), ((0, 2), (1, 0))])
+    data = t.data.reshape(2, PIXELS, 3)
+    prov = t.provenance.reshape(2, PIXELS)
+    for f in range(2):
+        data[f, 0, 1] ^= 0x80
+        prov[f, PIXELS - 1]["y"] = _PYRAMID[prov[f, PIXELS - 1]["scale"]].height
+    report = provenance_audit(t, _PYRAMID)
+    assert (report.mismatches, report.per_scale_pixels) == _oracle(t, _PYRAMID)
+    assert report.mismatches == 4
+    # frame 0's byte is in its (1, 0) group and its y in its (0, 2) group,
+    # frame 1's the other way round; a group that loses a pixel is a copy
+    views = ({(1, 0): True, (0, 2): False}, {(1, 0): False, (0, 2): False})
+    for f, view in enumerate(views):
+        filed = {}
+        sama.pack._collect_checks(prov[f], data[f], _PYRAMID, filed, np.zeros(256, np.int64))
+        shared = {
+            (level.scale_id, fr): np.shares_memory(got, t.data)
+            for _, fr, levels in filed.values()
+            for level, parts in levels.items()
+            for _, _, got in parts
+        }
+        assert shared == view
+
+
 def test_audit_builds_tables_once_per_source_frame_and_level(monkeypatch):
     """Output frames that repeat a source frame at one level share its row
     and column tables: two ``_axis_table`` calls per distinct (source frame,
@@ -183,9 +217,10 @@ def test_audit_builds_tables_once_per_source_frame_and_level(monkeypatch):
 
 
 def test_audit_memory_is_one_frame_of_records_and_one_source_of_rows(tmp_path, reads):
-    """The audit holds one output frame's checks, the tapped rows of one
-    source frame and one chunk's temporaries, so its peak does not grow
-    with the clip, nor by widening a frame's coordinates at once."""
+    """The audit holds views of the records, copies only for out-of-order
+    frames and repeated sources, the tapped rows of one source frame and one
+    chunk's temporaries, so its peak does not grow with the clip, nor by
+    widening a frame's coordinates at once."""
     write_clip(tmp_path / "clip", 8, 540, 960)
     cfg = SamplerConfig(frames_out=8, n_scales=4)
     res = sample_video(load_clip(tmp_path / "clip"), cfg)
@@ -206,3 +241,28 @@ def test_audit_memory_is_one_frame_of_records_and_one_source_of_rows(tmp_path, r
     chunk = CHUNK * 160  # the kernel's temporaries, about 130 bytes a pixel
     # widening one frame's y and x to intp at once would add 16 bytes a pixel
     assert peak < records + rows + chunk, (peak, records, rows, chunk)
+
+
+def test_audit_files_frames_in_key_order_as_views(tmp_path, reads):
+    """Every frame the VQA default writes records one (source frame, level),
+    so its keys are in order and the audit files its pixels as views of the
+    tensor: beside one source frame's rows and one chunk, its peak has no
+    term for a frame's records (the setup of the test above)."""
+    write_clip(tmp_path / "clip", 8, 540, 960)
+    cfg = SamplerConfig(frames_out=8, n_scales=4)
+    res = sample_video(load_clip(tmp_path / "clip"), cfg)
+    pyramid = build_pyramid(
+        select_frames(load_clip(tmp_path / "clip"), 8, cfg.seed, cfg.offset_policy), cfg
+    )
+    assert provenance_audit(res.tensor, pyramid).ok  # first use imports lazily
+    del reads[:]
+    tracemalloc.start()
+    try:
+        report = provenance_audit(res.tensor, pyramid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(reads) == 8
+    rows = max(len(r) for _, r in reads) * 960 * 3
+    chunk = CHUNK * 160
+    assert peak < rows + chunk, (peak, rows, chunk)

@@ -526,6 +526,7 @@ def test_verify_clean(capsys):
     out = capsys.readouterr().out
     assert "image gather audit" in out
     assert "PASS  audit catches a flipped byte (1 mismatches, expected 1, " in out
+    assert "PASS  audit catches a flipped byte in a video (1 mismatches, expected 1, " in out
     assert "determinism replay" in out
     assert "FAIL" not in out
     checks = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
