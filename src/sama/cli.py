@@ -105,6 +105,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _replay_count(text: str) -> int:
+    """argparse ``type=`` for ``--seed-replay``: a replay compares at least two runs."""
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return value
+
+
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
@@ -231,9 +239,9 @@ def cmd_preview(args) -> int:
         if args.style != "bordered":
             raise ConfigError(f"--grid applies to the bordered style, not {args.style!r}")
         grid_rows, grid_cols = _parse_pair(args.grid, "--grid")
-    tensor = read_container(args.input)
-    if args.style == "bordered" and not args.grid and tensor.grid is None:
+    elif args.style == "bordered":  # a container does not store its grid
         raise ConfigError("bordered preview of a loaded container needs --grid RxC")
+    tensor = read_container(args.input)
     try:
         frames = render_preview(tensor, args.style, grid_rows, grid_cols)
     except DimMismatch as exc:  # the only flag checked against the container
@@ -394,7 +402,7 @@ def cmd_verify(args) -> int:
     # determinism replay
     blobs = [
         container_bytes(sample_video(clip, vcfg).tensor)
-        for _ in range(max(args.seed_replay, 2))
+        for _ in range(args.seed_replay)
     ]
     check("determinism replay", all(b == blobs[0] for b in blobs), f"{len(blobs)} runs")
 
@@ -506,7 +514,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="audits, partitions, determinism, numerics")
     p.add_argument("--seeds", type=_positive_int, default=25, help="property-suite seeds")
-    p.add_argument("--seed-replay", type=_positive_int, default=2, dest="seed_replay")
+    p.add_argument(
+        "--seed-replay", type=_replay_count, default=2, dest="seed_replay",
+        help="runs compared by the determinism replay (at least 2)",
+    )
     p.set_defaults(func=cmd_verify)
     return parser
 

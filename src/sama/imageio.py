@@ -8,17 +8,22 @@ decode quickly everywhere.
 
 ``probe_image`` reads only a file's header: its format, dimensions and,
 for PPM, that the file is long enough for its raster. ``read_image`` is
-the one read path, and takes a row set: it re-reads the header, checks
-the dims and the raster length, and returns just the rows asked for
-(every row by default). A PPM raster has rows of a fixed length, so its
-rows are read with ``os.preadv`` straight into numpy memory, one call per
-run of consecutive rows, and no other byte of the raster is read. A PNG
-is decoded whole and its rows taken.
+the one read path, and takes a row set. Both read the header through one
+function, which dispatches on the file signature once; a PNG's IHDR must
+be its first chunk, the rule ``decode_png`` applies too, and one check
+caps the pixels both formats declare. ``read_image`` checks the rows and
+the expected dims against that header before it reads any payload byte,
+and returns just the rows asked for (every row by default). A PPM raster
+has rows of a fixed length, so its rows are read with ``os.preadv``
+straight into numpy memory, one call per run of consecutive rows, and no
+other byte of the raster is read. A PNG is read into one buffer, decoded
+whole and its rows taken.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -34,25 +39,37 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 MAX_PIXELS = 1 << 25
 
 
+def _check_dims(fmt: str, width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise CorruptFile(f"non-positive {fmt} dimensions")
+    if width * height > MAX_PIXELS:
+        raise CorruptFile(
+            f"{fmt} declares {width}x{height} pixels, more than the {MAX_PIXELS} allowed"
+        )
+
+
 # ---------------------------------------------------------------------------
 # PNG
 
 
-def _png_chunks(data: bytes):
+def _png_chunks(data):
+    """(type, payload) of each chunk of the PNG ``data`` (bytes or a uint8
+    buffer), CRC checked; the payloads are views of ``data``."""
+    view = memoryview(data)
     pos = len(PNG_SIGNATURE)
-    while pos < len(data):
-        if pos + 8 > len(data):
+    while pos < len(view):
+        if pos + 8 > len(view):
             raise CorruptFile("truncated PNG chunk header")
-        (length,) = struct.unpack_from(">I", data, pos)
-        ctype = data[pos + 4 : pos + 8]
-        payload = data[pos + 8 : pos + 8 + length]
-        if len(payload) != length or pos + 12 + length > len(data):
+        length, ctype = struct.unpack_from(">I4s", view, pos)
+        end = pos + 12 + length
+        if end > len(view):
             raise CorruptFile("truncated PNG chunk payload")
-        (crc,) = struct.unpack_from(">I", data, pos + 8 + length)
-        if zlib.crc32(ctype + payload) & 0xFFFFFFFF != crc:
+        payload = view[pos + 8 : end - 4]
+        (crc,) = struct.unpack_from(">I", view, end - 4)
+        if zlib.crc32(payload, zlib.crc32(ctype)) != crc:
             raise CorruptFile(f"bad CRC in {ctype!r} chunk")
         yield ctype, payload
-        pos += 12 + length
+        pos = end
         if ctype == b"IEND":
             return
     raise CorruptFile("PNG ended without IEND chunk")
@@ -105,17 +122,17 @@ def _unfilter(raw: bytes, height: int, width: int, bpp: int) -> np.ndarray:
     return out
 
 
-def _ihdr(payload: bytes) -> tuple[int, int, int, int]:
-    """Check an IHDR payload; returns (width, height, channels, bytes per sample)."""
+def _png_header(chunks) -> tuple[int, int, int, int]:
+    """Take the first chunk from the ``_png_chunks`` iterator ``chunks``;
+    it must be an IHDR (PNG spec 5.6). Returns (width, height, channels,
+    bytes per sample)."""
+    ctype, payload = next(chunks)
+    if ctype != b"IHDR":
+        raise CorruptFile("PNG does not start with an IHDR chunk")
     if len(payload) != 13:
         raise CorruptFile("bad IHDR length")
     width, height, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
-    if width < 1 or height < 1:
-        raise CorruptFile("non-positive PNG dimensions")
-    if width * height > MAX_PIXELS:
-        raise CorruptFile(
-            f"PNG declares {width}x{height} pixels, more than the {MAX_PIXELS} allowed"
-        )
+    _check_dims("PNG", width, height)
     if comp != 0 or filt != 0:
         raise UnsupportedFormat("nonstandard PNG compression/filter method")
     if interlace != 0:
@@ -128,31 +145,20 @@ def _ihdr(payload: bytes) -> tuple[int, int, int, int]:
     return width, height, 3 if color == 2 else 4, depth // 8
 
 
-def _probe_png(head: bytes) -> tuple[int, int]:
-    """(height, width) from the IHDR chunk, which must come first."""
-    ctype, payload = next(_png_chunks(head))
-    if ctype != b"IHDR":
-        raise CorruptFile("PNG does not start with an IHDR chunk")
-    width, height, _, _ = _ihdr(payload)
-    return height, width
-
-
-def decode_png(data: bytes) -> np.ndarray:
-    """Decode PNG bytes to an (H, W, 3) uint8 RGB array."""
-    if not data.startswith(PNG_SIGNATURE):
+def decode_png(data) -> np.ndarray:
+    """Decode PNG bytes (or a uint8 buffer) to an (H, W, 3) uint8 RGB array."""
+    if memoryview(data)[: len(PNG_SIGNATURE)] != PNG_SIGNATURE:
         raise UnsupportedFormat("not a PNG file")
-    header = None
+    chunks = _png_chunks(data)
+    width, height, channels, nbytes = _png_header(chunks)
     idat = bytearray()
-    for ctype, payload in _png_chunks(data):
+    for ctype, payload in chunks:
         if ctype == b"IHDR":
-            header = _ihdr(payload)
-        elif ctype == b"IDAT":
+            raise CorruptFile("PNG has a second IHDR chunk")
+        if ctype == b"IDAT":
             idat.extend(payload)
-    if header is None:
-        raise CorruptFile("PNG missing IHDR")
     if not idat:
         raise CorruptFile("PNG missing IDAT")
-    width, height, channels, nbytes = header
     bpp = channels * nbytes
     # Inflate at most one byte past the size IHDR implies, so a small file
     # cannot expand past its declared dims (themselves capped by MAX_PIXELS)
@@ -160,7 +166,7 @@ def decode_png(data: bytes) -> np.ndarray:
     expected = height * (width * bpp + 1)
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), expected + 1)
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise CorruptFile(f"PNG deflate stream corrupt: {exc}") from exc
     if not inflater.eof:  # also unset when the Adler-32 trailer is missing
@@ -199,6 +205,9 @@ def _append_chunk(out: bytearray, ctype: bytes, payload: bytes) -> None:
 
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() accepts
+# whitespace and comments (each up to its line end), then a field's digits;
+# \s is exactly _WHITESPACE in a bytes pattern
+_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)")
 
 
 class _TruncatedHeader(CorruptFile):
@@ -215,26 +224,15 @@ def _parse_netpbm_header(data, magic: bytes) -> tuple[list[int], int]:
         raise UnsupportedFormat(f"not a {magic.decode()} file")
     fields: list[int] = []
     pos = len(magic)
-    end = len(view)
     while len(fields) < 3:
-        if pos >= end:
+        match = _FIELD.match(view, pos)
+        pos = match.end()
+        if pos >= len(view):  # a comment or field may go on past the bytes given
             raise _TruncatedHeader("truncated header")
-        ch = view[pos]
-        if ch == ord("#"):
-            while pos < end and view[pos] not in b"\r\n":
-                pos += 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        elif ord("0") <= ch <= ord("9"):
-            start = pos
-            while pos < end and ord("0") <= view[pos] <= ord("9"):
-                pos += 1
-            fields.append(int(bytes(view[start:pos])))
-        else:
-            raise CorruptFile(f"unexpected byte {bytes([ch])!r} in header")
+        if not match[1]:
+            raise CorruptFile(f"unexpected byte {bytes(view[pos : pos + 1])!r} in header")
+        fields.append(int(match[1]))
     # exactly one whitespace byte separates maxval from the raster
-    if pos >= end:
-        raise _TruncatedHeader("header not terminated by whitespace")
     if view[pos] not in _WHITESPACE:
         raise CorruptFile("header not terminated by whitespace")
     return fields, pos + 1
@@ -245,12 +243,7 @@ def _ppm_header(data) -> tuple[int, int, int]:
     (width, height, maxval), offset = _parse_netpbm_header(data, b"P6")
     if maxval != 255:
         raise UnsupportedFormat(f"PPM maxval {maxval}; only 255 is supported")
-    if width < 1 or height < 1:
-        raise CorruptFile("non-positive PPM dimensions")
-    if width * height > MAX_PIXELS:
-        raise CorruptFile(
-            f"PPM declares {width}x{height} pixels, more than the {MAX_PIXELS} allowed"
-        )
+    _check_dims("PPM", width, height)
     return width, height, offset
 
 
@@ -308,9 +301,18 @@ def _require_rgb(arr: np.ndarray) -> np.ndarray:
 _UNRECOGNISED = "unrecognised image format (need PNG or binary PPM)"
 
 
-def _ppm_file_header(fh, head: bytes) -> tuple[int, int, int]:
-    """(width, height, raster offset) of the open PPM file ``fh``, whose
-    first bytes are ``head``; checks that the file holds the whole raster."""
+def _file_header(fh) -> tuple[int, int, int | None, bytes]:
+    """The header of the PNG or binary-PPM file open as ``fh`` (unbuffered,
+    at offset 0): (height, width, the PPM raster's offset or None for a
+    PNG, the bytes read). Reads a 64-byte head, and more only while a PPM
+    comment runs past it; checks the header and that a PPM file holds its
+    whole raster."""
+    head = fh.read(64)
+    if head.startswith(PNG_SIGNATURE):
+        width, height, _, _ = _png_header(_png_chunks(head))
+        return height, width, None, head
+    if not head.startswith(b"P6"):
+        raise UnsupportedFormat(_UNRECOGNISED)
     size = os.fstat(fh.fileno()).st_size
     while True:  # a comment can make the header any length
         try:
@@ -321,36 +323,19 @@ def _ppm_file_header(fh, head: bytes) -> tuple[int, int, int]:
                 raise
             head += fh.read(4 * len(head))
     _check_raster(width, height, size - offset)
-    return width, height, offset
+    return height, width, offset, head
 
 
 def probe_image(path: str | Path) -> tuple[int, int]:
     """(height, width) of a PNG or binary-PPM file, from its header alone.
 
-    Checks the format, the dimensions (the pixel cap; a PNG's IHDR length
-    and CRC; a PPM's maxval) and that a PPM file holds its whole
-    raster. PNG pixel data is not read, so its corruption shows only when
-    the file is decoded.
+    Checks the format, the dimensions (the pixel cap; a PNG's IHDR, which
+    must be its first chunk, with its length and CRC; a PPM's maxval) and
+    that a PPM file holds its whole raster. PNG pixel data is not read, so
+    its corruption shows only when the file is decoded.
     """
     with open(path, "rb", buffering=0) as fh:
-        head = fh.read(64)
-        if head.startswith(PNG_SIGNATURE):
-            return _probe_png(head)
-        if not head.startswith(b"P6"):
-            raise UnsupportedFormat(_UNRECOGNISED)
-        width, height, _ = _ppm_file_header(fh, head)
-    return height, width
-
-
-def _check_read(path, height: int, width: int, rows, dims) -> None:
-    if dims is not None and (height, width) != tuple(dims):
-        raise MixedDimensions(
-            f"{Path(path).name} is {height}x{width}, expected {dims[0]}x{dims[1]}"
-        )
-    if rows is not None and (
-        len(rows) == 0 or rows[0] < 0 or rows[-1] >= height or (np.diff(rows) < 1).any()
-    ):
-        raise ValueError(f"rows must be ascending distinct rows of 0..{height - 1}")
+        return _file_header(fh)[:2]
 
 
 def read_image(path: str | Path, rows=None, dims=None) -> np.ndarray:
@@ -359,22 +344,26 @@ def read_image(path: str | Path, rows=None, dims=None) -> np.ndarray:
 
     ``rows`` is an ascending array of distinct row indices. ``dims``, when
     given, is the (height, width) the file must still have (from an
-    earlier ``probe_image``), else MixedDimensions. The header is parsed
-    on every read, and a PPM file too short for its raster, or cut short
-    during the read, raises CorruptFile. A PPM's rows are read straight
-    into the buffer that ``decode_ppm`` then views, as a PPM of those rows;
-    a PNG is decoded whole.
+    earlier ``probe_image``), else MixedDimensions. The header is checked
+    as ``probe_image`` checks it, and ``rows`` and ``dims`` against it,
+    before any payload byte is read. A PPM file too short for its raster,
+    or cut short during the read, raises CorruptFile. A PPM's rows are read
+    straight into the buffer that ``decode_ppm`` then views, as a PPM of
+    those rows; a PNG is read into one buffer and decoded whole.
     """
     with open(path, "rb", buffering=0) as fh:
-        head = fh.read(64)
-        if head.startswith(PNG_SIGNATURE):
-            rgb = decode_png(head + fh.readall())
-            _check_read(path, *rgb.shape[:2], rows, dims)
+        height, width, offset, head = _file_header(fh)
+        if dims is not None and (height, width) != tuple(dims):
+            raise MixedDimensions(
+                f"{Path(path).name} is {height}x{width}, expected {dims[0]}x{dims[1]}"
+            )
+        if rows is not None and (
+            len(rows) == 0 or rows[0] < 0 or rows[-1] >= height or (np.diff(rows) < 1).any()
+        ):
+            raise ValueError(f"rows must be ascending distinct rows of 0..{height - 1}")
+        if offset is None:  # a PNG
+            rgb = decode_png(read_buffer(fh, head))
             return rgb if rows is None else rgb[rows]
-        if not head.startswith(b"P6"):
-            raise UnsupportedFormat(_UNRECOGNISED)
-        width, height, offset = _ppm_file_header(fh, head)
-        _check_read(path, height, width, rows, dims)
         rows = np.arange(height) if rows is None else np.asarray(rows)
         buf = _read_rows(fh.fileno(), offset, width * 3, rows, _ppm_head(width, len(rows)))
     return decode_ppm(buf)
@@ -406,13 +395,15 @@ def _read_rows(fd: int, offset: int, stride: int, rows: np.ndarray, head: bytes)
     return buf
 
 
-def read_buffer(fh) -> np.ndarray:
-    """A whole file, from an unbuffered binary handle at offset 0, read
-    once into a uint8 numpy buffer sized by ``fstat``: one copy from the
-    page cache, counted as read bytes (no mapping)."""
-    buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+def read_buffer(fh, head: bytes = b"") -> np.ndarray:
+    """A whole file, from an unbuffered binary handle whose first bytes
+    ``head`` were already read, into one uint8 numpy buffer sized by
+    ``fstat``: ``head``, then the rest read once, one copy from the page
+    cache, counted as read bytes (no mapping)."""
+    buf = np.empty(max(os.fstat(fh.fileno()).st_size, len(head)), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     view = memoryview(buf)
-    filled = 0
+    filled = len(head)
     while filled < len(buf):
         n = fh.readinto(view[filled:])
         if not n:

@@ -18,7 +18,10 @@ flagged, one provenance record per pixel (u8 scale, u16 frame, u32 y,
 u32 x; 11 bytes). Files are written to a temp name and renamed into
 place, so a failed write never leaves a partial file. Neither direction
 copies the payload: a write hands the arrays' buffers to the file, and a
-read fills one buffer whose views are the tensor's arrays.
+read fills one buffer whose views are the tensor's arrays. Every reader
+checks the header by the one rule ``parse_container`` states; a file read
+checks it, and the length it declares against the file's size, before
+the payload is read.
 
 The audit streams the source frames as the sampler does: it visits
 output frames in the order of their source frames, and reads each
@@ -191,11 +194,14 @@ def write_container(t: SampledTensor, path: str | Path) -> None:
         raise
 
 
-def parse_container(data) -> SampledTensor:
-    """Parse a container held in ``bytes`` or a uint8 buffer.
+def _parse_header(data, size: int) -> tuple[dict, tuple[int, int, int], int, bool]:
+    """Check the header at the start of ``data`` (bytes or a uint8 buffer
+    holding at least the whole header) of a container ``size`` bytes long.
 
-    The arrays are views of ``data``, not copies: read-only when ``data``
-    is ``bytes``.
+    Returns the tensor's other fields, its (T, H, W), the payload's offset
+    and whether the provenance section is present. Raises when ``size`` is
+    not the length the header declares, so a caller can check a file's
+    length before it reads the payload.
     """
     data = memoryview(data).cast("B")
     if len(data) < _FIXED_HEADER.size:
@@ -232,44 +238,65 @@ def parse_container(data) -> SampledTensor:
         raise CorruptFile("truncated container header")
     schedule = tuple(data[pos : pos + sched_len])
     pos += sched_len
-    flags = data[pos]
+    has_provenance = bool(data[pos] & 1)
     pos += 1
     n_pixels = frames * height * width
-    need = n_pixels * 3
-    if pos + need > len(data):
+    end = pos + n_pixels * 3
+    if end > size:
         raise CorruptFile("truncated container payload")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(
-        frames, height, width, 3
-    )
-    pos += need
-    provenance = None
-    if flags & 1:
-        pneed = n_pixels * PROVENANCE_DTYPE.itemsize
-        if pos + pneed > len(data):
+    if has_provenance:
+        end += n_pixels * PROVENANCE_DTYPE.itemsize
+        if end > size:
             raise CorruptFile("truncated provenance section")
-        provenance = np.frombuffer(
-            data, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos
-        ).reshape(frames, height, width)
-        pos += pneed
-    if pos != len(data):
-        raise CorruptFile(f"{len(data) - pos} trailing bytes after payload")
-    return SampledTensor(
+    if end != size:
+        raise CorruptFile(f"{size - end} trailing bytes after payload")
+    fields = dict(
         kind=kind,
-        data=pixels,
         n_scales=n_scales,
         spatial_mask=spatial,
         temporal_mask=temporal,
         seed=seed,
         schedule=schedule,
-        provenance=provenance,
     )
+    return fields, (frames, height, width), pos, has_provenance
+
+
+def parse_container(data) -> SampledTensor:
+    """Parse a container held in ``bytes`` or a uint8 buffer.
+
+    The arrays are views of ``data``, not copies: read-only when ``data``
+    is ``bytes``.
+    """
+    data = memoryview(data).cast("B")
+    fields, shape, pos, has_provenance = _parse_header(data, len(data))
+    n_pixels = shape[0] * shape[1] * shape[2]
+    pixels = np.frombuffer(data, dtype=np.uint8, count=n_pixels * 3, offset=pos)
+    provenance = None
+    if has_provenance:
+        provenance = np.frombuffer(
+            data, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos + pixels.size
+        ).reshape(shape)
+    return SampledTensor(data=pixels.reshape(*shape, 3), provenance=provenance, **fields)
+
+
+# The longest header: the fixed part, a schedule of 0xFFFF scale ids, the flags.
+_MAX_HEADER = _FIXED_HEADER.size + 0xFFFF + 1
 
 
 def read_container(path: str | Path) -> SampledTensor:
-    """Read a container file once (``imageio.read_buffer``); the tensor's
-    arrays are writable views of that one buffer."""
+    """Read a container file once; the tensor's arrays are writable views
+    of that one buffer.
+
+    The header is checked first, as ``parse_container`` checks it, from
+    at most ``_MAX_HEADER`` bytes, and the length it declares against the
+    file's size. So a file that is not a container, or is cut short or
+    padded, fails with at most those bytes read. They then start the
+    buffer (``imageio.read_buffer``), so no byte is read twice.
+    """
     with open(path, "rb", buffering=0) as fh:
-        return parse_container(imageio.read_buffer(fh))
+        head = fh.read(_MAX_HEADER)
+        _parse_header(head, os.fstat(fh.fileno()).st_size)
+        return parse_container(imageio.read_buffer(fh, head))
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,7 @@ def test_config_bench_reps_is_an_unknown_key(tmp_path, capsys):
     ["attn-check", "--seeds", "0"],
     ["verify", "--seeds", "0"],
     ["verify", "--seed-replay", "0"],
+    ["verify", "--seed-replay", "1"],
 ], ids="_".join)
 def test_count_and_size_flags_below_one_are_config_errors(argv, tmp_path, capsys):
     if argv[0] == "masks":
@@ -368,6 +369,13 @@ def test_preview_bordered_needs_grid(image_file, tmp_path):
     ]) == 0
 
 
+def test_preview_bordered_without_grid_fails_before_reading(tmp_path, capsys):
+    png = tmp_path / "view.png"
+    rc = main(["preview", str(tmp_path / "missing.sama"), "--style", "bordered", "--out", str(png)])
+    assert rc == 1  # a flag error, not the missing file's i/o error
+    assert "needs --grid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, out, message", [
     (["--style", "bordered", "--grid", "5x5"], "p.png",
      "--grid 5x5: grid does not tile the output dims"),
@@ -376,7 +384,8 @@ def test_preview_bordered_needs_grid(image_file, tmp_path):
     (["--style", "tinted", "--grid", "8x8"], "p.png",
      "--grid applies to the bordered style, not 'tinted'"),
     ([], "p.gif", "--out must end in .png or .ppm, got 'p.gif'"),
-], ids=["untiled-grid", "plain-grid", "tinted-grid", "gif"])
+    (["--style", "bordered"], "p.png", "bordered preview of a loaded container needs --grid RxC"),
+], ids=["untiled-grid", "plain-grid", "tinted-grid", "gif", "bordered-no-grid"])
 def test_preview_flag_errors_are_config_errors(
     flags, out, message, image_file, tmp_path, capsys, monkeypatch
 ):

@@ -1,6 +1,7 @@
 import ast
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,27 @@ def test_truncated_container():
 def test_trailing_bytes_rejected():
     with pytest.raises(CorruptFile):
         parse_container(container_bytes(_tiny_tensor()) + b"junk")
+
+
+@pytest.mark.parametrize("head, error, match", [
+    (b"not a container", UnsupportedFormat, "bad container magic"),
+    (container_bytes(_tiny_tensor()), CorruptFile, f"{64 << 20} trailing bytes"),
+], ids=["not-a-container", "trailing-bytes"])
+def test_read_container_checks_the_header_and_length_before_the_payload(
+    tmp_path, head, error, match
+):
+    path = tmp_path / "big.sama"
+    with open(path, "wb") as fh:  # 64 MiB of zeros after the head, as a hole
+        fh.write(head)
+        fh.truncate(len(head) + (64 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            read_container(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_no_partial_file_on_failure(tmp_path):

@@ -82,6 +82,18 @@ def test_row_read_checks_the_rows_and_the_dims(tmp_path):
         imageio.read_image(path, [0], dims=(7, 4))
 
 
+def test_png_row_read_checks_the_dims_before_decoding(tmp_path, monkeypatch):
+    path = tmp_path / "a.png"
+    imageio.write_image(path, coordinate_frame(6, 4).data)
+    decoded = []
+    monkeypatch.setattr(imageio, "decode_png", lambda data: decoded.append(data))
+    with pytest.raises(MixedDimensions):
+        imageio.read_image(path, [0], dims=(7, 4))
+    with pytest.raises(ValueError):
+        imageio.read_image(path, [6])
+    assert decoded == []
+
+
 def test_row_read_of_a_truncated_ppm_raises(tmp_path):
     path = _ppm(tmp_path, coordinate_frame(6, 4).data)
     path.write_bytes(path.read_bytes()[:-1])
