@@ -135,8 +135,8 @@ def _parse_size(text: str, what: str) -> tuple[int, int]:
 def load_run_config(path: str | Path) -> dict:
     """Read and strictly validate a JSON config document."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -221,7 +221,7 @@ def cmd_sample(args) -> int:
         result = sample_image(media, config) if kind == "image" else sample_video(media, config)
         write_container(result.tensor, path)
         if style:
-            previews = render_preview(result.tensor, style)
+            previews = render_preview(result.tensor, style, config.grid_rows, config.grid_cols)
             _write_frames(previews, path.with_name(f"{path.stem}_preview.png"))
         shares = [f"scale {s}: {frac:.1%}" for s, frac in result.plan.shares().items()]
         print("per-scale pixel shares: " + "  ".join(shares))

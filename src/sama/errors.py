@@ -55,7 +55,3 @@ class DimMismatch(SamaError):
 
 class NonFiniteInput(SamaError):
     """NaN or infinity in a numeric kernel input."""
-
-
-class MissingProvenance(SamaError):
-    """Operation needs per-pixel provenance but the tensor carries none."""

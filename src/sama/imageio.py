@@ -151,26 +151,32 @@ def decode_png(data) -> np.ndarray:
         raise UnsupportedFormat("not a PNG file")
     chunks = _png_chunks(data)
     width, height, channels, nbytes = _png_header(chunks)
-    idat = bytearray()
+    bpp = channels * nbytes
+    # Each IDAT payload is inflated as it comes, and at most one byte past
+    # the size IHDR implies in all, so a small file cannot expand past its
+    # declared dims (themselves capped by MAX_PIXELS) before the size check
+    # rejects it. Once that budget is spent, no more is inflated.
+    budget = height * (width * bpp + 1) + 1
+    inflater = zlib.decompressobj()
+    parts, fed = [], 0
     for ctype, payload in chunks:
         if ctype == b"IHDR":
             raise CorruptFile("PNG has a second IHDR chunk")
         if ctype == b"IDAT":
-            idat.extend(payload)
-    if not idat:
+            fed += len(payload)
+            if budget:
+                try:
+                    piece = inflater.decompress(payload, budget)
+                except zlib.error as exc:
+                    raise CorruptFile(f"PNG deflate stream corrupt: {exc}") from exc
+                parts.append(piece)
+                budget -= len(piece)
+    if not fed:
         raise CorruptFile("PNG missing IDAT")
-    bpp = channels * nbytes
-    # Inflate at most one byte past the size IHDR implies, so a small file
-    # cannot expand past its declared dims (themselves capped by MAX_PIXELS)
-    # before the size check rejects it.
-    expected = height * (width * bpp + 1)
-    inflater = zlib.decompressobj()
-    try:
-        raw = inflater.decompress(idat, expected + 1)
-    except zlib.error as exc:
-        raise CorruptFile(f"PNG deflate stream corrupt: {exc}") from exc
     if not inflater.eof:  # also unset when the Adler-32 trailer is missing
         raise CorruptFile("PNG deflate stream is truncated or longer than its dimensions")
+    raw = b"".join(parts)
+    del parts  # the pieces go before the rows are unfiltered
     flat = _unfilter(raw, height, width, bpp)
     pixels = flat.reshape(height, width, channels, nbytes)
     # 16-bit samples are big-endian; keep the high byte
@@ -224,6 +230,9 @@ def _parse_netpbm_header(data, magic: bytes) -> tuple[list[int], int]:
         raise UnsupportedFormat(f"not a {magic.decode()} file")
     fields: list[int] = []
     pos = len(magic)
+    # whitespace (or a comment) must follow the magic number: "P62 1" is no P6
+    if pos < len(view) and view[pos] not in _WHITESPACE + b"#":
+        raise CorruptFile(f"unexpected byte {bytes(view[pos : pos + 1])!r} after {magic.decode()}")
     while len(fields) < 3:
         match = _FIELD.match(view, pos)
         pos = match.end()

@@ -11,17 +11,18 @@ Container layout (all integers little-endian):
     temporal_mask u8  0=none 1=progressive 2=choppy 3=mixed
     seed    u64
     schedule_len u16, then schedule_len bytes (u8 scale id per frame pair)
-    flags   u8   bit0 = provenance section present
+    flags   u8   always 0x01: the provenance section is present
 
-followed by the raw RGB8 frames in row-major frame order and, when
-flagged, one provenance record per pixel (u8 scale, u16 frame, u32 y,
-u32 x; 11 bytes). Files are written to a temp name and renamed into
-place, so a failed write never leaves a partial file. Neither direction
-copies the payload: a write hands the arrays' buffers to the file, and a
-read fills one buffer whose views are the tensor's arrays. Every reader
-checks the header by the one rule ``parse_container`` states; a file read
-checks it, and the length it declares against the file's size, before
-the payload is read.
+followed by the raw RGB8 frames in row-major frame order and one
+provenance record per pixel (u8 scale, u16 frame, u32 y, u32 x; 11
+bytes). Every container carries its provenance; a reader rejects any
+other flags byte from the header alone. Files are written to a temp
+name and renamed into place, so a failed write never leaves a partial
+file. Neither direction copies the payload: a write hands the arrays'
+buffers to the file, and a read fills one buffer whose views are the
+tensor's arrays. Every reader checks the header by the one rule
+``parse_container`` states; a file read checks it, and the length it
+declares against the file's size, before the payload is read.
 
 The audit streams the source frames as the sampler does: it visits
 output frames in the order of their source frames, and reads each
@@ -49,12 +50,13 @@ from pathlib import Path
 import numpy as np
 
 from . import imageio
-from .errors import CorruptFile, DimMismatch, MissingProvenance, UnsupportedFormat
+from .errors import CorruptFile, DimMismatch, UnsupportedFormat
 from .media import PROVENANCE_DTYPE, FrameBuffer, ProvenanceEntry
 from .pyramid import PyramidLevel
 
 MAGIC = b"SAMA"
 VERSION = 1
+FLAGS = 0x01  # bit 0, provenance present: the only flags a container has
 
 KIND_CODES = {"image": 1, "video": 2}
 SPATIAL_CODES = {"none": 0, "window": 1, "patch": 2}
@@ -71,23 +73,21 @@ assert PROVENANCE_DTYPE.itemsize == 11
 
 @dataclass
 class SampledTensor:
-    """Final packed output plus per-pixel provenance.
+    """Final packed output plus per-pixel provenance: exactly what a
+    container holds, so a tensor and its file read back are equal.
 
     ``data`` is always (T, H, W, 3) uint8 with T == 1 for images;
-    ``provenance`` (when present) is a (T, H, W) structured array of
-    PROVENANCE_DTYPE. ``grid`` records the sampling grid for previews and
-    is not serialized.
+    ``provenance`` is a (T, H, W) structured array of PROVENANCE_DTYPE.
     """
 
     kind: str
     data: np.ndarray
+    provenance: np.ndarray
     n_scales: int = 1
     spatial_mask: str = "none"
     temporal_mask: str = "none"
     seed: int = 0
     schedule: tuple[int, ...] = field(default_factory=tuple)
-    provenance: np.ndarray | None = None
-    grid: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.kind not in KIND_CODES:
@@ -97,11 +97,10 @@ class SampledTensor:
             raise ValueError("data must be (T, H, W, 3) uint8")
         if self.kind == "image" and d.shape[0] != 1:
             raise ValueError("image tensors carry exactly one frame")
-        if self.provenance is not None:
-            if self.provenance.dtype != PROVENANCE_DTYPE:
-                raise ValueError("provenance has the wrong dtype")
-            if self.provenance.shape != d.shape[:3]:
-                raise DimMismatch("provenance shape must match data frames")
+        if self.provenance.dtype != PROVENANCE_DTYPE:
+            raise ValueError("provenance has the wrong dtype")
+        if self.provenance.shape != d.shape[:3]:
+            raise DimMismatch("provenance shape must match data frames")
 
     @property
     def frames_out(self) -> int:
@@ -118,8 +117,6 @@ class SampledTensor:
     def scale_shares(self) -> dict[int, float]:
         """Fraction of output pixels each pyramid level contributed, counted
         from the stored records; ``SamplingPlan.shares`` needs no records."""
-        if self.provenance is None:
-            raise MissingProvenance("tensor carries no provenance")
         counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
         for scale in self.provenance["scale"]:  # a frame at a time: no whole-tensor temporary
             counts += np.bincount(scale.reshape(-1).astype(np.intp), minlength=256)
@@ -128,8 +125,6 @@ class SampledTensor:
 
     def provenance_at(self, frame: int, y: int, x: int) -> ProvenanceEntry:
         """Where output pixel (frame, y, x) was copied from."""
-        if self.provenance is None:
-            raise MissingProvenance("tensor carries no provenance")
         rec = self.provenance[frame, y, x]
         return ProvenanceEntry(
             scale_id=int(rec["scale"]),
@@ -145,7 +140,6 @@ def _container_parts(t: SampledTensor) -> list:
     schedule = bytes(int(s) for s in t.schedule)
     if len(schedule) > 0xFFFF:
         raise ValueError("schedule too long for container header")
-    flags = 1 if t.provenance is not None else 0
     head = _FIXED_HEADER.pack(
         MAGIC,
         VERSION,
@@ -159,10 +153,11 @@ def _container_parts(t: SampledTensor) -> list:
         t.seed,
         len(schedule),
     )
-    parts = [head + schedule + bytes([flags]), np.ascontiguousarray(t.data).reshape(-1)]
-    if t.provenance is not None:
-        parts.append(np.ascontiguousarray(t.provenance).reshape(-1).view(np.uint8))
-    return parts
+    return [
+        head + schedule + bytes([FLAGS]),
+        np.ascontiguousarray(t.data).reshape(-1),
+        np.ascontiguousarray(t.provenance).reshape(-1).view(np.uint8),
+    ]
 
 
 def container_bytes(t: SampledTensor) -> bytes:
@@ -194,14 +189,14 @@ def write_container(t: SampledTensor, path: str | Path) -> None:
         raise
 
 
-def _parse_header(data, size: int) -> tuple[dict, tuple[int, int, int], int, bool]:
+def _parse_header(data, size: int) -> tuple[dict, tuple[int, int, int], int]:
     """Check the header at the start of ``data`` (bytes or a uint8 buffer
     holding at least the whole header) of a container ``size`` bytes long.
 
-    Returns the tensor's other fields, its (T, H, W), the payload's offset
-    and whether the provenance section is present. Raises when ``size`` is
-    not the length the header declares, so a caller can check a file's
-    length before it reads the payload.
+    Returns the tensor's other fields, its (T, H, W) and the payload's
+    offset. Raises when the flags byte is not ``FLAGS``, or ``size`` is not
+    the length the header declares, so a caller can reject a file before it
+    reads the payload.
     """
     data = memoryview(data).cast("B")
     if len(data) < _FIXED_HEADER.size:
@@ -238,16 +233,16 @@ def _parse_header(data, size: int) -> tuple[dict, tuple[int, int, int], int, boo
         raise CorruptFile("truncated container header")
     schedule = tuple(data[pos : pos + sched_len])
     pos += sched_len
-    has_provenance = bool(data[pos] & 1)
+    if data[pos] != FLAGS:
+        raise UnsupportedFormat(f"container flags 0x{data[pos]:02x} not supported")
     pos += 1
     n_pixels = frames * height * width
     end = pos + n_pixels * 3
     if end > size:
         raise CorruptFile("truncated container payload")
-    if has_provenance:
-        end += n_pixels * PROVENANCE_DTYPE.itemsize
-        if end > size:
-            raise CorruptFile("truncated provenance section")
+    end += n_pixels * PROVENANCE_DTYPE.itemsize
+    if end > size:
+        raise CorruptFile("truncated provenance section")
     if end != size:
         raise CorruptFile(f"{size - end} trailing bytes after payload")
     fields = dict(
@@ -258,7 +253,7 @@ def _parse_header(data, size: int) -> tuple[dict, tuple[int, int, int], int, boo
         seed=seed,
         schedule=schedule,
     )
-    return fields, (frames, height, width), pos, has_provenance
+    return fields, (frames, height, width), pos
 
 
 def parse_container(data) -> SampledTensor:
@@ -268,14 +263,12 @@ def parse_container(data) -> SampledTensor:
     is ``bytes``.
     """
     data = memoryview(data).cast("B")
-    fields, shape, pos, has_provenance = _parse_header(data, len(data))
+    fields, shape, pos = _parse_header(data, len(data))
     n_pixels = shape[0] * shape[1] * shape[2]
     pixels = np.frombuffer(data, dtype=np.uint8, count=n_pixels * 3, offset=pos)
-    provenance = None
-    if has_provenance:
-        provenance = np.frombuffer(
-            data, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos + pixels.size
-        ).reshape(shape)
+    provenance = np.frombuffer(
+        data, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos + pixels.size
+    ).reshape(shape)
     return SampledTensor(data=pixels.reshape(*shape, 3), provenance=provenance, **fields)
 
 
@@ -318,12 +311,12 @@ def render_preview(
 ) -> list[FrameBuffer]:
     """Human-inspectable frames: plain copy, per-scale tint, or cell borders.
 
-    The tinted and bordered styles color by scale, so a provenance scale
-    at or above the header's ``n_scales`` raises ``CorruptFile``."""
+    The bordered style draws the ``grid_rows x grid_cols`` grid its caller
+    passes; a container does not store its sampling grid. The tinted and
+    bordered styles color by scale, so a provenance scale at or above the
+    header's ``n_scales`` raises ``CorruptFile``."""
     if style == "plain":
         return [FrameBuffer(t.data[f].copy()) for f in range(t.frames_out)]
-    if t.provenance is None:
-        raise MissingProvenance(f"style {style!r} needs provenance")
     top = int(t.provenance["scale"].max())
     if top >= t.n_scales:
         raise CorruptFile(f"provenance names scale {top}, header has {t.n_scales} scales")
@@ -336,9 +329,7 @@ def render_preview(
         return [FrameBuffer(out[f]) for f in range(t.frames_out)]
     if style == "bordered":
         if grid_rows is None or grid_cols is None:
-            if t.grid is None:
-                raise ValueError("bordered preview needs the sampling grid dims")
-            grid_rows, grid_cols = t.grid
+            raise ValueError("bordered preview needs the sampling grid dims")
         if t.height % grid_rows or t.width % grid_cols:
             raise DimMismatch("grid does not tile the output dims")
         ch = t.height // grid_rows
@@ -469,8 +460,6 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     only out-of-order frames and the joined parts of a repeated source are
     copied.
     """
-    if t.provenance is None:
-        raise MissingProvenance("tensor carries no provenance to audit")
     scale_counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
     mismatches = 0
     keys = pyramid[0].sources.source_keys if pyramid else ()

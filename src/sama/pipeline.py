@@ -267,7 +267,6 @@ def _sample(kind: str, clip: MediaClip, config: SamplerConfig, frames_out: int) 
         seed=config.seed,
         schedule=plan.schedule,
         provenance=prov,
-        grid=(config.grid_rows, config.grid_cols),
     )
     return SampleResult(tensor=tensor, pyramid=pyramid, timings=timings, plan=plan)
 

@@ -167,7 +167,6 @@ def compose_spatial(
             prov[f][name] = np.where(pick0, p0[name], p1[name])
     if kind is None:
         kind = "image" if n_frames == 1 else "video"
-    grid = None if config is None else (config.grid_rows, config.grid_cols)
     return SampledTensor(
         kind=kind,
         data=data,
@@ -177,7 +176,6 @@ def compose_spatial(
         seed=0 if config is None else config.seed,
         schedule=(),
         provenance=prov,
-        grid=grid,
     )
 
 
@@ -215,7 +213,6 @@ def compose_temporal(
                 ) from exc
             data[t] = m.frames[stored]
             prov[t] = _mosaic_provenance(m, stored)
-    grid = None if config is None else (config.grid_rows, config.grid_cols)
     return SampledTensor(
         kind="video",
         data=data,
@@ -225,5 +222,4 @@ def compose_temporal(
         seed=0 if config is None else config.seed,
         schedule=mask.schedule,
         provenance=prov,
-        grid=grid,
     )

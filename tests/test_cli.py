@@ -12,7 +12,7 @@ import pytest
 from sama import imageio
 from sama.cli import main
 from sama.masks import SpatialMask
-from sama.media import SamplerConfig, load_image
+from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_image
 from sama.pack import provenance_audit, read_container, render_preview, write_container
 from sama.pipeline import sample_image
 
@@ -124,6 +124,21 @@ def test_config_type_errors_name_the_expected_type(doc, message, tmp_path, capsy
     rc = main(["sample-video", str(tmp_path), "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    b"{not json",
+    b"\xff\xfe{}",  # not UTF-8
+    b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # nests past the parser's depth
+], ids=["not-json", "not-utf8", "deep-nesting"])
+def test_config_file_that_cannot_be_read_as_json_is_a_config_error(text, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(text)
+    rc = main(["sample-video", str(tmp_path), "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_bad_flag_value_is_config_error(image_file, tmp_path):
@@ -802,7 +817,9 @@ def test_image_container_declaring_several_frames_is_corrupt(tmp_path, capsys):
     import sama.pack as pack
 
     # a well-formed two-frame video container whose kind byte says image
-    tensor = pack.SampledTensor("video", np.zeros((2, 8, 8, 3), dtype=np.uint8))
+    tensor = pack.SampledTensor(
+        "video", np.zeros((2, 8, 8, 3), dtype=np.uint8), np.zeros((2, 8, 8), PROVENANCE_DTYPE)
+    )
     blob = bytearray(pack.container_bytes(tensor))
     blob[6] = pack.KIND_CODES["image"]
     path = tmp_path / "img.sama"
@@ -811,6 +828,36 @@ def test_image_container_declaring_several_frames_is_corrupt(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "i/o error: image container declares 2 frames, not 1\n"
+
+
+@pytest.mark.parametrize("style", ["plain", "tinted", "bordered"])
+def test_preview_of_a_container_without_provenance_is_an_input_error(
+    style, image_file, tmp_path, capsys
+):
+    path = tmp_path / "img.sama"
+    assert main(["sample-image", str(image_file), "--out", str(path)]) == 0
+    capsys.readouterr()
+    # a container that leaves out its provenance: flags 0x00 (the byte
+    # after an empty schedule), then the pixels alone
+    blob = bytearray(path.read_bytes()[: 33 + read_container(path).data.nbytes])
+    blob[32] = 0x00
+    path.write_bytes(bytes(blob))
+    png = tmp_path / "p.png"
+    grid = ["--grid", "8x8"] if style == "bordered" else []
+    rc = main(["preview", str(path), "--style", style, *grid, "--out", str(png)])
+    assert rc == 2
+    assert capsys.readouterr().err == "i/o error: container flags 0x00 not supported\n"
+    assert not png.exists()
+
+
+def test_sample_bordered_preview_draws_the_configured_grid(image_file, tmp_path):
+    path = tmp_path / "img.sama"
+    rc = main(["sample-image", str(image_file), "--preview", "bordered", "--out", str(path)])
+    assert rc == 0
+    png = tmp_path / "p.png"
+    rc = main(["preview", str(path), "--style", "bordered", "--grid", "8x8", "--out", str(png)])
+    assert rc == 0  # the IQA default grid is 8x8
+    assert png.read_bytes() == (tmp_path / "img_preview.png").read_bytes()
 
 
 @pytest.mark.parametrize("style", ["tinted", "bordered"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sama import imageio
-from sama.errors import CorruptFile, MissingProvenance
+from sama.errors import CorruptFile
 from sama.masks import make_temporal_mask
 from sama.media import MediaClip, SamplerConfig, select_frames
 from sama.pack import provenance_audit, render_preview
@@ -55,11 +55,12 @@ def test_ppm_ignores_trailing_bytes():
 
 
 def test_video_previews_render_all_frames():
-    res = sample_video(coordinate_clip(240, 300, 4), SamplerConfig(frames_out=8, n_scales=4))
+    cfg = SamplerConfig(frames_out=8, n_scales=4)
+    res = sample_video(coordinate_clip(240, 300, 4), cfg)
     for style in ("plain", "tinted"):
         frames = render_preview(res.tensor, style)
         assert len(frames) == 8
-    bordered = render_preview(res.tensor, "bordered")
+    bordered = render_preview(res.tensor, "bordered", cfg.grid_rows, cfg.grid_cols)
     assert len(bordered) == 8
     assert bordered[0].data.shape == (224, 224, 3)
 
@@ -88,13 +89,6 @@ def test_select_frames_rejects_bad_count():
         select_frames(clip, 0)
     with pytest.raises(ValueError):
         select_frames(clip, 4, policy="sideways")
-
-
-def test_scale_shares_requires_provenance():
-    res = sample_video(coordinate_clip(240, 300, 2), SamplerConfig(frames_out=4, n_scales=2))
-    res.tensor.provenance = None
-    with pytest.raises(MissingProvenance):
-        res.tensor.scale_shares()
 
 
 def test_single_frame_clip_spatial_mask_video():

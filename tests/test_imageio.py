@@ -44,6 +44,23 @@ def test_ppm_header_comments_and_whitespace():
     assert arr.reshape(-1).tolist() == list(range(6))
 
 
+@pytest.mark.parametrize("data", [
+    b"P62 1\n255\n" + bytes(6),  # was read as a 1x2 image
+    b"P6x2 1\n255\n" + bytes(6),
+], ids=["digit", "letter"])
+def test_ppm_header_needs_whitespace_after_the_magic_number(data, tmp_path):
+    with pytest.raises(CorruptFile, match="after P6"):
+        imageio.decode_ppm(data)
+    path = tmp_path / "a.ppm"
+    path.write_bytes(data)
+    with pytest.raises(CorruptFile, match="after P6"):
+        imageio.probe_image(path)
+    with pytest.raises(CorruptFile, match="after P6"):
+        imageio.read_image(path)
+    # a comment may follow it directly
+    assert imageio.decode_ppm(b"P6#c\n2 1\n255\n" + bytes(6)).shape == (1, 2, 3)
+
+
 def test_ppm_header_comment_longer_than_any_read_prefix(tmp_path):
     # the file paths read headers in growing prefixes; a long comment spans many
     data = b"P6\n#" + b"x" * 100_000 + b"\n2 1\n# tail\n255\n" + bytes(range(6))
@@ -335,6 +352,34 @@ def test_png_read_over_the_cap_fails_before_reading_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _split_idat_png(rgb: np.ndarray, size: int) -> bytes:
+    """An 8-bit RGB PNG of ``rgb`` whose deflate stream is cut into IDAT
+    chunks of ``size`` bytes."""
+    rows = np.concatenate([np.zeros((len(rgb), 1), np.uint8), rgb.reshape(len(rgb), -1)], axis=1)
+    stream = zlib.compress(rows.tobytes(), 1)
+    ihdr = struct.pack(">IIBBBBB", rgb.shape[1], rgb.shape[0], 8, 2, 0, 0, 0)
+    idats = (_chunk(b"IDAT", stream[i : i + size]) for i in range(0, len(stream), size))
+    return imageio.PNG_SIGNATURE + _chunk(b"IHDR", ihdr) + b"".join(idats) + _chunk(b"IEND", b"")
+
+
+def test_png_read_inflates_each_idat_payload_as_it_comes(tmp_path):
+    # the payloads are not joined first: a read holds the file, the inflated
+    # rows and the image, not a second copy of the compressed stream
+    rgb = np.random.default_rng(0).integers(0, 256, (1080, 1920, 3), dtype=np.uint8)
+    path = _png_file(tmp_path, _split_idat_png(rgb, 64 << 10))
+    tracemalloc.start()
+    try:
+        decoded = imageio.read_image(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded, rgb)
+    assert peak < 3.5 * rgb.nbytes
+    small = rgb[:5, :7]
+    for size in (1, 3, 1 << 20):  # a deflate stream may split anywhere
+        assert np.array_equal(imageio.decode_png(_split_idat_png(small, size)), small)
 
 
 _GOOD_PNG = imageio.encode_png(coordinate_frame(2, 3).data)

@@ -10,7 +10,7 @@ import pytest
 import sama.pack
 import sama.pyramid
 from sama import bench, masks
-from sama.errors import CorruptFile, DimMismatch, MissingProvenance, UnsupportedFormat
+from sama.errors import CorruptFile, DimMismatch, UnsupportedFormat
 from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_clip, select_frames
 from sama.pack import (
     SPATIAL_CODES,
@@ -32,13 +32,11 @@ from conftest import coordinate_clip, coordinate_frame, write_clip
 FIXED_HEADER_BYTES = 33  # magic..schedule_len (32) + flags byte, empty schedule
 
 
-def _tiny_tensor(with_prov=True, side=8):
+def _tiny_tensor(side=8):
     data = coordinate_frame(side, side).data[None]
-    prov = None
-    if with_prov:
-        prov = np.zeros((1, side, side), dtype=PROVENANCE_DTYPE)
-        prov["y"] = np.arange(side)[:, None]
-        prov["x"] = np.arange(side)[None, :]
+    prov = np.zeros((1, side, side), dtype=PROVENANCE_DTYPE)
+    prov["y"] = np.arange(side)[:, None]
+    prov["x"] = np.arange(side)[None, :]
     return SampledTensor(kind="image", data=data, n_scales=1, provenance=prov)
 
 
@@ -55,21 +53,16 @@ def _video_tensor():
 
 
 def test_container_size_arithmetic():
-    # 8x8 image: header + 192 payload bytes, + 11 bytes/pixel provenance
-    bare = container_bytes(_tiny_tensor(with_prov=False))
-    assert len(bare) == FIXED_HEADER_BYTES + 8 * 8 * 3
-    full = container_bytes(_tiny_tensor(with_prov=True))
-    assert len(full) == FIXED_HEADER_BYTES + 8 * 8 * 3 + 8 * 8 * 11
+    # 8x8 image: header + 192 payload bytes + 11 bytes/pixel provenance
+    assert len(container_bytes(_tiny_tensor())) == FIXED_HEADER_BYTES + 8 * 8 * 3 + 8 * 8 * 11
 
 
-@pytest.mark.parametrize("case", ["image", "video", "no provenance"])
+@pytest.mark.parametrize("case", ["image", "video"])
 def test_written_file_is_container_bytes(tmp_path, case):
     if case == "image":
         t = sample_image(coordinate_frame(300, 320), SamplerConfig.iqa_default()).tensor
-    elif case == "video":
-        t = _video_tensor().tensor
     else:
-        t = _tiny_tensor(with_prov=False)
+        t = _video_tensor().tensor
     path = tmp_path / "t.sama"
     write_container(t, path)
     assert path.read_bytes() == container_bytes(t)
@@ -147,10 +140,18 @@ def test_trailing_bytes_rejected():
         parse_container(container_bytes(_tiny_tensor()) + b"junk")
 
 
+def _with_flags(flags: int) -> bytes:
+    blob = bytearray(container_bytes(_tiny_tensor()))
+    blob[FIXED_HEADER_BYTES - 1] = flags  # the flags byte ends the header
+    return bytes(blob)
+
+
 @pytest.mark.parametrize("head, error, match", [
     (b"not a container", UnsupportedFormat, "bad container magic"),
     (container_bytes(_tiny_tensor()), CorruptFile, f"{64 << 20} trailing bytes"),
-], ids=["not-a-container", "trailing-bytes"])
+    (_with_flags(0x00), UnsupportedFormat, "container flags 0x00 not supported"),
+    (_with_flags(0x02), UnsupportedFormat, "container flags 0x02 not supported"),
+], ids=["not-a-container", "trailing-bytes", "flags-0x00", "flags-0x02"])
 def test_read_container_checks_the_header_and_length_before_the_payload(
     tmp_path, head, error, match
 ):
@@ -166,6 +167,12 @@ def test_read_container_checks_the_header_and_length_before_the_payload(
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("flags", [0x00, 0x02, 0x03, 0xFF])
+def test_parse_container_accepts_only_the_provenance_flag(flags):
+    with pytest.raises(UnsupportedFormat, match=f"container flags 0x{flags:02x} not supported"):
+        parse_container(_with_flags(flags))
 
 
 def test_no_partial_file_on_failure(tmp_path):
@@ -194,7 +201,11 @@ def test_container_codes_name_exactly_the_mask_kinds():
 
 def test_tensor_validation():
     with pytest.raises(ValueError):
-        SampledTensor(kind="image", data=np.zeros((2, 4, 4, 3), dtype=np.uint8))
+        SampledTensor(
+            kind="image",
+            data=np.zeros((2, 4, 4, 3), dtype=np.uint8),
+            provenance=np.zeros((2, 4, 4), dtype=PROVENANCE_DTYPE),
+        )
     with pytest.raises(DimMismatch):
         SampledTensor(
             kind="image",
@@ -224,14 +235,9 @@ def test_preview_tinted_uniform_for_single_scale():
     assert (frame.data == expected.astype(np.uint8)).all()
 
 
-def test_preview_tinted_needs_provenance():
-    with pytest.raises(MissingProvenance):
-        render_preview(_tiny_tensor(with_prov=False), "tinted")
-
-
 def test_preview_bordered_checkerboard_counts():
     res = sample_image(coordinate_frame(600, 900), SamplerConfig.iqa_default())
-    (frame,) = render_preview(res.tensor, "bordered")
+    (frame,) = render_preview(res.tensor, "bordered", 8, 8)
     palette = scale_palette(2)
     corners = frame.data[::32, ::32]  # top-left border pixel of each cell
     count0 = int((corners == palette[0]).all(axis=-1).sum())
@@ -239,7 +245,7 @@ def test_preview_bordered_checkerboard_counts():
     assert {count0, count1} == {32, 32}  # 8x8 IQA grid splits evenly
     vqa = SamplerConfig.iqa_default(grid_rows=7, grid_cols=7)  # 224x224, 7x7
     res7 = sample_image(coordinate_frame(600, 900), vqa)
-    (frame7,) = render_preview(res7.tensor, "bordered")
+    (frame7,) = render_preview(res7.tensor, "bordered", 7, 7)
     corners7 = frame7.data[::32, ::32]
     c0 = int((corners7 == palette[0]).all(axis=-1).sum())
     c1 = int((corners7 == palette[1]).all(axis=-1).sum())
@@ -413,11 +419,6 @@ def test_audit_reads_each_distinct_source_once(tmp_path, reads):
     assert len(reads) == len({name for name, _ in reads}) == 5
 
 
-def test_audit_requires_provenance():
-    with pytest.raises(MissingProvenance):
-        provenance_audit(_tiny_tensor(with_prov=False), [])
-
-
 def test_provenance_entry_lookup():
     res = _video_tensor()
     entry = res.tensor.provenance_at(3, 10, 20)
@@ -427,5 +428,3 @@ def test_provenance_entry_lookup():
         level.frame(entry.src_frame)[entry.src_y, entry.src_x]
         == res.tensor.data[3, 10, 20]
     ).all()
-    with pytest.raises(MissingProvenance):
-        _tiny_tensor(with_prov=False).provenance_at(0, 0, 0)
