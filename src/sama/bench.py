@@ -97,14 +97,15 @@ def compare_single_vs_interlaced(
         frames_out=frames, n_scales=2, temporal_mask="none",
         spatial_mask="window", seed=seed,
     )
-    medians = {}
-    for name, config in (("single_scale", single), ("interlaced", interlaced)):
+    for config in (single, interlaced):
         sample_video(clip, config)  # warmup, excluded from the medians
-        times = []
-        for _ in range(reps):
+    # alternate the two runs so drift over the timing lands on both sides
+    times = {"single_scale": [], "interlaced": []}
+    for _ in range(reps):
+        for name, config in (("single_scale", single), ("interlaced", interlaced)):
             result = sample_video(clip, config)
-            times.append(result.timings["fragments"] + result.timings["compose"])
-        medians[name] = statistics.median(times)
+            times[name].append(result.timings["fragments"] + result.timings["compose"])
+    medians = {name: statistics.median(t) for name, t in times.items()}
     ratio = (
         medians["interlaced"] / medians["single_scale"]
         if medians["single_scale"] > 0
@@ -121,14 +122,13 @@ def pyramid_scaling(
     seed: int = 0,
 ) -> dict[int, float]:
     """Median time to build and fully materialize an n-level pyramid."""
-    frame = synthetic_frame(height, width, seed)
-    config = SamplerConfig()
+    clip = MediaClip((synthetic_frame(height, width, seed),))
     out: dict[int, float] = {}
     for levels in levels_list:
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()
-            pyramid = build_pyramid(frame, config, levels=levels)
+            pyramid = build_pyramid(clip, SamplerConfig(n_scales=levels))
             for level in pyramid:
                 level.frame(0)
             times.append(time.perf_counter() - t0)

@@ -31,6 +31,7 @@ from .errors import (
     DimMismatch,
     EmptyClip,
     IndivisibleDims,
+    InputTooSmall,
     InsufficientFrames,
     MixedDimensions,
     SamaError,
@@ -64,6 +65,7 @@ _IO_ERRORS = (
     EmptyClip,
     MixedDimensions,
     InsufficientFrames,
+    InputTooSmall,
 )
 
 # JSON config schema: key -> accepted python types; the sampler keys are

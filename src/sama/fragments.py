@@ -19,17 +19,17 @@ import numpy as np
 
 from .errors import CellSmallerThanFragment, GridTooFine
 from .media import SamplerConfig
-from .pyramid import PyramidLevel
 from .rng import DOMAIN_OFFSET, bounded
 
 # scale key used instead of the level id when offsets are shared across levels
 ALIGNED_SCALE_KEY = -1
 
 
-def plan_level(level: PyramidLevel, config: SamplerConfig) -> np.ndarray:
-    """Cut a level into the config's grid and place one fragment per cell:
-    the (grid_rows, grid_cols, 2) int64 top-left (y, x) of each cell's
-    fragment, in level coordinates.
+def plan_level(height: int, width: int, scale_id: int, config: SamplerConfig) -> np.ndarray:
+    """Cut level ``scale_id``, of ``height`` x ``width`` pixels, into the
+    config's grid and place one fragment per cell: the (grid_rows,
+    grid_cols, 2) int64 top-left (y, x) of each cell's fragment, in level
+    coordinates.
 
     ``center`` centres the fragment in its cell (ties toward top-left);
     ``random`` draws it uniformly over the cell's valid positions from the
@@ -44,17 +44,15 @@ def plan_level(level: PyramidLevel, config: SamplerConfig) -> np.ndarray:
         raise ValueError("grid dimensions must be >= 1")
     # cell sizes differ by at most one, and the first cell row and column
     # are the smallest: cell (0,0), the first in row-major order, fits least
-    h0, w0 = level.height // c.grid_rows, level.width // c.grid_cols
+    h0, w0 = height // c.grid_rows, width // c.grid_cols
     if h0 < 1 or w0 < 1:
-        raise GridTooFine(
-            f"cannot cut {level.height}x{level.width} into {c.grid_rows}x{c.grid_cols} cells"
-        )
+        raise GridTooFine(f"cannot cut {height}x{width} into {c.grid_rows}x{c.grid_cols} cells")
     if h0 < c.frag_h or w0 < c.frag_w:
         raise CellSmallerThanFragment(
             f"cell (0,0) is {h0}x{w0}, fragment is {c.frag_h}x{c.frag_w}"
         )
-    y_edges = np.arange(c.grid_rows + 1) * level.height // c.grid_rows
-    x_edges = np.arange(c.grid_cols + 1) * level.width // c.grid_cols
+    y_edges = np.arange(c.grid_rows + 1) * height // c.grid_rows
+    x_edges = np.arange(c.grid_cols + 1) * width // c.grid_cols
     # valid fragment positions per cell row and per cell column
     ny = np.diff(y_edges) - c.frag_h + 1
     nx = np.diff(x_edges) - c.frag_w + 1
@@ -65,7 +63,7 @@ def plan_level(level: PyramidLevel, config: SamplerConfig) -> np.ndarray:
         offsets[..., 0] += ((ny - 1) // 2)[:, None]
         offsets[..., 1] += (nx - 1) // 2
     elif c.offset_policy == "random":
-        key = ALIGNED_SCALE_KEY if c.aligned_offsets else level.scale_id
+        key = ALIGNED_SCALE_KEY if c.aligned_offsets else scale_id
         # n as a Python int: the draw's 64-bit product overflows a numpy int
         draws = [
             bounded(c.seed, DOMAIN_OFFSET, key, r, col, axis, n=n)

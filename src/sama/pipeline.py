@@ -5,11 +5,12 @@ the same selection, pyramid, plan and gather, and differ only in the
 validation they apply and the number of output frames.
 
 Every output byte follows from one value, a ``SamplingPlan``, which
-``plan_sampling`` builds from the config, the levels' dims and the
-selected clip's source keys without reading a pixel. An output frame
-draws on a tuple of levels (one level, or a level pair under a spatial
-mask), and one owner map, the spatial mask's ``indices`` or all zeros,
-says which of them owns each pixel; every mode differs only in its level
+``plan_sampling`` builds from the config, the raw dims and the selected
+source keys alone, with no clip or pixel: ``level_dims``, which
+``build_pyramid`` follows too, gives the level dims. An output frame draws
+on a tuple of levels (one level, or a level pair under a spatial mask),
+and one owner map, the spatial mask's ``indices`` or all zeros, says
+which of them owns each pixel; every mode differs only in its level
 tuples and owner map. The plan alone states where a pixel lies in its
 level (``coords``), which level of a tuple owns which pixels (``parts``)
 and each level's share of the output (``shares``). The output is a grid
@@ -50,7 +51,7 @@ from .fragments import plan_level
 from .masks import level_count, make_spatial_mask, make_temporal_mask
 from .media import PROVENANCE_DTYPE, FrameBuffer, MediaClip, SamplerConfig, select_frames
 from .pack import SampledTensor
-from .pyramid import PyramidLevel, build_pyramid, gather_taps, pixel_taps, tap_rows
+from .pyramid import PyramidLevel, build_pyramid, gather_taps, level_dims, pixel_taps, tap_rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +141,30 @@ class SamplingPlan:
         return prov
 
 
-def plan_sampling(pyramid: list[PyramidLevel], config: SamplerConfig) -> SamplingPlan:
-    """The plan that samples each frame of the clip ``pyramid`` was built
-    from into one output frame, under a validated ``config``; reads no
-    pixel. A frame draws on its scheduled level (0 without a temporal mask)
-    and the next coarser ones the spatial mask staggers, capped at the top."""
-    clip = pyramid[0].sources  # the clip the levels of one pyramid share
-    frames_out = len(clip)
+def plan_sampling(
+    height: int, width: int, source_keys: tuple[int, ...], config: SamplerConfig
+) -> SamplingPlan:
+    """The plan that samples each of ``source_keys``, frames of a
+    ``height`` x ``width`` clip, into one output frame, under a validated
+    ``config``; needs no clip and reads no pixel. A frame draws on its
+    scheduled level (0 without a temporal mask) and the next coarser ones
+    the spatial mask staggers, capped at the top."""
+    frames_out = len(source_keys)
     scales, schedule = [0] * frames_out, ()
     if config.temporal_mask != "none":
         tmask = make_temporal_mask(config.temporal_mask, frames_out, config.n_scales)
         scales, schedule = tmask.frame_scales().tolist(), tmask.schedule
-    width = level_count(config.spatial_mask, "none", frames_out)
+    span = level_count(config.spatial_mask, "none", frames_out)
     top = config.n_scales - 1
-    frame_levels = tuple(tuple(min(s + k, top) for k in range(width)) for s in scales)
+    frame_levels = tuple(tuple(min(s + k, top) for k in range(span)) for s in scales)
     if config.spatial_mask == "none":
         owner = np.zeros((config.out_h, config.out_w), dtype=np.uint8)
     else:
         owner = make_spatial_mask(config.spatial_mask, config.out_h, config.out_w).indices
+    dims = level_dims(height, width, config)
     needed = sorted({s for levels in frame_levels for s in levels})
-    offsets = {s: plan_level(pyramid[s], config) for s in needed}
-    return SamplingPlan(config, clip.source_keys, frame_levels, schedule, offsets, owner)
+    offsets = {s: plan_level(*dims[s], s, config) for s in needed}
+    return SamplingPlan(config, tuple(source_keys), frame_levels, schedule, offsets, owner)
 
 
 @dataclass
@@ -248,7 +252,7 @@ def _sample(kind: str, clip: MediaClip, config: SamplerConfig, frames_out: int) 
     t0 = time.perf_counter()
     pyramid = build_pyramid(selected, config)
     t1 = time.perf_counter()
-    plan = plan_sampling(pyramid, config)
+    plan = plan_sampling(selected.height, selected.width, selected.source_keys, config)
     t2 = time.perf_counter()
     data = _render(plan, pyramid)
     t3 = time.perf_counter()

@@ -3,9 +3,11 @@
 Levels hold no pixels: the levels of one pyramid share the ``MediaClip``
 they were built from as ``level.sources``, which reads a source frame, or
 just some of its rows (``sources.read(i, rows)``), when asked and keeps
-nothing, so building a pyramid reads nothing. A clip below the coarsest
-level's min side gets levels larger than its frames: they tap the raw
-frames like any other level, so there is no separate upscale. The sampler
+nothing, so building a pyramid reads nothing. The level dims are one rule
+of the raw dims and the config, ``level_dims``, which the planner calls
+without a pyramid. A clip below the coarsest level's min side gets levels
+larger than its frames: they tap the raw frames like any other level, so
+there is no separate upscale. The sampler
 marks the source rows a group of its frames taps (``tap_rows``), turns
 the level pixels that group needs into ``PixelTaps`` on those rows
 (``pixel_taps``, which allocates each at its own size), then reads just
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputTooSmall
-from .media import FrameBuffer, MediaClip, SamplerConfig
+from .imageio import MAX_PIXELS
+from .media import MediaClip, SamplerConfig
 
 
 def _round_half_up(x: float) -> int:
@@ -79,6 +82,24 @@ def scale_schedule(
             m = _round_half_up(raw_min + k * (target_min - raw_min) / (levels - 1))
         dims.append(_dims_for_min_side(raw_h, raw_w, m))
     return tuple(dims)
+
+
+def level_dims(raw_h: int, raw_w: int, config: SamplerConfig) -> tuple[tuple[int, int], ...]:
+    """The (height, width) of each of the config's levels over a raw_h x
+    raw_w input. The coarsest level is the least size at the raw aspect
+    that covers the output. An input below its min side is upscaled to it,
+    so every level has that size and level 0 is the raw input, maybe
+    upscaled. Raises InputTooSmall when that upscale has more than
+    ``MAX_PIXELS`` pixels, as a thin input's would."""
+    target_min = _covering_min_side(raw_h, raw_w, config.out_h, config.out_w)
+    if min(raw_h, raw_w) < target_min:
+        raw_h, raw_w = _dims_for_min_side(raw_h, raw_w, target_min)
+        if raw_h * raw_w > MAX_PIXELS:
+            raise InputTooSmall(
+                f"covering the output upscales the input to {raw_h}x{raw_w}, "
+                f"more than the {MAX_PIXELS} pixels allowed"
+            )
+    return scale_schedule(raw_h, raw_w, target_min, config.n_scales)
 
 
 def _axis_taps(n_in: int, n_out: int):
@@ -249,18 +270,14 @@ def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:
 class PyramidLevel:
     """One pyramid level: target dims over source frames it does not hold.
 
-    ``sources`` is the ``MediaClip`` the level resamples, or a list of
-    arrays, which is wrapped as one; its dims may be below, at or above the
-    level's. The sampler reads a level through ``pixel_taps``/``gather_taps``
-    and never materializes it. ``frame`` resizes a whole frame on first
-    access and memoizes it per source frame (``sources.source_keys``).
+    ``sources`` is the ``MediaClip`` the level resamples; its dims may be
+    below, at or above the level's. The sampler reads a level through
+    ``pixel_taps``/``gather_taps`` and never materializes it. ``frame``
+    resizes a whole frame on first access and memoizes it per source frame
+    (``sources.source_keys``).
     """
 
-    def __init__(
-        self, scale_id: int, sources: MediaClip | list[np.ndarray], height: int, width: int
-    ):
-        if not isinstance(sources, MediaClip):
-            sources = MediaClip(tuple(FrameBuffer(a) for a in sources))
+    def __init__(self, scale_id: int, sources: MediaClip, height: int, width: int):
         self.scale_id = scale_id
         self.height = height
         self.width = width
@@ -287,23 +304,8 @@ class PyramidLevel:
         return self.frame(i)[y0 : y0 + h, x0 : x0 + w]
 
 
-def build_pyramid(media, config: SamplerConfig, levels: int | None = None) -> list[PyramidLevel]:
-    """Lay out ``levels`` levels over one clip, which they share as ``sources``.
-
-    Decodes nothing: the raw dims come from the clip. A ``FrameBuffer`` is
-    read as a one-frame clip. The coarsest level is the least size at the raw
-    aspect that covers the output. A clip below its min side gets a
-    degenerate schedule: every level has the dims of the raw frame upscaled
-    to that min side, and taps the raw frame bilinearly. So level 0 is the
-    raw frame, maybe upscaled. Every frame of a level gets the same dims.
-    """
-    if not isinstance(media, (FrameBuffer, MediaClip)):
-        raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")
-    n_levels = config.n_scales if levels is None else levels
-    clip = MediaClip((media,)) if isinstance(media, FrameBuffer) else media
-    raw_h, raw_w = clip.height, clip.width
-    target_min = _covering_min_side(raw_h, raw_w, config.out_h, config.out_w)
-    if min(raw_h, raw_w) < target_min:
-        raw_h, raw_w = _dims_for_min_side(raw_h, raw_w, target_min)
-    schedule = scale_schedule(raw_h, raw_w, target_min, n_levels)
-    return [PyramidLevel(i, clip, h, w) for i, (h, w) in enumerate(schedule)]
+def build_pyramid(clip: MediaClip, config: SamplerConfig) -> list[PyramidLevel]:
+    """The ``level_dims`` levels over one clip, which they share as
+    ``sources``. Decodes nothing: the raw dims come from the clip."""
+    dims = level_dims(clip.height, clip.width, config)
+    return [PyramidLevel(s, clip, h, w) for s, (h, w) in enumerate(dims)]

@@ -108,7 +108,7 @@ def sample_fragments(
     For clips the same per-cell offsets are reused for every frame, so a
     static clip yields a static mosaic.
     """
-    offsets = plan_level(level, config)
+    offsets = plan_level(level.height, level.width, level.scale_id, config)
     src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
     if frame_indices is None:
         frame_indices = range(level.frame_count)

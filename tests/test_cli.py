@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sama import imageio
+from sama import imageio, pipeline
 from sama.cli import main
 from sama.masks import SpatialMask
 from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_image
@@ -306,6 +306,21 @@ def test_truncated_ppm_in_an_unselected_frame_fails_at_load(tmp_path, reads, cap
     assert rc == 2
     assert "PPM raster truncated" in capsys.readouterr().err
     assert reads == []
+
+
+@pytest.mark.parametrize("kind", ["image", "video"])
+def test_a_thin_input_fails_before_any_tap_table(tmp_path, monkeypatch, capsys, kind):
+    # covering the output upscales a 1x2000 frame past the pixel cap a
+    # reader applies, so sampling stops before marking a row or building taps
+    built = []
+    monkeypatch.setattr(pipeline, "tap_rows", lambda *args: built.append(args))
+    monkeypatch.setattr(pipeline, "pixel_taps", lambda *args: built.append(args))
+    paths = write_clip(tmp_path / "clip", 4, 1, 2000)
+    source = paths[0] if kind == "image" else tmp_path / "clip"
+    out = tmp_path / "thin.sama"
+    assert main([f"sample-{kind}", str(source), "--out", str(out)]) == 2
+    assert "more than the 33554432 pixels allowed" in capsys.readouterr().err
+    assert built == [] and not out.exists()
 
 
 def test_two_files_with_one_frame_index_fail_at_load(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sama.errors import CellSmallerThanFragment, GridTooFine
 from sama.fragments import plan_level
-from sama.media import SamplerConfig, select_frames
+from sama.media import MediaClip, SamplerConfig, select_frames
 from sama.pipeline import plan_sampling
 from sama.pyramid import PyramidLevel, build_pyramid
 
@@ -26,19 +26,15 @@ def partition_oracle(size, parts):
 
 
 def _level(frame_or_clip, scale_id=0):
-    if hasattr(frame_or_clip, "frames"):
-        arrays = [f.data for f in frame_or_clip.frames]
-    else:
-        arrays = [frame_or_clip.data]
-    h, w = arrays[0].shape[:2]
-    return PyramidLevel(scale_id, arrays, h, w)
+    """A level the size of its source, over a clip or a one-frame clip."""
+    clip = frame_or_clip if hasattr(frame_or_clip, "frames") else MediaClip((frame_or_clip,))
+    return PyramidLevel(scale_id, clip, clip.height, clip.width)
 
 
 # ---------------------------------------------------------------------------
 # plan_level: cells and fragment offsets
 
-# plan_level reads only a level's dims and id, never its pixels
-_TINY = [np.zeros((1, 1, 3), dtype=np.uint8)]
+# plan_level takes a level's dims and id alone, never its pixels
 
 
 def _plan(h, w, grid=(1, 1), frag=(32, 32), policy="center", seed=0, scale_id=0, aligned=False):
@@ -46,7 +42,7 @@ def _plan(h, w, grid=(1, 1), frag=(32, 32), policy="center", seed=0, scale_id=0,
         grid_rows=grid[0], grid_cols=grid[1], frag_h=frag[0], frag_w=frag[1],
         offset_policy=policy, seed=seed, aligned_offsets=aligned,
     )
-    return plan_level(PyramidLevel(scale_id, _TINY, h, w), cfg)
+    return plan_level(h, w, scale_id, cfg)
 
 
 def _per_cell(row_values, col_values):
@@ -252,7 +248,7 @@ def test_gather_oracle_random_policy_small():
 ], ids=["progressive-random", "window-random"])
 def test_plan_coords_equal_the_cell_by_cell_maps(cfg):
     selected = select_frames(coordinate_clip(150, 200, 2), cfg.frames_out)
-    plan = plan_sampling(build_pyramid(selected, cfg), cfg)
+    plan = plan_sampling(150, 200, selected.source_keys, cfg)
     assert sorted(plan.offsets) == [0, 1]
     for s, offsets in plan.offsets.items():
         ys, xs = (a.reshape(cfg.out_h, cfg.out_w) for a in np.broadcast_arrays(*plan.coords(s)))
@@ -262,7 +258,7 @@ def test_plan_coords_equal_the_cell_by_cell_maps(cfg):
 
 def test_plan_coords_are_compact_factors():
     cfg = SamplerConfig(grid_rows=3, grid_cols=4, frag_h=8, frag_w=6, frames_out=4, n_scales=2)
-    plan = plan_sampling(build_pyramid(select_frames(coordinate_clip(150, 200, 2), 4), cfg), cfg)
+    plan = plan_sampling(150, 200, (0, 0, 1, 1), cfg)
     for s in plan.offsets:
         ys, xs = plan.coords(s)
         # one entry per (cell, dy) and per (cell, dx), never one per pixel
@@ -282,8 +278,6 @@ def test_video_offsets_shared_across_frames():
     mosaic = sample_fragments(static, _config(offset_policy="random", seed=5))
     assert mosaic.frames.shape == (4, 224, 224, 3)
     # a static clip must give a static mosaic
-    from sama.media import MediaClip
-
     same = MediaClip((clip.frames[0],) * 4)
     mosaic2 = sample_fragments(_level(same), _config(offset_policy="random", seed=5))
     for f in range(1, 4):
@@ -318,7 +312,7 @@ def test_pyramid_levels_draw_independent_offsets():
         offset_policy="random", seed=4,
     )
     frame = coordinate_frame(448, 448)
-    levels = build_pyramid(frame, cfg)
+    levels = build_pyramid(MediaClip((frame,)), cfg)
     m0 = sample_fragments(levels[0], cfg)
     m1 = sample_fragments(levels[1], cfg)
     assert m0.scale_id == 0 and m1.scale_id == 1

@@ -2,28 +2,38 @@
 
 Each case samples a fixed-seed synthetic input and compares the SHA-256
 of the serialized container (pixels and provenance) with a stored hash.
-A change to the sampler that moves any byte in any mode fails here.
+A change to the sampler that moves any byte in any mode fails here. The
+plan behind each case is also rebuilt from dims alone, with no clip.
 """
 
 import hashlib
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from sama import bench
-from sama.media import SamplerConfig
+from sama.media import SamplerConfig, select_frames
 from sama.pack import container_bytes
-from sama.pipeline import sample_image, sample_video
+from sama.pipeline import SamplingPlan, plan_sampling, sample_image, sample_video
 
 VQA = SamplerConfig.vqa_default
 IQA = SamplerConfig.iqa_default
 
 
 def _video(cfg, height=270, width=480, frames=12):
-    return lambda: sample_video(bench.synthetic_clip(height, width, frames, seed=3), cfg)
+    return cfg, height, width, frames
 
 
 def _image(cfg, height=540, width=720):
-    return lambda: sample_image(bench.synthetic_frame(height, width, seed=4), cfg)
+    return cfg, height, width, None
+
+
+def _sample(name):
+    cfg, height, width, frames = CASES[name]
+    if frames is None:
+        return sample_image(bench.synthetic_frame(height, width, seed=4), cfg)
+    return sample_video(bench.synthetic_clip(height, width, frames, seed=3), cfg)
 
 
 CASES = {
@@ -68,5 +78,25 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_container_bytes_are_pinned(name):
-    tensor = CASES[name]().tensor
+    tensor = _sample(name).tensor
     assert hashlib.sha256(container_bytes(tensor)).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_plan_from_dims_alone_equals_the_sampled_plan(name):
+    cfg, height, width, frames = CASES[name]
+    keys = (0,)  # an image is a one-frame clip
+    if frames is not None:
+        clip = bench.synthetic_clip(height, width, frames, seed=3)
+        keys = select_frames(clip, cfg.frames_out, cfg.seed, cfg.offset_policy).source_keys
+    plan = plan_sampling(height, width, keys, cfg)
+    sampled = _sample(name).plan
+    for field in fields(SamplingPlan):
+        got, want = getattr(plan, field.name), getattr(sampled, field.name)
+        if field.name == "offsets":
+            assert sorted(got) == sorted(want)
+            assert all(np.array_equal(got[s], want[s]) for s in want)
+        elif field.name == "owner":
+            assert np.array_equal(got, want)
+        else:
+            assert got == want, field.name

@@ -84,6 +84,12 @@ def test_masks_depends_on_neither_fragments_nor_pack():
     assert not imported & {"sama.fragments", "sama.pack"}
 
 
+def test_fragments_plans_from_dims_without_a_pyramid():
+    # plan_level takes a level's dims and id, so planning needs no pyramid
+    imported = _imports(_modules()["fragments"])
+    assert not imported & {"sama.pyramid", "sama.pipeline"}
+
+
 def test_reference_path_is_not_in_the_library():
     for name, path in _modules().items():
         defined = {

@@ -12,7 +12,7 @@ from sama.masks import (
     make_spatial_mask,
     make_temporal_mask,
 )
-from sama.media import SamplerConfig
+from sama.media import MediaClip, SamplerConfig
 from sama.pyramid import PyramidLevel
 
 from conftest import coordinate_frame
@@ -227,9 +227,9 @@ def _sampled_pair(seed=3):
         grid_rows=7, grid_cols=7, offset_policy="random", seed=seed
     )  # 224 output
     frame = coordinate_frame(600, 800)
-    arrays = [frame.data]
-    lvl0 = PyramidLevel(0, arrays, 600, 800)
-    lvl1 = PyramidLevel(1, arrays, 600, 800)  # same dims, distinct offsets
+    clip = MediaClip((frame,))
+    lvl0 = PyramidLevel(0, clip, 600, 800)
+    lvl1 = PyramidLevel(1, clip, 600, 800)  # same dims, distinct offsets
     return sample_fragments(lvl0, cfg), sample_fragments(lvl1, cfg), cfg
 
 

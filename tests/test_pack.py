@@ -11,7 +11,9 @@ import sama.pack
 import sama.pyramid
 from sama import bench, masks
 from sama.errors import CorruptFile, DimMismatch, UnsupportedFormat
-from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_clip, select_frames
+from sama.media import (
+    PROVENANCE_DTYPE, FrameBuffer, MediaClip, SamplerConfig, load_clip, select_frames,
+)
 from sama.pack import (
     SPATIAL_CODES,
     TEMPORAL_CODES,
@@ -302,7 +304,8 @@ def _one_pixel_case(value):
     src[1, 1] = (200, 0, 7)
     src[2, 0] = (0, 2, 7)
     src[2, 1] = (40, 2, 7)
-    pyramid = [PyramidLevel(0, [src], 3, 3), PyramidLevel(1, [src], 2, 2)]
+    clip = MediaClip((FrameBuffer(src),))
+    pyramid = [PyramidLevel(0, clip, 3, 3), PyramidLevel(1, clip, 2, 2)]
     prov = np.zeros((1, 1, 1), dtype=PROVENANCE_DTYPE)
     prov["scale"], prov["y"], prov["x"] = 1, 1, 0
     data = np.array(value, dtype=np.uint8).reshape(1, 1, 1, 3)

@@ -37,7 +37,7 @@ def test_image_fused_matches_reference(kind, policy):
     frame = coordinate_frame(700, 1100)
     fused = sample_image(frame, cfg).tensor
 
-    pyramid = build_pyramid(frame, cfg)
+    pyramid = build_pyramid(MediaClip((frame,)), cfg)
     m0 = sample_fragments(pyramid[0], cfg)
     m1 = sample_fragments(pyramid[1], cfg)
     mask = make_spatial_mask(kind, cfg.out_h, cfg.out_w)
@@ -91,7 +91,7 @@ def test_aligned_offsets_image_matches_reference():
     )
     frame = coordinate_frame(640, 900)
     fused = sample_image(frame, cfg).tensor
-    pyramid = build_pyramid(frame, cfg)
+    pyramid = build_pyramid(MediaClip((frame,)), cfg)
     m0 = sample_fragments(pyramid[0], cfg)
     m1 = sample_fragments(pyramid[1], cfg)
     mask = make_spatial_mask("window", cfg.out_h, cfg.out_w)
@@ -122,7 +122,7 @@ def test_single_scale_image_is_plain_mosaic():
     cfg = SamplerConfig.iqa_default(spatial_mask="none", n_scales=1, seed=2)
     frame = coordinate_frame(500, 640)
     fused = sample_image(frame, cfg).tensor
-    pyramid = build_pyramid(frame, cfg)
+    pyramid = build_pyramid(MediaClip((frame,)), cfg)
     mosaic = sample_fragments(pyramid[0], cfg)
     assert np.array_equal(fused.data[0], mosaic.frames[0])
     assert (fused.provenance["scale"] == 0).all()
@@ -184,8 +184,9 @@ def test_scale_shares_are_the_mask_tile_counts(cfg, media):
 
 
 def test_planning_reads_no_frame(monkeypatch, tmp_path):
-    # the plan is a function of the config and the clip's dims: planning the
-    # VQA default on a loaded clip reads nothing, and sampling it reads
+    # the plan is a function of the config, the clip's dims and the selected
+    # keys: planning the VQA default from them alone reads nothing, and
+    # sampling the clip reads
     reads = []
     real = media._FrameStore.read
 
@@ -198,7 +199,7 @@ def test_planning_reads_no_frame(monkeypatch, tmp_path):
     clip = media.load_clip(tmp_path / "clip")
     config = SamplerConfig.vqa_default()
     selected = select_frames(clip, config.frames_out, config.seed, config.offset_policy)
-    plan = plan_sampling(build_pyramid(selected, config), config)
+    plan = plan_sampling(120, 160, selected.source_keys, config)
     assert reads == []
     assert plan.source_keys == selected.source_keys
     assert plan.frame_levels == tuple((t // 2,) for t in range(32))
@@ -372,8 +373,8 @@ def _working_set(name):
     cfg, n_frames = _WORKING_SETS[name]
     height, width = 540, 960
     clip = select_frames(synthetic_clip(height, width, n_frames), cfg.frames_out)
-    pyramid = build_pyramid(clip, cfg)
-    return plan_sampling(pyramid, cfg), pyramid, height * width * 3
+    plan = plan_sampling(height, width, clip.source_keys, cfg)
+    return plan, build_pyramid(clip, cfg), height * width * 3
 
 
 def _peak(call):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sama.errors import InputTooSmall
+from sama.imageio import MAX_PIXELS
 from sama.media import FrameBuffer, MediaClip, SamplerConfig, load_clip, load_image
 from sama.pyramid import (
     PyramidLevel,
@@ -13,6 +14,7 @@ from sama.pyramid import (
     _lerp_core,
     build_pyramid,
     gather_taps,
+    level_dims,
     pixel_taps,
     resize_rect,
     resize_rgb,
@@ -189,13 +191,11 @@ def test_blend_without_floor_and_clip_equals_the_old_formula_for_every_corner_pa
     """Every (p0, p1) uint8 pair, at 0, 0.5, the float32 just below 1 and
     every fraction ``_axis_taps`` gives the VQA default's 16 levels of a
     1080p frame: the blend's cast alone rounds as floor and clip did."""
-    levels = build_pyramid(
-        FrameBuffer(np.zeros((1080, 1920, 3), np.uint8)), SamplerConfig.vqa_default()
-    )
+    levels = level_dims(1080, 1920, SamplerConfig.vqa_default())
     fracs = np.unique(np.concatenate(
         [np.float32([0.0, 0.5, np.nextafter(np.float32(1), np.float32(0))])]
-        + [_axis_taps(1080, lv.height)[2] for lv in levels]
-        + [_axis_taps(1920, lv.width)[2] for lv in levels]
+        + [_axis_taps(1080, h)[2] for h, _ in levels]
+        + [_axis_taps(1920, w)[2] for _, w in levels]
     ))
     assert fracs.dtype == np.float32 and len(fracs) > 10_000
     p0, p1 = (a.ravel().astype(np.float32) for a in np.mgrid[0:256, 0:256])
@@ -246,7 +246,7 @@ _TAP_LEVELS = {"below": (20, 15), "at": (40, 30), "above": (64, 48)}
 def _random_level(level_hw, seed=0):
     """A level of the given dims over one random 40x30 source frame."""
     frame = np.random.default_rng(seed).integers(0, 256, (40, 30, 3), dtype=np.uint8)
-    return PyramidLevel(0, [frame], *level_hw), frame
+    return PyramidLevel(0, MediaClip((FrameBuffer(frame),)), *level_hw), frame
 
 
 def _factors(level, rng, rows=2, frag_h=3, cols=3, frag_w=4):
@@ -300,22 +300,24 @@ def test_pixel_taps_rejects_a_column_past_the_level_edge(size):
 
 
 # ---------------------------------------------------------------------------
-# Upscaling: build_pyramid upscales a source below the target min side
+# Upscaling: level_dims upscales a source below the target min side
 
 
-def _raw_level(media, target_min):
+def _raw_level(clip, target_min):
     """Level 0 of a one-level pyramid whose target min side is ``target_min``."""
-    config = SamplerConfig(grid_rows=1, grid_cols=1, frag_h=target_min, frag_w=target_min)
-    (level,) = build_pyramid(media, config, levels=1)
+    config = SamplerConfig(
+        grid_rows=1, grid_cols=1, frag_h=target_min, frag_w=target_min, n_scales=1
+    )
+    (level,) = build_pyramid(clip, config)
     return level
 
 
 def test_upscale_cases():
-    up = _raw_level(constant_frame(100, 200, 9), 224)
+    up = _raw_level(MediaClip((constant_frame(100, 200, 9),)), 224)
     assert (up.height, up.width) == (224, 448)
-    same = _raw_level(coordinate_frame(224, 448), 224)
+    same = _raw_level(MediaClip((coordinate_frame(224, 448),)), 224)
     assert np.array_equal(same.frame(0), coordinate_frame(224, 448).data)
-    dot = _raw_level(constant_frame(1, 1, 77), 224)
+    dot = _raw_level(MediaClip((constant_frame(1, 1, 77),)), 224)
     assert (dot.height, dot.width) == (224, 224)
     assert (dot.frame(0) == 77).all()
 
@@ -335,20 +337,35 @@ def _dims_at_min_side(raw_h, raw_w, m):
     frag=st.sampled_from([1, 4, 32]),
 )
 def test_coarsest_level_is_the_least_size_covering_the_output(raw_h, raw_w, rows, cols, frag):
-    cfg = SamplerConfig(grid_rows=rows, grid_cols=cols, frag_h=frag, frag_w=frag)
+    cfg = SamplerConfig(grid_rows=rows, grid_cols=cols, frag_h=frag, frag_w=frag, n_scales=2)
     least = next(
         m for m in range(1, 2 * max(cfg.out_h, cfg.out_w) + 1)
         if all(a >= b for a, b in zip(_dims_at_min_side(raw_h, raw_w, m), (cfg.out_h, cfg.out_w)))
     )
     if cfg.out_h == cfg.out_w:
         assert least == cfg.out_h
-    frame = FrameBuffer(np.broadcast_to(np.uint8(0), (raw_h, raw_w, 3)))  # reads nothing
-    raw, coarsest = build_pyramid(frame, cfg, levels=2)
-    assert (coarsest.height, coarsest.width) == _dims_at_min_side(raw_h, raw_w, least)
+    coarsest = _dims_at_min_side(raw_h, raw_w, least)
+    if min(raw_h, raw_w) < least and math.prod(coarsest) > MAX_PIXELS:
+        # a thin input upscaled to cover the output would be a huge level 0
+        with pytest.raises(InputTooSmall, match="more than the"):
+            level_dims(raw_h, raw_w, cfg)
+        return
+    raw, top = level_dims(raw_h, raw_w, cfg)
+    assert top == coarsest
     if min(raw_h, raw_w) < least:
-        assert (raw.height, raw.width) == (coarsest.height, coarsest.width)
+        assert raw == coarsest
     else:
-        assert (raw.height, raw.width) == (raw_h, raw_w)
+        assert raw == (raw_h, raw_w)
+
+
+def test_an_upscaled_level_0_is_capped_as_the_readers_cap_an_input():
+    cfg = SamplerConfig.iqa_default()  # a 256x256 output
+    assert level_dims(1, 512, cfg)[0] == (256, 131072)  # exactly MAX_PIXELS
+    assert 256 * 131072 == MAX_PIXELS
+    with pytest.raises(InputTooSmall, match="256x131328, more than the"):
+        level_dims(1, 513, cfg)
+    with pytest.raises(InputTooSmall, match="5120000x256"):
+        level_dims(20000, 1, cfg)
 
 
 def test_upscale_clip():
@@ -364,21 +381,21 @@ def test_upscale_clip():
 
 def test_pyramid_dims_follow_schedule():
     cfg = SamplerConfig.iqa_default()  # target 256
-    levels = build_pyramid(coordinate_frame(1080, 1920), cfg)
+    levels = build_pyramid(MediaClip((coordinate_frame(1080, 1920),)), cfg)
     assert [(l.height, l.width) for l in levels] == [(1080, 1920), (256, 455)]
 
 
 def test_pyramid_single_level_is_raw():
     cfg = SamplerConfig.iqa_default(spatial_mask="none", n_scales=1)
     frame = coordinate_frame(700, 900)
-    (lvl,) = build_pyramid(frame, cfg)
+    (lvl,) = build_pyramid(MediaClip((frame,)), cfg)
     assert lvl.frame(0) is frame.data  # shared, no resample
 
 
 def test_pyramid_level0_bytes_identical_without_upscale():
     cfg = SamplerConfig()  # 16 levels, target 224
     frame = coordinate_frame(540, 960)
-    levels = build_pyramid(frame, cfg)
+    levels = build_pyramid(MediaClip((frame,)), cfg)
     assert levels[0].frame(0) is frame.data
     assert levels[-1].height == 224 or levels[-1].width == 224
 
