@@ -51,6 +51,7 @@ from .media import (
 from .pack import container_bytes, provenance_audit, read_container
 from .pack import render_preview, write_container
 from .pipeline import sample_image, sample_video
+from .pyramid import level_dims
 from .scalehead import run_property_suite
 
 PREVIEW_STYLES = ("plain", "tinted", "bordered")
@@ -300,6 +301,12 @@ def cmd_bench(args) -> int:
     height, width = _parse_size(args.size, "--size")
     reps = args.reps
     config, _ = _resolve_config(args, "image")
+    # the comparison and the scaling sample the default 224x224 output
+    for cfg in (config, SamplerConfig()):
+        try:
+            level_dims(height, width, cfg)
+        except InputTooSmall as exc:
+            raise ConfigError(f"--size {height}x{width}: {exc}") from exc
     stats = bench_mod.bench_image(height, width, config, reps, config.seed)
     print(f"image pipeline on {height}x{width}, {reps} reps")
     print(f"{'stage':<12}{'median ms':>12}{'p95 ms':>12}")

@@ -444,9 +444,11 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     coordinate, so the cost scales with the output size and not with the
     level areas. The rule is written here apart from the resize code in
     ``pyramid``, so an interpolation fault there shows up as mismatches.
-    The frame is read from the level's sources, the clip the pyramid was
-    built from (for a video, the selected clip) at its own size, also when
-    the level is larger: provenance ``frame`` still records the output slot.
+    The pyramid is read once: the clip its levels share, from its first
+    level (for a video, the selected clip), and each level's dims. A frame
+    is read from that clip at its own size, also when the level is larger:
+    provenance ``frame`` still records the output slot. An empty pyramid
+    raises ValueError.
 
     Out-of-range scale ids, frame indices, or coordinates count as
     mismatches rather than raising, so a corrupted tensor still yields a
@@ -460,21 +462,25 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     only out-of-order frames and the joined parts of a repeated source are
     copied.
     """
+    if not pyramid:
+        raise ValueError("the audit needs a pyramid of at least one level")
+    sources = pyramid[0].sources
+    dims = [(level.height, level.width) for level in pyramid]
+    keys = sources.source_keys
     scale_counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
     mismatches = 0
-    keys = pyramid[0].sources.source_keys if pyramid else ()
 
     def key_of(f: int) -> int:
         return keys[f] if f < len(keys) else -1
 
     # output frame f records source frame f, so frames sharing a key are one run
     for _, run in itertools.groupby(sorted(range(t.frames_out), key=key_of), key=key_of):
-        filed: dict = {}  # (source list, key) -> (sources, index, {level: parts})
+        filed: dict = {}  # source key -> (index, {scale id: parts})
         for f in run:
             prov, data = t.provenance[f].reshape(-1), t.data[f].reshape(-1, 3)
-            mismatches += _collect_checks(prov, data, pyramid, filed, scale_counts)
+            mismatches += _collect_checks(prov, data, sources, dims, filed, scale_counts)
         for key in list(filed):  # popped, so no source's pixels outlive its audit
-            mismatches += _audit_source_frame(*filed.pop(key))
+            mismatches += _audit_source_frame(sources, dims, *filed.pop(key))
     total = t.provenance.size
     per_scale = {int(s): int(scale_counts[s]) for s in np.flatnonzero(scale_counts)}
     shares = {s: c / total for s, c in per_scale.items()}
@@ -487,15 +493,15 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
 
 
 def _collect_checks(
-    prov: np.ndarray, data: np.ndarray, pyramid, filed: dict, scale_counts: np.ndarray
+    prov: np.ndarray, data: np.ndarray, sources, dims: list, filed: dict, scale_counts: np.ndarray
 ) -> int:
     """File one output frame's in-range pixels in ``filed``: under their
-    source frame, as ``(sources, index, {level: parts})``, each part the
-    ``(y, x, got)`` of the frame's pixels at that level. Add each level's
-    pixel count to ``scale_counts``. ``prov`` holds the frame's records and
-    ``data`` its (pixels, 3) values. Returns the mismatches found without
-    reading: pixels whose level, frame or coordinates lie outside the
-    pyramid.
+    source frame's key in ``sources``, as ``(index, {scale id: parts})``,
+    each part the ``(y, x, got)`` of the frame's pixels at level dims
+    ``dims[s]``. Add each level's pixel count to ``scale_counts``. ``prov``
+    holds the frame's records and ``data`` its (pixels, 3) values. Returns
+    the mismatches found without reading: pixels whose level, frame or
+    coordinates lie outside the pyramid.
 
     The pixels are grouped by their (frame, scale) keys, read from the
     records in one pass, so each part keeps pixel order. When the keys are
@@ -517,21 +523,20 @@ def _collect_checks(
     for lo, hi in zip(starts, starts[1:] + [key.size]):
         s, fr = int(key[lo]) & 0xFF, int(key[lo]) >> 8
         scale_counts[s] += hi - lo
-        if s >= len(pyramid) or fr >= pyramid[s].frame_count:
+        if s >= len(dims) or fr >= len(sources):
             mismatches += hi - lo
             continue
-        level = pyramid[s]
+        height, width = dims[s]
         y, x, got = prov["y"][lo:hi], prov["x"][lo:hi], data[lo:hi]
-        inside = y < level.height
-        inside &= x < level.width
+        inside = y < height
+        inside &= x < width
         n_inside = int(np.count_nonzero(inside))
         mismatches += hi - lo - n_inside
         if n_inside < hi - lo:
             y, x, got = y[inside], x[inside], got[inside]
         if n_inside:
-            src = level.sources
-            entry = filed.setdefault((id(src), src.source_keys[fr]), (src, fr, {}))
-            entry[2].setdefault(level, []).append((y, x, got))
+            entry = filed.setdefault(sources.source_keys[fr], (fr, {}))
+            entry[1].setdefault(s, []).append((y, x, got))
     return mismatches
 
 
@@ -540,32 +545,33 @@ def _collect_checks(
 _AUDIT_CHUNK = 8192
 
 
-def _audit_source_frame(sources, index: int, levels: dict) -> int:
+def _audit_source_frame(sources, dims: list, index: int, levels: dict) -> int:
     """Mismatches among the pixels filed under frame ``index`` of
-    ``sources``: ``levels`` maps a level to its ``(y, x, got)`` parts, joined
-    unless there is one. The rows their taps need are marked (a bool per
-    source row) and read once. Each level's tables are built once: the row
-    taps as offsets into the rows read, the fractions repeated per channel."""
+    ``sources``: ``levels`` maps scale id s (dims ``dims[s]``) to its
+    ``(y, x, got)`` parts, joined unless there is one. The rows their taps
+    need are marked (a bool per source row) and read once. Each level's
+    tables are built once: row taps as offsets into the rows read."""
     marks = np.zeros(sources.height, dtype=bool)
     checks = []
     while levels:  # popped, so a level's parts go once they are joined
-        level, parts = levels.popitem()
+        s, parts = levels.popitem()
         y, x, got = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         del parts
-        i0, i1, fy = _axis_table(sources.height, level.height)
-        used = np.zeros(level.height, dtype=bool)
+        height, width = dims[s]
+        i0, i1, fy = _axis_table(sources.height, height)
+        used = np.zeros(height, dtype=bool)
         used[y.astype(np.intp)] = True  # numpy indexes faster with intp than uint32
         marks[i0[used]] = True
         marks[i1[used]] = True
-        checks.append((level, y, x, got, (i0, i1, fy)))
+        checks.append((width, y, x, got, (i0, i1, fy)))
     rows = np.flatnonzero(marks)
     flat = sources.read(index, rows).reshape(-1, 3)
     # source row -> offset of its first pixel in flat
     at = np.zeros(sources.height, dtype=np.intp)
     at[rows] = np.arange(rows.size) * sources.width
     mismatches = 0
-    for level, y, x, got, (i0, i1, fy) in checks:
-        c0, c1, fx = _axis_table(sources.width, level.width)
+    for width, y, x, got, (i0, i1, fy) in checks:
+        c0, c1, fx = _axis_table(sources.width, width)
         row_taps = (at[i0], at[i1], np.repeat(fy, 3).reshape(-1, 3))
         col_taps = (c0, c1, np.repeat(fx, 3).reshape(-1, 3))
         for lo in range(0, y.size, _AUDIT_CHUNK):

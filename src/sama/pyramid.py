@@ -15,11 +15,11 @@ those rows of each of the group's source frames once and runs one
 ``gather_taps`` per (frame, level) on them. Both take level coordinates
 as broadcastable arrays, so the sampler's compact row and column factors
 are looked up at their own size and only the index adds and fraction
-fills run once per pixel. Whole frames
-(``PyramidLevel.frame``, memoized per source frame) serve the
-pyramid-cost gate in ``bench`` and the tests' reference sampler. Every
-path blends with ``_lerp_core`` on taps from ``_axis_taps``, so they
-agree byte for byte, and access order never changes results.
+fills run once per pixel. A level is a value: ``PyramidLevel.frame``
+resizes a whole source frame on every call and keeps nothing; it serves
+the pyramid-cost gate in ``bench`` and the tests' reference sampler.
+Every path blends with ``_lerp_core`` on taps from ``_axis_taps``, so
+they agree byte for byte, and access order never changes results.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ def level_dims(raw_h: int, raw_w: int, config: SamplerConfig) -> tuple[tuple[int
     that covers the output. An input below its min side is upscaled to it,
     so every level has that size and level 0 is the raw input, maybe
     upscaled. Raises InputTooSmall when that upscale has more than
-    ``MAX_PIXELS`` pixels, as a thin input's would."""
+    ``MAX_PIXELS`` pixels, as a thin input's would, and ValueError when a
+    raw dim is below 1."""
+    if raw_h < 1 or raw_w < 1:
+        raise ValueError(f"raw dims must be >= 1, got {raw_h}x{raw_w}")
     target_min = _covering_min_side(raw_h, raw_w, config.out_h, config.out_w)
     if min(raw_h, raw_w) < target_min:
         raw_h, raw_w = _dims_for_min_side(raw_h, raw_w, target_min)
@@ -267,35 +270,25 @@ def gather_taps(src: np.ndarray, taps: PixelTaps) -> np.ndarray:
     return _lerp_core(c[0], c[1], c[2], c[3], taps.fy, taps.fx)
 
 
+@dataclass(frozen=True)
 class PyramidLevel:
     """One pyramid level: target dims over source frames it does not hold.
 
     ``sources`` is the ``MediaClip`` the level resamples; its dims may be
     below, at or above the level's. The sampler reads a level through
-    ``pixel_taps``/``gather_taps`` and never materializes it. ``frame``
-    resizes a whole frame on first access and memoizes it per source frame
-    (``sources.source_keys``).
+    ``pixel_taps``/``gather_taps`` and never materializes it.
     """
 
-    def __init__(self, scale_id: int, sources: MediaClip, height: int, width: int):
-        self.scale_id = scale_id
-        self.height = height
-        self.width = width
-        self.sources = sources
-        self._cache: dict[int, np.ndarray] = {}
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.sources)
+    scale_id: int
+    sources: MediaClip
+    height: int
+    width: int
 
     def frame(self, i: int) -> np.ndarray:
-        """The (height, width, 3) pixels of frame ``i`` at this level."""
-        key = self.sources.source_keys[i]
-        if key not in self._cache:
-            # resize_rgb returns a level the size of its source as the
-            # source itself: it shares pixels
-            self._cache[key] = resize_rgb(self.sources.read(i), self.height, self.width)
-        return self._cache[key]
+        """The (height, width, 3) pixels of frame ``i`` at this level,
+        resized afresh on every call; a level the size of its source
+        returns the source frame itself."""
+        return resize_rgb(self.sources.read(i), self.height, self.width)
 
     # Nothing in the library calls rect; it stays only because the benchmark
     # trace wraps it by name, until ROADMAP item 1 retargets the trace.

@@ -111,7 +111,7 @@ def sample_fragments(
     offsets = plan_level(level.height, level.width, level.scale_id, config)
     src_y, src_x = source_coord_maps(offsets, config.frag_h, config.frag_w)
     if frame_indices is None:
-        frame_indices = range(level.frame_count)
+        frame_indices = range(len(level.sources))
     indices = np.asarray(list(frame_indices), dtype=np.int64)
     frames = np.stack(
         [

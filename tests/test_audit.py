@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import sama.pack
@@ -70,7 +71,7 @@ def _oracle(t: SampledTensor, pyramid) -> tuple[int, dict[int, int]]:
             mismatches += 1
             continue
         level = pyramid[s]
-        if fr >= level.frame_count or y >= level.height or x >= level.width:
+        if fr >= len(level.sources) or y >= level.height or x >= level.width:
             mismatches += 1
             continue
         mismatches += _rule(fr, level.height, level.width, y, x) != value
@@ -171,16 +172,27 @@ def test_audit_files_frames_in_and_out_of_key_order_alike():
     # frame 0's byte is in its (1, 0) group and its y in its (0, 2) group,
     # frame 1's the other way round; a group that loses a pixel is a copy
     views = ({(1, 0): True, (0, 2): False}, {(1, 0): False, (0, 2): False})
+    dims = [(level.height, level.width) for level in _PYRAMID]
     for f, view in enumerate(views):
-        filed = {}
-        sama.pack._collect_checks(prov[f], data[f], _PYRAMID, filed, np.zeros(256, np.int64))
+        filed = {}  # source key -> (source frame, {scale id: parts})
+        sama.pack._collect_checks(
+            prov[f], data[f], _SOURCES, dims, filed, np.zeros(256, np.int64)
+        )
+        assert list(filed) == sorted({_SOURCES.source_keys[fr] for _, fr in view})
         shared = {
-            (level.scale_id, fr): np.shares_memory(got, t.data)
-            for _, fr, levels in filed.values()
-            for level, parts in levels.items()
+            (s, fr): np.shares_memory(got, t.data)
+            for fr, levels in filed.values()
+            for s, parts in levels.items()
             for _, _, got in parts
         }
         assert shared == view
+
+
+def test_audit_of_an_empty_pyramid_is_a_value_error():
+    # with no level there is no clip to read, so no pixel can be checked
+    t = _tensor(np.random.default_rng(5), 1)
+    with pytest.raises(ValueError, match="at least one level"):
+        provenance_audit(t, [])
 
 
 def test_audit_builds_tables_once_per_source_frame_and_level(monkeypatch):

@@ -617,6 +617,26 @@ def test_bench_smoke(capsys):
     assert "ratio" in out
 
 
+@pytest.mark.parametrize("size", [["1x2000"], ["1x1000", "--frag", "4x4"]], ids=" ".join)
+def test_a_thin_bench_size_is_a_config_error(size, capsys):
+    # the bench reads no file, so an output that a --size frame cannot cover
+    # within the pixel cap is the flag's fault, found before any stage runs;
+    # with 4x4 fragments only the 224x224 comparison would hit the cap
+    assert main(["bench", "--size", *size, "--reps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"config error: --size 1x\d+: covering the output upscales the input to "
+        r"[^\n]*more than the 33554432 pixels allowed\n",
+        captured.err,
+    )
+
+
+def test_a_thin_bench_size_within_the_cap_still_runs(capsys):
+    assert main(["bench", "--size", "1x20", "--reps", "1"]) == 0
+    assert "ratio" in capsys.readouterr().out
+
+
 def test_cli_determinism_across_processes(clip_dir, tmp_path):
     """Two subprocess runs, identical bytes."""
     outs = []

@@ -29,7 +29,7 @@ def test_audit_flags_out_of_bounds_coordinates():
     level = res.pyramid[int(intact[1, 5, 6]["scale"])]
     first_outside = {
         "scale": len(res.pyramid),
-        "frame": level.frame_count,
+        "frame": len(level.sources),
         "y": level.height,
         "x": level.width,
     }

@@ -140,26 +140,13 @@ def test_lazy_frames_index_like_a_tuple(tmp_path):
         clip.frames[4]
 
 
-def test_in_memory_and_loaded_clips_share_one_frames_type(tmp_path, monkeypatch):
-    from sama import pyramid
-
+def test_in_memory_and_loaded_clips_share_one_frames_type(tmp_path):
     write_clip(tmp_path / "clip", 3)
     frame = coordinate_frame(300, 300)
     clip = MediaClip((frame,) * 3)
     assert type(clip.frames) is type(load_clip(tmp_path / "clip").frames)
     assert clip.source_keys == (0, 0, 0)
     assert clip.frames[2] is frame and clip.read(1) is frame.data
-    resizes = []
-    real = pyramid.resize_rgb
-
-    def spy(src, out_h, out_w):
-        resizes.append((out_h, out_w))
-        return real(src, out_h, out_w)
-
-    monkeypatch.setattr(pyramid, "resize_rgb", spy)
-    level = build_pyramid(clip, SamplerConfig(frames_out=8, n_scales=4))[2]
-    assert level.frame(0) is level.frame(1) is level.frame(2)
-    assert resizes == [(level.height, level.width)]  # the repeated frame, once
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_level_rect_is_a_window_of_its_frame(src_hw):
     clip = coordinate_clip(*src_hw, 2)
     cfg = SamplerConfig(frames_out=8, n_scales=4)
     framed = build_pyramid(clip, cfg)
-    for level in build_pyramid(clip, cfg):  # rect first: nothing memoized yet
+    for level in build_pyramid(clip, cfg):
         frame = framed[level.scale_id].frame(1)
         h, w = level.height, level.width
         for y0, x0 in ((0, 0), (h - 32, w - 32), (h // 3, w // 2)):
@@ -368,11 +369,18 @@ def test_an_upscaled_level_0_is_capped_as_the_readers_cap_an_input():
         level_dims(20000, 1, cfg)
 
 
+@pytest.mark.parametrize("raw_hw", [(0, 5), (5, 0), (-3, 100)])
+def test_level_dims_refuses_a_dim_below_one(raw_hw):
+    # no division by a zero side, and no min side from a negative one
+    with pytest.raises(ValueError, match="raw dims must be >= 1"):
+        level_dims(*raw_hw, SamplerConfig())
+
+
 def test_upscale_clip():
     clip = coordinate_clip(50, 80, 3)
     up = _raw_level(clip, 224)
     assert (up.height, up.width) == (224, 358)
-    assert up.frame_count == 3
+    assert len(up.sources) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +414,8 @@ def test_pyramid_video_conserves_frames():
     levels = build_pyramid(clip, cfg)
     assert len(levels) == 4
     for lvl in levels:
-        assert lvl.frame_count == 8
-        for i in range(lvl.frame_count):
+        assert len(lvl.sources) == 8
+        for i in range(len(lvl.sources)):
             assert lvl.frame(i).shape == (lvl.height, lvl.width, 3)
     assert levels[-1].height == 224
 
@@ -419,30 +427,33 @@ def test_pyramid_full_video_regime_dims():
     levels = build_pyramid(clip, SamplerConfig())
     expected = schedule_oracle(540, 960, 224, 16)
     assert [(l.height, l.width) for l in levels] == expected
-    assert all(l.frame_count == 32 for l in levels)
-    # spot-materialize a few frames; repeated sources resize once
+    assert all(len(l.sources) == 32 for l in levels)
+    # spot-materialize a few frames; repeated sources resize alike
     mid = levels[7]
     assert mid.frame(0).shape == (mid.height, mid.width, 3)
-    assert mid.frame(31) is mid.frame(0)
+    assert np.array_equal(mid.frame(31), mid.frame(0))
 
 
-def test_pyramid_lazy_cache_dedups_repeated_frames():
-    frame = coordinate_frame(300, 300)
-    clip = MediaClip((frame,) * 6)
-    cfg = SamplerConfig(frames_out=8, n_scales=4)
-    levels = build_pyramid(clip, cfg)
-    a = levels[2].frame(0)
-    b = levels[2].frame(5)
-    assert a is b  # one resize for the repeated source frame
+def test_a_level_is_a_frozen_value_that_keeps_no_frame():
+    level = build_pyramid(coordinate_clip(240, 320, 2), SamplerConfig(frames_out=8, n_scales=4))[2]
+    assert [f.name for f in dataclasses.fields(PyramidLevel)] == [
+        "scale_id", "sources", "height", "width"
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        level.height = 1
+    first = level.frame(1)
+    assert level.frame(1) is not first  # resized afresh, nothing kept
+    assert np.array_equal(level.frame(1), first)
+    assert set(vars(level)) == {"scale_id", "sources", "height", "width"}  # no memo
 
 
-def test_level_frames_of_a_lazy_clip_are_memoized_per_frame(tmp_path):
+def test_level_frames_of_a_lazy_clip_are_the_resizes_of_their_own_files(tmp_path):
     # the sources are released after each read, so a new frame may reuse a
-    # freed one's id: the memo must not return another frame's pixels
+    # freed one's id: each level frame must still be its own file's pixels
     paths = write_clip(tmp_path / "clip", 6, 240, 320)
     levels = build_pyramid(load_clip(tmp_path / "clip"), SamplerConfig(frames_out=8, n_scales=4))
     for lvl in levels:
-        got = [lvl.frame(i) for i in range(lvl.frame_count)]
+        got = [lvl.frame(i) for i in range(len(lvl.sources))]
         for i, frame in enumerate(got):
             want = resize_rgb(load_image(paths[i]).data, lvl.height, lvl.width)
             assert np.array_equal(frame, want), (lvl.scale_id, i)
