@@ -319,7 +319,7 @@ def cmd_bench(args) -> int:
         f"{cmp['single_scale'] * 1e3:.3f} ms, two-scale interlace "
         f"{cmp['interlaced'] * 1e3:.3f} ms (ratio {cmp['ratio']:.2f})"
     )
-    scaling = bench_mod.pyramid_scaling(height, width, reps=max(reps // 3, 3))
+    scaling = bench_mod.pyramid_scaling(height, width, reps=reps)
     line = ", ".join(f"{n} levels: {t * 1e3:.2f} ms" for n, t in scaling.items())
     print(f"pyramid interpolation vs level count: {line}")
     return 0

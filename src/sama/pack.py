@@ -17,12 +17,13 @@ followed by the raw RGB8 frames in row-major frame order and one
 provenance record per pixel (u8 scale, u16 frame, u32 y, u32 x; 11
 bytes). Every container carries its provenance; a reader rejects any
 other flags byte from the header alone. Files are written to a temp
-name and renamed into place, so a failed write never leaves a partial
-file. Neither direction copies the payload: a write hands the arrays'
-buffers to the file, and a read fills one buffer whose views are the
-tensor's arrays. Every reader checks the header by the one rule
-``parse_container`` states; a file read checks it, and the length it
-declares against the file's size, before the payload is read.
+name, allocated to their full length first, and renamed into place, so
+a failed write never leaves a partial file. Neither direction copies the
+payload: a write hands the arrays' buffers to the file, and a read fills
+one buffer whose views are the tensor's arrays. Every reader checks the
+header by the one rule ``parse_container`` states; a file read checks
+it, and the length it declares against the file's size, before the
+payload is read.
 
 The audit streams the source frames as the sampler does: it visits
 output frames in the order of their source frames, and reads each
@@ -41,6 +42,7 @@ frame's rows and one chunk.
 from __future__ import annotations
 
 import colorsys
+import errno
 import itertools
 import os
 import struct
@@ -171,13 +173,34 @@ def write_container(t: SampledTensor, path: str | Path) -> None:
     The header, the pixel buffer and the provenance buffer go straight to
     the file; the payload is never copied into one ``bytes``. The file gets
     mode ``0o666`` less the umask, as any file ``open`` creates.
+
+    The temp file is first allocated to exactly the length the header
+    declares (``os.posix_fallocate``), before any byte is written. On ext4
+    with ``auto_da_alloc`` (the default), a rename over an existing file
+    first writes back the new file's delayed-allocation blocks and waits
+    for them: replacing a 22.5 MB container took 15-22 ms of wall time for
+    under 2 ms of CPU. With the blocks allocated up front the rename takes
+    about 1 ms, and the write itself drops from about 5.5 to 4.5 ms (2 vCPU,
+    ext4). A full disk (``ENOSPC``) or a file size limit (``EFBIG``) raises
+    ``OSError`` before the payload is written, and the temp file is removed.
+    A filesystem that refuses the call (``EOPNOTSUPP``, ``EINVAL``), or a
+    platform without it, gets the plain write. On a filesystem without
+    ``fallocate``, glibc emulates it with one small write per block; that
+    case was not measured.
+
+    There is no ``fsync`` and no durability promise. After a crash, a
+    preallocated file whose data never reached the disk reads as zeros;
+    ``read_container`` rejects it from its magic bytes, so it is never
+    silently wrong.
     """
     path = Path(path)
     parts = _container_parts(t)
+    length = sum(memoryview(part).nbytes for part in parts)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            _preallocate(fh.fileno(), length)
             for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
@@ -187,6 +210,18 @@ def write_container(t: SampledTensor, path: str | Path) -> None:
         except OSError:
             pass
         raise
+
+
+def _preallocate(fd: int, length: int) -> None:
+    """Allocate ``length`` bytes of ``fd``; a no-op where that is unsupported."""
+    fallocate = getattr(os, "posix_fallocate", None)  # absent on macOS
+    if fallocate is None:
+        return
+    try:
+        fallocate(fd, 0, length)
+    except OSError as exc:
+        if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL):
+            raise
 
 
 def _parse_header(data, size: int) -> tuple[dict, tuple[int, int, int], int]:

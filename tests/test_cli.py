@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sama.bench
 from sama import imageio, pipeline
 from sama.cli import main
 from sama.masks import SpatialMask
@@ -635,6 +636,20 @@ def test_a_thin_bench_size_is_a_config_error(size, capsys):
 def test_a_thin_bench_size_within_the_cap_still_runs(capsys):
     assert main(["bench", "--size", "1x20", "--reps", "1"]) == 0
     assert "ratio" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("reps", [1, 2])
+def test_bench_reps_bounds_the_pyramid_scaling_reps(reps, monkeypatch, capsys):
+    real = sama.bench.pyramid_scaling
+    seen = []
+
+    def spy(height, width, **kwargs):
+        seen.append(kwargs["reps"])
+        return real(height, width, **kwargs)
+
+    monkeypatch.setattr(sama.bench, "pyramid_scaling", spy)
+    assert main(["bench", "--size", "64x64", "--reps", str(reps)]) == 0
+    assert len(seen) == 1 and 1 <= seen[0] <= reps
 
 
 def test_cli_determinism_across_processes(clip_dir, tmp_path):

@@ -1,6 +1,11 @@
 import ast
+import errno
 import os
+import resource
+import signal
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +14,7 @@ import pytest
 
 import sama.pack
 import sama.pyramid
-from sama import bench, masks
+from sama import bench, imageio, masks
 from sama.errors import CorruptFile, DimMismatch, UnsupportedFormat
 from sama.media import (
     PROVENANCE_DTYPE, FrameBuffer, MediaClip, SamplerConfig, load_clip, select_frames,
@@ -194,6 +199,107 @@ def test_container_mode_is_0666_less_the_umask(tmp_path, umask, mode):
         os.umask(previous)
     assert stat.S_IMODE((tmp_path / "a.sama").stat().st_mode) == mode
     assert [p.name for p in tmp_path.iterdir()] == ["a.sama"]
+
+
+class _WriteLog:
+    """A file object that logs each write to ``events`` before making it."""
+
+    def __init__(self, fh, events):
+        self._fh, self._events = fh, events
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def write(self, buf):
+        self._events.append(("write", memoryview(buf).nbytes))
+        return self._fh.write(buf)
+
+
+def test_temp_file_is_allocated_to_the_declared_length_before_any_write(
+    tmp_path, monkeypatch
+):
+    t = _video_tensor().tensor
+    events = []
+    real_fallocate, real_fdopen = os.posix_fallocate, os.fdopen
+
+    def fallocate(fd, offset, length):
+        events.append(("fallocate", offset, length))
+        real_fallocate(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", fallocate)
+    monkeypatch.setattr(os, "fdopen", lambda *a: _WriteLog(real_fdopen(*a), events))
+    write_container(t, tmp_path / "t.sama")
+    assert events[0] == ("fallocate", 0, len(container_bytes(t)))
+    writes = events[1:]  # one fallocate, and it came first
+    assert all(kind == "write" for kind, _ in writes)
+    assert sum(n for _, n in writes) == len(container_bytes(t))
+
+
+def test_written_file_has_exactly_the_declared_length(tmp_path):
+    t = _video_tensor().tensor
+    path = tmp_path / "t.sama"
+    write_container(t, path)
+    assert path.stat().st_size == len(container_bytes(t))
+    assert np.array_equal(read_container(path).provenance, t.provenance)
+
+
+def _fallocate_fails(code):
+    def fallocate(fd, offset, length):
+        raise OSError(code, os.strerror(code))
+
+    return fallocate
+
+
+@pytest.mark.parametrize("code", ["EOPNOTSUPP", "EINVAL", None])
+def test_a_refused_or_missing_fallocate_writes_the_same_bytes(tmp_path, monkeypatch, code):
+    if code is None:  # a platform without it
+        monkeypatch.delattr(os, "posix_fallocate")
+    else:
+        monkeypatch.setattr(os, "posix_fallocate", _fallocate_fails(getattr(errno, code)))
+    t = _video_tensor().tensor
+    write_container(t, tmp_path / "t.sama")
+    assert (tmp_path / "t.sama").read_bytes() == container_bytes(t)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.sama"]
+
+
+def test_a_full_disk_raises_and_keeps_the_previous_container(tmp_path, monkeypatch):
+    path = tmp_path / "t.sama"
+    write_container(_tiny_tensor(), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "posix_fallocate", _fallocate_fails(errno.ENOSPC))
+    with pytest.raises(OSError) as info:
+        write_container(_video_tensor().tensor, path)
+    assert info.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.sama"]  # no *.tmp
+
+
+def test_a_file_size_limit_exits_2_and_keeps_the_previous_container(tmp_path):
+    src = tmp_path / "in.ppm"
+    src.write_bytes(imageio.encode_ppm(coordinate_frame(300, 320).data))
+    out = tmp_path / "out.sama"
+    write_container(_tiny_tensor(), out)
+    before = out.read_bytes()
+
+    def limit_file_size():  # in the child only
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024, 64 * 1024))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sama.cli", "sample-image", str(src), "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=limit_file_size,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "i/o error" in proc.stderr
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "out.sama"]
 
 
 def test_container_codes_name_exactly_the_mask_kinds():
