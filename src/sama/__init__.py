@@ -33,7 +33,7 @@ from .pack import (
     render_preview,
     write_container,
 )
-from .pipeline import SampleResult, SamplingPlan, sample_image, sample_media, sample_video
+from .pipeline import SampleResult, SamplingPlan, sample_image, sample_video
 from .pyramid import PyramidLevel, build_pyramid, scale_schedule
 from .scalehead import (
     AttnInputs,
@@ -88,7 +88,6 @@ __all__ = [
     "render_preview",
     "run_property_suite",
     "sample_image",
-    "sample_media",
     "sample_video",
     "scale_schedule",
     "se_gate",

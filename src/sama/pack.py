@@ -34,9 +34,10 @@ when the frame's keys are already grouped, as every frame under a temporal
 mask is, and after one sort otherwise. It builds tap tables once per
 (source frame, level), and evaluates the rule in chunks of
 ``_AUDIT_CHUNK`` pixels whose coordinates it widens to ``intp`` once and
-whose corners it blends in place. So beyond views of the records it holds
-copies only for out-of-order frames and repeated sources, one source
-frame's rows and one chunk.
+whose corners it blends in place. It checks each filed part where it
+lies, with no join, and keeps no per-scale tally (``scale_shares`` is the
+one count). So beyond views of the records it holds copies only for
+out-of-order frames, one source frame's rows and one chunk.
 """
 
 from __future__ import annotations
@@ -395,8 +396,6 @@ class AuditReport:
 
     total_pixels: int
     mismatches: int
-    per_scale_pixels: dict[int, int]
-    per_scale_shares: dict[int, float]
 
     @property
     def ok(self) -> bool:
@@ -436,6 +435,8 @@ def _bilinear_at(
     indexes about twice as fast with ``intp`` as with the records'
     ``uint32``. The blend runs in place on the four corners: horizontal on
     the top and bottom rows, then vertical, all in float32, rounded half up.
+    The fractions lie in [0, 1), so the blend stays in [0, 255] and the
+    truncating cast of ``value + 0.5`` is the rounding.
     """
     y = y.astype(np.intp)
     x = x.astype(np.intp)
@@ -457,8 +458,6 @@ def _bilinear_at(
     p11 *= fy
     p11 += p01
     p11 += 0.5
-    np.floor(p11, out=p11)
-    np.clip(p11, 0, 255, out=p11)
     return p11.astype(np.uint8)
 
 
@@ -493,16 +492,16 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     the rows its pixels' taps need. So each distinct source is read once
     and each of its levels builds its tables once, however many output
     frames repeat it. A frame whose keys are already grouped (one level and
-    source frame, or contiguous runs of them) is filed as views of ``t``;
-    only out-of-order frames and the joined parts of a repeated source are
-    copied.
+    source frame, or contiguous runs of them) is filed as views of ``t``,
+    and every filed part is checked where it lies: only out-of-order frames
+    are copied. The report has no per-scale tally; each level's share is
+    ``t.scale_shares()``.
     """
     if not pyramid:
         raise ValueError("the audit needs a pyramid of at least one level")
     sources = pyramid[0].sources
     dims = [(level.height, level.width) for level in pyramid]
     keys = sources.source_keys
-    scale_counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
     mismatches = 0
 
     def key_of(f: int) -> int:
@@ -513,30 +512,19 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
         filed: dict = {}  # source key -> (index, {scale id: parts})
         for f in run:
             prov, data = t.provenance[f].reshape(-1), t.data[f].reshape(-1, 3)
-            mismatches += _collect_checks(prov, data, sources, dims, filed, scale_counts)
+            mismatches += _collect_checks(prov, data, sources, dims, filed)
         for key in list(filed):  # popped, so no source's pixels outlive its audit
             mismatches += _audit_source_frame(sources, dims, *filed.pop(key))
-    total = t.provenance.size
-    per_scale = {int(s): int(scale_counts[s]) for s in np.flatnonzero(scale_counts)}
-    shares = {s: c / total for s, c in per_scale.items()}
-    return AuditReport(
-        total_pixels=total,
-        mismatches=mismatches,
-        per_scale_pixels=per_scale,
-        per_scale_shares=shares,
-    )
+    return AuditReport(total_pixels=t.provenance.size, mismatches=mismatches)
 
 
-def _collect_checks(
-    prov: np.ndarray, data: np.ndarray, sources, dims: list, filed: dict, scale_counts: np.ndarray
-) -> int:
+def _collect_checks(prov: np.ndarray, data: np.ndarray, sources, dims: list, filed: dict) -> int:
     """File one output frame's in-range pixels in ``filed``: under their
     source frame's key in ``sources``, as ``(index, {scale id: parts})``,
     each part the ``(y, x, got)`` of the frame's pixels at level dims
-    ``dims[s]``. Add each level's pixel count to ``scale_counts``. ``prov``
-    holds the frame's records and ``data`` its (pixels, 3) values. Returns
-    the mismatches found without reading: pixels whose level, frame or
-    coordinates lie outside the pyramid.
+    ``dims[s]``. ``prov`` holds the frame's records and ``data`` its
+    (pixels, 3) values. Returns the mismatches found without reading:
+    pixels whose level, frame or coordinates lie outside the pyramid.
 
     The pixels are grouped by their (frame, scale) keys, read from the
     records in one pass, so each part keeps pixel order. When the keys are
@@ -557,7 +545,6 @@ def _collect_checks(
     mismatches = 0
     for lo, hi in zip(starts, starts[1:] + [key.size]):
         s, fr = int(key[lo]) & 0xFF, int(key[lo]) >> 8
-        scale_counts[s] += hi - lo
         if s >= len(dims) or fr >= len(sources):
             mismatches += hi - lo
             continue
@@ -583,35 +570,33 @@ _AUDIT_CHUNK = 8192
 def _audit_source_frame(sources, dims: list, index: int, levels: dict) -> int:
     """Mismatches among the pixels filed under frame ``index`` of
     ``sources``: ``levels`` maps scale id s (dims ``dims[s]``) to its
-    ``(y, x, got)`` parts, joined unless there is one. The rows their taps
-    need are marked (a bool per source row) and read once. Each level's
-    tables are built once: row taps as offsets into the rows read."""
+    ``(y, x, got)`` parts, each marked and checked where it lies. The rows
+    their taps need are marked (a bool per source row) and read once. Each
+    level's tables are built once: row taps as offsets into the rows read."""
     marks = np.zeros(sources.height, dtype=bool)
-    checks = []
-    while levels:  # popped, so a level's parts go once they are joined
-        s, parts = levels.popitem()
-        y, x, got = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        del parts
-        height, width = dims[s]
-        i0, i1, fy = _axis_table(sources.height, height)
-        used = np.zeros(height, dtype=bool)
-        used[y.astype(np.intp)] = True  # numpy indexes faster with intp than uint32
+    row_tables = {}
+    for s, parts in levels.items():
+        i0, i1, fy = row_tables[s] = _axis_table(sources.height, dims[s][0])
+        used = np.zeros(i0.size, dtype=bool)
+        for y, _, _ in parts:
+            used[y.astype(np.intp)] = True  # numpy indexes faster with intp than uint32
         marks[i0[used]] = True
         marks[i1[used]] = True
-        checks.append((width, y, x, got, (i0, i1, fy)))
     rows = np.flatnonzero(marks)
     flat = sources.read(index, rows).reshape(-1, 3)
     # source row -> offset of its first pixel in flat
     at = np.zeros(sources.height, dtype=np.intp)
     at[rows] = np.arange(rows.size) * sources.width
     mismatches = 0
-    for width, y, x, got, (i0, i1, fy) in checks:
-        c0, c1, fx = _axis_table(sources.width, width)
+    for s, parts in levels.items():
+        i0, i1, fy = row_tables[s]
+        c0, c1, fx = _axis_table(sources.width, dims[s][1])
         row_taps = (at[i0], at[i1], np.repeat(fy, 3).reshape(-1, 3))
         col_taps = (c0, c1, np.repeat(fx, 3).reshape(-1, 3))
-        for lo in range(0, y.size, _AUDIT_CHUNK):
-            hi = lo + _AUDIT_CHUNK
-            expected = _bilinear_at(flat, y[lo:hi], x[lo:hi], row_taps, col_taps)
-            differ = np.flatnonzero(expected != got[lo:hi])  # flat (pixel, channel)
-            mismatches += np.unique(differ // 3).size
+        for y, x, got in parts:
+            for lo in range(0, y.size, _AUDIT_CHUNK):
+                hi = lo + _AUDIT_CHUNK
+                expected = _bilinear_at(flat, y[lo:hi], x[lo:hi], row_taps, col_taps)
+                differ = np.flatnonzero(expected != got[lo:hi])  # flat (pixel, channel)
+                mismatches += np.unique(differ // 3).size
     return mismatches

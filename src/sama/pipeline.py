@@ -29,6 +29,13 @@ rows, every (frame, level) drawing on it runs one gather straight into
 the output, and it is released before the next is read. So in every mask
 mode memory is the output, one source frame's rows and one group's taps,
 and the gather cost does not grow with the number of levels interlaced.
+A group's taps cover every level tuple its output frames draw on, so a
+clip shorter than ``frames_out`` under a temporal mask, whose source
+frames each repeat over many levels, can hold every level tuple's taps at
+once: a 1-frame 1080p clip under the VQA default peaks at 56.0 MB under
+``tracemalloc``, against 23.1 MB for 64 distinct frames. Holding the
+group's source rows instead of its taps measured costlier for a 3-frame
+clip under ``choppy``, so that cost stands.
 ``provenance`` likewise fills one level tuple's records at a time,
 straight into the array it returns. The tests check the bytes against a
 reference that composes whole per-level mosaics.
@@ -289,12 +296,3 @@ def sample_video(clip: MediaClip, config: SamplerConfig) -> SampleResult:
     """Select frames, pyramid them, and interlace scales over time/space."""
     config.validate("video")
     return _sample("video", clip, config, config.frames_out)
-
-
-def sample_media(media, config: SamplerConfig) -> SampleResult:
-    """Dispatch on media type."""
-    if isinstance(media, FrameBuffer):
-        return sample_image(media, config)
-    if isinstance(media, MediaClip):
-        return sample_video(media, config)
-    raise TypeError(f"expected FrameBuffer or MediaClip, got {type(media)!r}")

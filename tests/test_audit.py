@@ -60,8 +60,8 @@ def _rule(fr: int, h: int, w: int, y: int, x: int) -> tuple[int, int, int]:
     return tuple(out)
 
 
-def _oracle(t: SampledTensor, pyramid) -> tuple[int, dict[int, int]]:
-    """(mismatches, per-scale pixel counts), one pixel at a time."""
+def _oracle(t: SampledTensor, pyramid) -> tuple[int, dict[int, float]]:
+    """(mismatches, per-scale shares of the pixels), one pixel at a time."""
     prov = t.provenance.reshape(-1)
     scales, frames, ys, xs = (prov[k].tolist() for k in PROVENANCE_DTYPE.names)
     got = [tuple(p) for p in t.data.reshape(-1, 3).tolist()]
@@ -75,7 +75,7 @@ def _oracle(t: SampledTensor, pyramid) -> tuple[int, dict[int, int]]:
             mismatches += 1
             continue
         mismatches += _rule(fr, level.height, level.width, y, x) != value
-    return mismatches, dict(Counter(scales))
+    return mismatches, {s: c / len(scales) for s, c in Counter(scales).items()}
 
 
 def _tensor(rng, frames: int, groups=None) -> SampledTensor:
@@ -146,10 +146,10 @@ def test_audit_matches_a_per_pixel_oracle(seed, faults):
             value = 0  # the scale is already out of range
         prov[f, p][kind] = value
     report = provenance_audit(t, _PYRAMID)
-    mismatches, per_scale = _oracle(t, _PYRAMID)
+    mismatches, shares = _oracle(t, _PYRAMID)
     assert report.total_pixels == 3 * PIXELS
     assert report.mismatches == mismatches
-    assert report.per_scale_pixels == per_scale
+    assert t.scale_shares() == shares
     if not faults:
         assert mismatches == 0
 
@@ -167,7 +167,7 @@ def test_audit_files_frames_in_and_out_of_key_order_alike():
         data[f, 0, 1] ^= 0x80
         prov[f, PIXELS - 1]["y"] = _PYRAMID[prov[f, PIXELS - 1]["scale"]].height
     report = provenance_audit(t, _PYRAMID)
-    assert (report.mismatches, report.per_scale_pixels) == _oracle(t, _PYRAMID)
+    assert (report.mismatches, t.scale_shares()) == _oracle(t, _PYRAMID)
     assert report.mismatches == 4
     # frame 0's byte is in its (1, 0) group and its y in its (0, 2) group,
     # frame 1's the other way round; a group that loses a pixel is a copy
@@ -175,9 +175,7 @@ def test_audit_files_frames_in_and_out_of_key_order_alike():
     dims = [(level.height, level.width) for level in _PYRAMID]
     for f, view in enumerate(views):
         filed = {}  # source key -> (source frame, {scale id: parts})
-        sama.pack._collect_checks(
-            prov[f], data[f], _SOURCES, dims, filed, np.zeros(256, np.int64)
-        )
+        sama.pack._collect_checks(prov[f], data[f], _SOURCES, dims, filed)
         assert list(filed) == sorted({_SOURCES.source_keys[fr] for _, fr in view})
         shared = {
             (s, fr): np.shares_memory(got, t.data)
@@ -230,29 +228,32 @@ def test_audit_builds_tables_once_per_source_frame_and_level(monkeypatch):
 
 def test_audit_memory_is_one_frame_of_records_and_one_source_of_rows(tmp_path, reads):
     """The audit holds views of the records, copies only for out-of-order
-    frames and repeated sources, the tapped rows of one source frame and one
-    chunk's temporaries, so its peak does not grow with the clip, nor by
-    widening a frame's coordinates at once."""
-    write_clip(tmp_path / "clip", 8, 540, 960)
+    frames, the tapped rows of one source frame and one chunk's
+    temporaries, so its peak does not grow with the clip, nor by widening
+    a frame's coordinates at once. A one-frame clip under the progressive
+    mask repeats its source in both output frames of each level: their
+    parts are checked where they lie, not joined into copies."""
     cfg = SamplerConfig(frames_out=8, n_scales=4)
-    res = sample_video(load_clip(tmp_path / "clip"), cfg)
-    pyramid = build_pyramid(
-        select_frames(load_clip(tmp_path / "clip"), 8, cfg.seed, cfg.offset_policy), cfg
-    )
-    assert provenance_audit(res.tensor, pyramid).ok  # first use imports lazily
-    del reads[:]
-    tracemalloc.start()
-    try:
-        report = provenance_audit(res.tensor, pyramid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok and len(reads) == 8
-    records = res.tensor.provenance[0].nbytes  # 11 bytes a pixel
-    rows = max(len(r) for _, r in reads) * 960 * 3
-    chunk = CHUNK * 160  # the kernel's temporaries, about 130 bytes a pixel
-    # widening one frame's y and x to intp at once would add 16 bytes a pixel
-    assert peak < records + rows + chunk, (peak, records, rows, chunk)
+    for clip_frames in (8, 1):
+        clip = tmp_path / f"clip{clip_frames}"
+        write_clip(clip, clip_frames, 540, 960)
+        res = sample_video(load_clip(clip), cfg)
+        pyramid = build_pyramid(select_frames(load_clip(clip), 8, cfg.seed, cfg.offset_policy), cfg)
+        assert provenance_audit(res.tensor, pyramid).ok  # first use imports lazily
+        del reads[:]
+        tracemalloc.start()
+        try:
+            report = provenance_audit(res.tensor, pyramid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and len(reads) == clip_frames
+        records = res.tensor.provenance[0].nbytes  # 11 bytes a pixel
+        rows = max(len(r) for _, r in reads) * 960 * 3
+        chunk = CHUNK * 160  # the kernel's temporaries, about 130 bytes a pixel
+        # widening one frame's y and x to intp at once would add 16 bytes a
+        # pixel, and joining copies of a level's two output frames 22
+        assert peak < records + rows + chunk, (clip_frames, peak, records, rows, chunk)
 
 
 def test_audit_files_frames_in_key_order_as_views(tmp_path, reads):

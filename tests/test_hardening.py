@@ -23,7 +23,8 @@ def test_audit_flags_out_of_bounds_coordinates():
     prov[2, 4, 5]["frame"] = 5000  # beyond the clip
     report = provenance_audit(res.tensor, res.pyramid)
     assert report.mismatches == 3
-    assert sum(report.per_scale_pixels.values()) == report.total_pixels
+    assert report.total_pixels == prov.size
+    assert 99 in res.tensor.scale_shares()  # an out-of-range scale is still counted
 
     # the first value outside each range, one field at a time
     level = res.pyramid[int(intact[1, 5, 6]["scale"])]
@@ -38,7 +39,7 @@ def test_audit_flags_out_of_bounds_coordinates():
         res.tensor.provenance[1, 5, 6][field] = value
         report = provenance_audit(res.tensor, res.pyramid)
         assert report.mismatches == 1, field
-        assert sum(report.per_scale_pixels.values()) == report.total_pixels
+        assert report.total_pixels == intact.size
 
 
 def test_ppm_header_truncated_variants():

@@ -369,7 +369,7 @@ def test_audit_fresh_tensor_clean():
     report = provenance_audit(res.tensor, res.pyramid)
     assert report.ok and report.mismatches == 0
     assert report.total_pixels == 8 * 224 * 224
-    assert sum(report.per_scale_pixels.values()) == report.total_pixels
+    assert sum(res.tensor.scale_shares().values()) == pytest.approx(1)
 
 
 def test_audit_counts_single_corrupt_pixel():
@@ -384,8 +384,9 @@ def test_audit_progressive_shares():
     res = sample_video(clip, SamplerConfig())  # T=32, 16 scales
     report = provenance_audit(res.tensor, res.pyramid)
     assert report.ok
-    assert set(report.per_scale_shares) == set(range(16))
-    for share in report.per_scale_shares.values():
+    shares = res.tensor.scale_shares()
+    assert set(shares) == set(range(16))
+    for share in shares.values():
         assert share == pytest.approx(2 / 32)
 
 
@@ -429,7 +430,7 @@ def test_audit_oracle_hand_worked_pixel():
     t, pyramid = _one_pixel_case(expected)
     report = provenance_audit(t, pyramid)
     assert report.ok and report.total_pixels == 1
-    assert report.per_scale_pixels == {1: 1}
+    assert t.scale_shares() == {1: 1.0}
     for channel in range(3):
         for delta in (-1, 1):
             off = list(expected)

@@ -12,7 +12,7 @@ from sama.errors import ConfigError
 from sama.masks import SPATIAL_KINDS, TEMPORAL_KINDS, make_spatial_mask, make_temporal_mask
 from sama.media import PROVENANCE_DTYPE, MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
-from sama.pipeline import _render, plan_sampling, sample_image, sample_media, sample_video
+from sama.pipeline import _render, plan_sampling, sample_image, sample_video
 from sama.pyramid import build_pyramid
 
 from conftest import constant_frame, coordinate_clip, coordinate_frame, write_clip
@@ -273,13 +273,6 @@ def test_repeat_runs_bit_identical():
     a = container_bytes(sample_image(frame, cfg).tensor)
     b = container_bytes(sample_image(frame, cfg).tensor)
     assert a == b
-
-
-def test_sample_media_dispatch():
-    assert sample_media(coordinate_frame(256, 256), SamplerConfig.iqa_default()).tensor.kind == "image"
-    assert sample_media(coordinate_clip(224, 224, 2), SamplerConfig()).tensor.kind == "video"
-    with pytest.raises(TypeError):
-        sample_media("nope", SamplerConfig())
 
 
 def test_invalid_configs_rejected():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sama.errors import InputTooSmall
 from sama.imageio import MAX_PIXELS
 from sama.media import FrameBuffer, MediaClip, SamplerConfig, load_clip, load_image
+from sama.pack import _axis_table, _bilinear_at
 from sama.pyramid import (
     PyramidLevel,
     _axis_taps,
@@ -191,8 +192,14 @@ def _lerp_with_floor_and_clip(p00, p01, p10, p11, fy, fx):
 def test_blend_without_floor_and_clip_equals_the_old_formula_for_every_corner_pair():
     """Every (p0, p1) uint8 pair, at 0, 0.5, the float32 just below 1 and
     every fraction ``_axis_taps`` gives the VQA default's 16 levels of a
-    1080p frame: the blend's cast alone rounds as floor and clip did."""
+    1080p frame: the blend's cast alone rounds as floor and clip did. The
+    audit's own blend, ``pack._bilinear_at``, whose tables give the same
+    fractions, runs over the same grid: its source is a 2x2 frame whose
+    four pixels each hold one corner of every pair as a channel."""
     levels = level_dims(1080, 1920, SamplerConfig.vqa_default())
+    for h, w in levels:
+        for n_in, n_out in ((1080, h), (1920, w)):
+            assert np.array_equal(_axis_table(n_in, n_out)[2], _axis_taps(n_in, n_out)[2])
     fracs = np.unique(np.concatenate(
         [np.float32([0.0, 0.5, np.nextafter(np.float32(1), np.float32(0))])]
         + [_axis_taps(1080, h)[2] for h, _ in levels]
@@ -202,12 +209,21 @@ def test_blend_without_floor_and_clip_equals_the_old_formula_for_every_corner_pa
     p0, p1 = (a.ravel().astype(np.float32) for a in np.mgrid[0:256, 0:256])
     top, bot = np.empty_like(p0), np.empty_like(p0)  # _lerp_core overwrites p01 and p11
     # both blend stages see every fraction: fx in order, fy half a turn on
-    for fx, fy in zip(fracs, np.roll(fracs, len(fracs) // 2)):
+    fys = np.roll(fracs, len(fracs) // 2)
+    # the audit's source pixels (top left, top right, bottom left, bottom
+    # right) and its tables: level pixel (k, k) blends them by (fys[k], fracs[k])
+    corners = np.stack([p0, p1, p1, p0]).astype(np.uint8)
+    n = len(fracs)
+    rows = (np.zeros(n, np.intp), np.full(n, 2, np.intp), fys[:, None])
+    cols = (np.zeros(n, np.intp), np.ones(n, np.intp), fracs[:, None])
+    for k, (fx, fy) in enumerate(zip(fracs, fys)):
         old = _lerp_with_floor_and_clip(p0, p1, p1, p0, fy, fx)
         np.copyto(top, p1)
         np.copyto(bot, p0)
         new = _lerp_core(p0, top, p1, bot, fy, fx)
         assert np.array_equal(new, old), f"fx {fx!r}, fy {fy!r}"
+        (audit,) = _bilinear_at(corners, np.array([k]), np.array([k]), rows, cols)
+        assert np.array_equal(audit, old), f"audit: fx {fx!r}, fy {fy!r}"
 
 
 @pytest.mark.parametrize("src_hw, out_hw", [
