@@ -52,7 +52,7 @@ from .pack import container_bytes, provenance_audit, read_container
 from .pack import render_preview, write_container
 from .pipeline import sample_image, sample_video
 from .pyramid import level_dims
-from .scalehead import run_property_suite
+from .scalehead import PropertyResult, run_property_suite
 
 PREVIEW_STYLES = ("plain", "tinted", "bordered")
 
@@ -255,8 +255,6 @@ def cmd_preview(args) -> int:
 
 
 def cmd_masks(args) -> int:
-    if args.action != "dump":
-        raise ConfigError(f"unknown masks action {args.action!r}")
     out_h, out_w = _parse_size(args.size, "--size")
     # every mask is built before anything is written: a flag value no mask
     # accepts, or a flag the dumped mask does not take, is a configuration
@@ -325,79 +323,62 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_attn_check(args) -> int:
-    results = run_property_suite(seeds=args.seeds)
-    failed = _print_property_table(results)
-    return 3 if failed else 0
-
-
-def _print_property_table(results) -> int:
-    width = max(len(r.name) for r in results)
+def _print_checks(results) -> int:
+    """Print each result as ``PASS  name (detail)`` as it comes, where the
+    detail ends with the check's own time; returns the failure count."""
     failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
         failed += 0 if r.passed else 1
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name} ({r.detail})")
     return failed
 
 
-def cmd_verify(args) -> int:
-    failures = 0
-    lap = time.perf_counter()
+def cmd_attn_check(args) -> int:
+    return 3 if _print_checks(run_property_suite(seeds=args.seeds)) else 0
 
-    def check(name: str, passed: bool, detail: str = "") -> None:
-        """Print one result with the wall time since the previous one."""
-        nonlocal failures, lap
-        now = time.perf_counter()
-        elapsed = f"{(now - lap) * 1e3:.1f} ms"
-        lap = now
-        status = "PASS" if passed else "FAIL"
-        failures += 0 if passed else 1
-        suffix = f"{detail}, {elapsed}" if detail else elapsed
-        print(f"{status}  {name} ({suffix})")
 
-    # gather audits on fresh runs
+def _result(name: str, passed: bool, detail: str, start: float) -> PropertyResult:
+    """A check's result, its detail ending with the wall time since ``start``."""
+    return PropertyResult(name, passed, f"{detail}, {(time.perf_counter() - start) * 1e3:.1f} ms")
+
+
+def _verify_checks(seed_replay: int):
+    """Yield each of verify's own checks as it ends, timed around itself."""
     frame = bench_mod.synthetic_frame(600, 800, seed=11)
     icfg = SamplerConfig.iqa_default(offset_policy="random", seed=7)
-    ires = sample_image(frame, icfg)
-    report = provenance_audit(ires.tensor, ires.pyramid)
-    check(
-        "image gather audit",
-        report.ok,
-        f"{report.mismatches} mismatches over {report.total_pixels} pixels",
-    )
-    # the audit must be able to fail: one flipped byte is one mismatch
-    flipped = replace(ires.tensor, data=ires.tensor.data.copy())
-    flipped.data[0, 5, 5, 0] ^= 0xFF
-    caught = provenance_audit(flipped, ires.pyramid).mismatches
-    check("audit catches a flipped byte", caught == 1, f"{caught} mismatches, expected 1")
-
     clip = bench_mod.synthetic_clip(240, 320, 6, seed=12)
     vcfg = SamplerConfig(frames_out=8, n_scales=4, offset_policy="random", seed=9)
-    vres = sample_video(clip, vcfg)
-    vreport = provenance_audit(vres.tensor, vres.pyramid)
-    check(
-        "video gather audit",
-        vreport.ok,
-        f"{vreport.mismatches} mismatches over {vreport.total_pixels} pixels",
+    # a gather audit on a fresh run, then the same audit must catch one
+    # flipped byte: a video frame's pixels are filed as views (its keys are
+    # in order), and the image's after a sort (a window mask interleaves them)
+    cases = (
+        ("image", "", sample_image, frame, icfg, (0, 5, 5, 0)),
+        ("video", " in a video", sample_video, clip, vcfg, (3, 5, 5, 1)),
     )
-    # a video frame's pixels are filed as views (its keys are in order), and
-    # the image's after a sort (a window mask interleaves them): both must fail
-    flipped = replace(vres.tensor, data=vres.tensor.data.copy())
-    flipped.data[3, 5, 5, 1] ^= 0xFF
-    caught = provenance_audit(flipped, vres.pyramid).mismatches
-    check("audit catches a flipped byte in a video", caught == 1,
-          f"{caught} mismatches, expected 1")
+    for kind, where, sample, media, config, byte in cases:
+        start = time.perf_counter()
+        res = sample(media, config)
+        report = provenance_audit(res.tensor, res.pyramid)
+        detail = f"{report.mismatches} mismatches over {report.total_pixels} pixels"
+        yield _result(f"{kind} gather audit", report.ok, detail, start)
+        start = time.perf_counter()
+        flipped = replace(res.tensor, data=res.tensor.data.copy())
+        flipped.data[byte] ^= 0xFF
+        caught = provenance_audit(flipped, res.pyramid).mismatches
+        detail = f"{caught} mismatches, expected 1"
+        yield _result(f"audit catches a flipped byte{where}", caught == 1, detail, start)
 
     # mask partitions: the indices of an n-level mask take exactly the
     # values 0..n-1, so every pixel has one owner and every level some pixels
-    parts = [(make_interlace_mask(n, 256, 256, 32), n) for n in (3, 4)]
-    parts += [(make_spatial_mask(k, 224, 224), level_count(k, "none", 1))
-              for k in SPATIAL_KINDS[1:]]
+    start = time.perf_counter()
+    parts = [(make_spatial_mask(k, 224, 224), level_count(k, "none", 1))
+             for k in SPATIAL_KINDS[1:]]
+    parts += [(make_interlace_mask(n, 256, 256, 32), n) for n in (3, 4)]
     ok = all(np.array_equal(np.unique(mask.indices), np.arange(n)) for mask, n in parts)
-    check("mask partition of unity", ok)
+    detail = ", ".join(f"{mask.kind} {n} levels" for mask, n in parts)
+    yield _result("mask partition of unity", ok, detail, start)
 
-    # temporal schedules
+    start = time.perf_counter()
     prog = make_temporal_mask("progressive", 32, 16).schedule
     chop = make_temporal_mask("choppy", 32, 16).schedule
     mix = make_temporal_mask("mixed", 32, 8).schedule
@@ -406,17 +387,18 @@ def cmd_verify(args) -> int:
         and chop == tuple(0 if i % 2 == 0 else 15 for i in range(16))
         and mix == tuple(range(8)) * 2
     )
-    check("temporal schedules", sched_ok)
+    detail = "progressive 16, choppy 16, mixed 8 levels over 32 frames"
+    yield _result("temporal schedules", sched_ok, detail, start)
 
-    # determinism replay
-    blobs = [
-        container_bytes(sample_video(clip, vcfg).tensor)
-        for _ in range(args.seed_replay)
-    ]
-    check("determinism replay", all(b == blobs[0] for b in blobs), f"{len(blobs)} runs")
+    start = time.perf_counter()
+    blobs = [container_bytes(sample_video(clip, vcfg).tensor) for _ in range(seed_replay)]
+    ok = all(b == blobs[0] for b in blobs)
+    yield _result("determinism replay", ok, f"{len(blobs)} runs", start)
 
-    results = run_property_suite(seeds=args.seeds)
-    failures += _print_property_table(results)
+
+def cmd_verify(args) -> int:
+    failures = _print_checks(_verify_checks(args.seed_replay))
+    failures += _print_checks(run_property_suite(seeds=args.seeds))
     return 3 if failures else 0
 
 

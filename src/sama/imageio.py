@@ -210,6 +210,7 @@ def _append_chunk(out: bytearray, ctype: bytes, payload: bytes) -> None:
 # PPM / PGM
 
 
+_PPM_MAGIC = b"P6"  # binary RGB, the one netpbm kind read
 _WHITESPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() accepts
 # whitespace and comments (each up to its line end), then a field's digits;
 # \s is exactly _WHITESPACE in a bytes pattern
@@ -220,19 +221,19 @@ class _TruncatedHeader(CorruptFile):
     """The header runs past the end of the bytes given; more may complete it."""
 
 
-def _parse_netpbm_header(data, magic: bytes) -> tuple[list[int], int]:
-    """Parse '<magic> w h maxval' allowing comments; returns (fields, offset).
+def _parse_netpbm_header(data) -> tuple[list[int], int]:
+    """Parse 'P6 w h maxval' allowing comments; returns (fields, offset).
 
     ``data`` is bytes or a 1-D uint8 array; it is read in place, not copied.
     """
     view = memoryview(data)
-    if bytes(view[: len(magic)]) != magic:
-        raise UnsupportedFormat(f"not a {magic.decode()} file")
+    if bytes(view[: len(_PPM_MAGIC)]) != _PPM_MAGIC:
+        raise UnsupportedFormat("not a P6 file")
     fields: list[int] = []
-    pos = len(magic)
+    pos = len(_PPM_MAGIC)
     # whitespace (or a comment) must follow the magic number: "P62 1" is no P6
     if pos < len(view) and view[pos] not in _WHITESPACE + b"#":
-        raise CorruptFile(f"unexpected byte {bytes(view[pos : pos + 1])!r} after {magic.decode()}")
+        raise CorruptFile(f"unexpected byte {bytes(view[pos : pos + 1])!r} after P6")
     while len(fields) < 3:
         match = _FIELD.match(view, pos)
         pos = match.end()
@@ -249,7 +250,7 @@ def _parse_netpbm_header(data, magic: bytes) -> tuple[list[int], int]:
 
 def _ppm_header(data) -> tuple[int, int, int]:
     """Check a P6 header; returns (width, height, raster offset)."""
-    (width, height, maxval), offset = _parse_netpbm_header(data, b"P6")
+    (width, height, maxval), offset = _parse_netpbm_header(data)
     if maxval != 255:
         raise UnsupportedFormat(f"PPM maxval {maxval}; only 255 is supported")
     _check_dims("PPM", width, height)
@@ -320,7 +321,7 @@ def _file_header(fh) -> tuple[int, int, int | None, bytes]:
     if head.startswith(PNG_SIGNATURE):
         width, height, _, _ = _png_header(_png_chunks(head))
         return height, width, None, head
-    if not head.startswith(b"P6"):
+    if not head.startswith(_PPM_MAGIC):
         raise UnsupportedFormat(_UNRECOGNISED)
     size = os.fstat(fh.fileno()).st_size
     while True:  # a comment can make the header any length

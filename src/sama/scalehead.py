@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +30,20 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{name} contains NaN or infinity")
     return arr
+
+
+def _check_fields(obj) -> None:
+    """Check every array field of a frozen dataclass finite and store it as
+    float64; a field whose default is None may be None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        object.__setattr__(obj, f.name, _check_finite(f.name, value))
+
+
+def _max_abs(arr: np.ndarray) -> float:
+    return float(np.abs(arr).max())
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -61,52 +77,44 @@ class AttnInputs:
     r: np.ndarray | None = None  # (L, L) relative scale bias
 
     def __post_init__(self):
-        q = _check_finite("q", self.q)
-        k = _check_finite("k", self.k)
-        v = _check_finite("v", self.v)
-        b = _check_finite("b", self.b)
-        if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        _check_fields(self)
+        q = self.q
+        if q.ndim != 2 or self.k.shape != q.shape or self.v.shape != q.shape:
             raise DimMismatch("q, k, v must share one (L, d) shape")
         length = q.shape[0]
-        if b.shape != (length, length):
-            raise DimMismatch(f"position bias must be ({length}, {length})")
-        r = self.r
-        if r is not None:
-            r = _check_finite("r", r)
-            if r.shape != (length, length):
-                raise DimMismatch(f"scale bias must be ({length}, {length})")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r", r)
+        for table, what in ((self.b, "position"), (self.r, "scale")):
+            if table is not None and table.shape != (length, length):
+                raise DimMismatch(f"{what} bias must be ({length}, {length})")
 
     @property
     def dim(self) -> int:
         return self.q.shape[1]
 
-    def base_logits(self) -> np.ndarray:
-        return self.q @ self.k.T / math.sqrt(self.dim) + self.b
 
-    def _require_r(self) -> np.ndarray:
-        if self.r is None:
-            raise DimMismatch("this variant needs the relative scale bias r")
-        return self.r
+def _logits(inp: AttnInputs, variant: str) -> np.ndarray:
+    """q kT / sqrt(d) + b, then the scale bias r added (``rsb_add``) or
+    multiplied in elementwise (``rsb_mul``); ``base`` takes no r."""
+    logits = inp.q @ inp.k.T / math.sqrt(inp.dim) + inp.b
+    if variant == "base":
+        return logits
+    if inp.r is None:
+        raise DimMismatch("this variant needs the relative scale bias r")
+    return logits + inp.r if variant == "rsb_add" else logits * inp.r
 
 
 def attn_base(inp: AttnInputs) -> np.ndarray:
     """softmax(q kT / sqrt(d) + b) v."""
-    return softmax_rows(inp.base_logits()) @ inp.v
+    return softmax_rows(_logits(inp, "base")) @ inp.v
 
 
 def attn_rsb_add(inp: AttnInputs) -> np.ndarray:
     """Scale bias added to the logits."""
-    return softmax_rows(inp.base_logits() + inp._require_r()) @ inp.v
+    return softmax_rows(_logits(inp, "rsb_add")) @ inp.v
 
 
 def attn_rsb_mul(inp: AttnInputs) -> np.ndarray:
     """Scale bias as an elementwise factor on the logits."""
-    return softmax_rows(inp.base_logits() * inp._require_r()) @ inp.v
+    return softmax_rows(_logits(inp, "rsb_mul")) @ inp.v
 
 
 ATTN_VARIANTS = {
@@ -140,10 +148,9 @@ class FeatureGrid:
     z: np.ndarray
 
     def __post_init__(self):
-        z = _check_finite("z", self.z)
-        if z.ndim != 4 or z.shape[3] < 1:
+        _check_fields(self)
+        if self.z.ndim != 4 or self.z.shape[3] < 1:
             raise DimMismatch("feature grid must be (H', W', T', C)")
-        object.__setattr__(self, "z", z)
 
     @property
     def slots(self) -> int:
@@ -180,6 +187,14 @@ class SqueezeExciteParams:
     w2: np.ndarray  # (T', hidden)
     b2: np.ndarray  # (T',)
 
+    def __post_init__(self):
+        _check_fields(self)
+        if self.w1.ndim != 2:
+            raise DimMismatch("SE first layer must be (hidden, T')")
+        hidden, slots = self.w1.shape
+        if (self.b1.shape, self.w2.shape, self.b2.shape) != ((hidden,), (slots, hidden), (slots,)):
+            raise DimMismatch("SE layer shapes are inconsistent")
+
     @staticmethod
     def hidden_for(slots: int) -> int:
         return max(slots // SE_REDUCTION, 1)
@@ -202,14 +217,7 @@ class SqueezeExciteParams:
 
 def se_gate(grid: FeatureGrid, params: SqueezeExciteParams) -> FeatureGrid:
     """Squeeze each temporal slot to its mean, excite, and rescale the slot."""
-    slots = grid.slots
-    if (
-        params.w1.ndim != 2
-        or params.w1.shape[1] != slots
-        or params.w2.shape != (slots, params.w1.shape[0])
-        or params.b1.shape != (params.w1.shape[0],)
-        or params.b2.shape != (slots,)
-    ):
+    if params.b2.shape != (grid.slots,):
         raise DimMismatch("SE parameters do not match the slot count")
     squeezed = grid.z.mean(axis=(0, 1, 3))
     g = params.gate(squeezed)
@@ -226,8 +234,7 @@ class HeadParams:
     b2: np.ndarray  # (1,)
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
+        _check_fields(self)
         if self.w1.ndim != 2 or self.w1.shape[1] != HEAD_HIDDEN:
             raise DimMismatch(f"head hidden width must be {HEAD_HIDDEN}")
         if self.b1.shape != (HEAD_HIDDEN,) or self.w2.shape != (HEAD_HIDDEN, 1):
@@ -245,14 +252,20 @@ class HeadParams:
         )
 
 
+def _mlp(features: np.ndarray, params: HeadParams) -> np.ndarray:
+    """The two FC layers on the last axis, which must hold the grid channels:
+    relu(x w1 + b1) w2 + b2, one value per leading position."""
+    if params.w1.shape[0] != features.shape[-1]:
+        raise DimMismatch(
+            f"head expects {params.w1.shape[0]} channels, grid has {features.shape[-1]}"
+        )
+    hidden = np.maximum(features @ params.w1 + params.b1, 0.0)
+    return (hidden @ params.w2 + params.b2)[..., 0]
+
+
 def quality_head(grid: FeatureGrid, params: HeadParams) -> tuple[np.ndarray, float]:
     """Per-position scores and their global mean."""
-    if params.w1.shape[0] != grid.channels:
-        raise DimMismatch(
-            f"head expects {params.w1.shape[0]} channels, grid has {grid.channels}"
-        )
-    hidden = np.maximum(grid.z @ params.w1 + params.b1, 0.0)
-    scores = (hidden @ params.w2 + params.b2)[..., 0]
+    scores = _mlp(grid.z, params)
     return scores, float(scores.mean())
 
 
@@ -272,11 +285,7 @@ def temporal_weights_from_features(
     grid: FeatureGrid, params: HeadParams
 ) -> np.ndarray:
     """Input-conditioned temporal weights: two FC layers on per-slot means."""
-    if params.w1.shape[0] != grid.channels:
-        raise DimMismatch("weight net does not match the grid channels")
-    pooled = grid.z.mean(axis=(0, 1))  # (T', C)
-    hidden = np.maximum(pooled @ params.w1 + params.b1, 0.0)
-    return (hidden @ params.w2 + params.b2)[:, 0]
+    return _mlp(grid.z.mean(axis=(0, 1)), params)  # (T', C) -> (T',)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +300,13 @@ def grad_pooled_wrt_scale_bias(inp: AttnInputs, variant: str) -> np.ndarray:
     """d mean(attn) / d r for the additive and multiplicative variants."""
     if variant not in ("rsb_add", "rsb_mul"):
         raise ValueError(f"no scale bias in variant {variant!r}")
-    base = inp.base_logits()
-    r = inp._require_r()
-    logits = base + r if variant == "rsb_add" else base * r
-    p = softmax_rows(logits)
+    p = softmax_rows(_logits(inp, variant))
     length, dim = inp.q.shape
     # scalar = mean(P V); dS/dP = ones/(L d) @ V.T, then softmax backward
     g_p = np.full((length, dim), 1.0 / (length * dim)) @ inp.v.T
     inner = (g_p * p).sum(axis=-1, keepdims=True)
     g_logits = p * (g_p - inner)
-    return g_logits if variant == "rsb_add" else g_logits * base
+    return g_logits if variant == "rsb_add" else g_logits * _logits(inp, "base")
 
 
 def grad_pool_wrt_weights(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -358,18 +364,6 @@ def _relative_error(a: float, n: float) -> float:
 DEFAULT_STEPS = (1e-3, 1e-4, 1e-5)
 
 
-def _central_difference_report(
-    op: str, scalar_at, analytic: float, steps
-) -> GradCheckReport:
-    numeric = {}
-    rel = {}
-    for h in steps:
-        n = (scalar_at(h) - scalar_at(-h)) / (2.0 * h)
-        numeric[h] = n
-        rel[h] = _relative_error(analytic, n)
-    return GradCheckReport(op=op, analytic=analytic, numeric=numeric, rel_errors=rel)
-
-
 def grad_check(op: str, point, direction: np.ndarray, steps=DEFAULT_STEPS) -> GradCheckReport:
     """Directional analytic derivative vs central differences over a step sweep.
 
@@ -384,8 +378,7 @@ def grad_check(op: str, point, direction: np.ndarray, steps=DEFAULT_STEPS) -> Gr
         analytic = float((grad_pooled_wrt_scale_bias(inp, op) * direction).sum())
 
         def scalar_at(h: float) -> float:
-            shifted = AttnInputs(inp.q, inp.k, inp.v, inp.b, inp.r + h * direction)
-            return pooled_attn_scalar(shifted, op)
+            return pooled_attn_scalar(replace(inp, r=inp.r + h * direction), op)
 
     elif op == "weighted_pool":
         scores, weights = point
@@ -406,14 +399,14 @@ def grad_check(op: str, point, direction: np.ndarray, steps=DEFAULT_STEPS) -> Gr
         analytic = float(grad_se_scalar_wrt_excite_bias(grid, params) @ direction)
 
         def scalar_at(h: float) -> float:
-            shifted = SqueezeExciteParams(
-                params.w1, params.b1, params.w2, params.b2 + h * direction
-            )
+            shifted = replace(params, b2=params.b2 + h * direction)
             return float(se_gate(grid, shifted).z.mean())
 
     else:
         raise ValueError(f"unknown grad_check op {op!r}")
-    return _central_difference_report(op, scalar_at, analytic, steps)
+    numeric = {h: (scalar_at(h) - scalar_at(-h)) / (2.0 * h) for h in steps}
+    rel = {h: _relative_error(analytic, n) for h, n in numeric.items()}
+    return GradCheckReport(op=op, analytic=analytic, numeric=numeric, rel_errors=rel)
 
 
 # ---------------------------------------------------------------------------
@@ -427,125 +420,129 @@ class PropertyResult:
     detail: str
 
 
-def _random_attn(rng: np.random.Generator, with_r: bool = True) -> AttnInputs:
+def _random_attn(rng: np.random.Generator) -> AttnInputs:
     length = int(rng.integers(2, 17))
     dim = int(rng.integers(1, 9))
-    r = rng.standard_normal((length, length)) if with_r else None
     return AttnInputs(
         q=rng.standard_normal((length, dim)),
         k=rng.standard_normal((length, dim)),
         v=rng.standard_normal((length, dim)),
         b=rng.standard_normal((length, length)),
-        r=r,
+        r=rng.standard_normal((length, length)),
     )
 
 
+def _random_grid(rng: np.random.Generator) -> FeatureGrid:
+    """A grid of 1-4 x 1-4 positions, 1-8 slots and 1-8 channels."""
+    shape = rng.integers(1, (5, 5, 9, 9))
+    return FeatureGrid(rng.standard_normal(tuple(shape)))
+
+
+def _reduces_to_base(variant: str, identity: float, rng: np.random.Generator) -> float:
+    inp = _random_attn(rng)
+    at_identity = replace(inp, r=np.full_like(inp.r, identity))
+    return _max_abs(ATTN_VARIANTS[variant](at_identity) - attn_base(inp))
+
+
+def _row_sum_error(rng: np.random.Generator) -> float:
+    inp = _random_attn(rng)
+    return max(_max_abs(softmax_rows(_logits(inp, v)).sum(axis=-1) - 1.0) for v in ATTN_VARIANTS)
+
+
+def _row_shift_error(rng: np.random.Generator) -> float:
+    inp = _random_attn(rng)
+    shift = rng.standard_normal((inp.q.shape[0], 1))
+    return _max_abs(attn_base(replace(inp, b=inp.b + shift)) - attn_base(inp))
+
+
+def _bias_gradient_error(variant: str, rng: np.random.Generator) -> float:
+    inp = _random_attn(rng)
+    return grad_check(variant, inp, rng.standard_normal(inp.r.shape)).best_rel_error
+
+
+def _uniform_pool_error(rng: np.random.Generator) -> float:
+    scores = _random_grid(rng).z[..., 0]  # a score map: one channel of a grid
+    return abs(weighted_pool(scores, np.zeros(scores.shape[2])) - float(scores.mean()))
+
+
+def _pool_linearity_error(rng: np.random.Generator) -> float:
+    scores = _random_grid(rng).z[..., 0]
+    weights = rng.standard_normal(scores.shape[2])
+    direction = rng.standard_normal(scores.shape)
+    return grad_check("weighted_pool_scores", (scores, weights), direction).best_rel_error
+
+
+def _unit_gate_error(rng: np.random.Generator) -> float:
+    grid = _random_grid(rng)
+    return _max_abs(se_gate(grid, SqueezeExciteParams.unit_gate(grid.slots)).z - grid.z)
+
+
+def _permutation_error(rng: np.random.Generator) -> float:
+    grid = _random_grid(rng)
+    hp, wp, tp, ch = grid.z.shape
+    params = HeadParams.seeded(ch, rng)
+    shuffled = grid.z.reshape(hp * wp, tp, ch)[rng.permutation(hp * wp)]
+    _, scalar = quality_head(grid, params)
+    _, scalar_p = quality_head(FeatureGrid(shuffled.reshape(grid.z.shape)), params)
+    return abs(scalar - scalar_p)
+
+
+def _excite_gradient_error(rng: np.random.Generator) -> float:
+    tp = int(rng.integers(1, 9))
+    grid = FeatureGrid(rng.standard_normal((3, 2, tp, 4)))
+    hidden = SqueezeExciteParams.hidden_for(tp)
+    params = SqueezeExciteParams(
+        w1=rng.standard_normal((hidden, tp)),
+        b1=rng.standard_normal(hidden),
+        w2=rng.standard_normal((tp, hidden)),
+        b2=rng.standard_normal(tp),
+    )
+    direction = rng.standard_normal(tp)
+    return grad_check("se_gate", (grid, params), direction).best_rel_error
+
+
+class Property(NamedTuple):
+    """A promised invariant: the error of one random instance drawn from the
+    generator must not exceed ``tol``. It runs ``max(seeds // per_seed, 1)``
+    instances."""
+
+    name: str
+    tol: float
+    error: Callable[[np.random.Generator], float]
+    per_seed: int = 1
+
+
+PROPERTIES = (
+    Property("additive scale bias at zero reduces to base attention", 1e-12,
+             partial(_reduces_to_base, "rsb_add", 0.0)),
+    Property("multiplicative scale bias at one reduces to base attention", 1e-12,
+             partial(_reduces_to_base, "rsb_mul", 1.0)),
+    Property("softmax rows sum to one", 1e-6, _row_sum_error),
+    Property("row-constant logit shifts leave outputs unchanged", 1e-9, _row_shift_error),
+    Property("additive-bias gradient matches central differences", 1e-4,
+             partial(_bias_gradient_error, "rsb_add")),
+    Property("multiplicative-bias gradient matches central differences", 1e-4,
+             partial(_bias_gradient_error, "rsb_mul")),
+    Property("uniform temporal weights equal plain mean pooling", 1e-12, _uniform_pool_error),
+    Property("pooling is linear in the score map", 1e-10, _pool_linearity_error),
+    Property("saturated excitation gate passes features through", 0.0, _unit_gate_error),
+    Property("head scalar ignores spatial permutations", 1e-9, _permutation_error),
+    Property("excitation-bias gradient matches central differences", 1e-4,
+             _excite_gradient_error, per_seed=4),
+)
+
+
 def run_property_suite(seeds: int = 100, rng_seed: int = 0) -> list[PropertyResult]:
-    """Every numeric invariant this module promises, over random instances.
-
-    Each result's detail ends with the wall time since the previous result;
-    a loop that decides several results is charged to the first of them.
-    """
+    """Every property in ``PROPERTIES``, in order, each on its own instances
+    from one generator seeded with ``rng_seed``. Each result's detail ends
+    with the wall time of that property alone; a NaN error fails it."""
     rng = np.random.default_rng(rng_seed)
-    results: list[PropertyResult] = []
-    lap = time.perf_counter()
-
-    def record(name: str, worst: float, tol: float) -> None:
-        nonlocal lap
-        now = time.perf_counter()
-        ms = (now - lap) * 1e3
-        lap = now
-        results.append(
-            PropertyResult(
-                name=name,
-                passed=worst <= tol,
-                detail=f"worst {worst:.3e} (tol {tol:.0e}, {seeds} seeds, {ms:.1f} ms)",
-            )
-        )
-
-    worst_add = worst_mul = worst_rows = worst_shift = 0.0
-    for _ in range(seeds):
-        inp = _random_attn(rng)
-        base = attn_base(inp)
-        zero_r = AttnInputs(inp.q, inp.k, inp.v, inp.b, np.zeros_like(inp.r))
-        one_r = AttnInputs(inp.q, inp.k, inp.v, inp.b, np.ones_like(inp.r))
-        worst_add = max(worst_add, float(np.abs(attn_rsb_add(zero_r) - base).max()))
-        worst_mul = max(worst_mul, float(np.abs(attn_rsb_mul(one_r) - base).max()))
-        for variant in ("base", "rsb_add", "rsb_mul"):
-            logits = inp.base_logits()
-            if variant == "rsb_add":
-                logits = logits + inp.r
-            elif variant == "rsb_mul":
-                logits = logits * inp.r
-            rows = softmax_rows(logits).sum(axis=-1)
-            worst_rows = max(worst_rows, float(np.abs(rows - 1.0).max()))
-        shift = rng.standard_normal((inp.q.shape[0], 1))
-        shifted = AttnInputs(inp.q, inp.k, inp.v, inp.b + shift, inp.r)
-        worst_shift = max(worst_shift, float(np.abs(attn_base(shifted) - base).max()))
-    record("additive scale bias at zero reduces to base attention", worst_add, 1e-12)
-    record("multiplicative scale bias at one reduces to base attention", worst_mul, 1e-12)
-    record("softmax rows sum to one", worst_rows, 1e-6)
-    record("row-constant logit shifts leave outputs unchanged", worst_shift, 1e-9)
-
-    worst_g_add = worst_g_mul = 0.0
-    for _ in range(seeds):
-        inp = _random_attn(rng)
-        direction = rng.standard_normal(inp.r.shape)
-        worst_g_add = max(
-            worst_g_add, grad_check("rsb_add", inp, direction).best_rel_error
-        )
-        worst_g_mul = max(
-            worst_g_mul, grad_check("rsb_mul", inp, direction).best_rel_error
-        )
-    record("additive-bias gradient matches central differences", worst_g_add, 1e-4)
-    record("multiplicative-bias gradient matches central differences", worst_g_mul, 1e-4)
-
-    worst_uniform = worst_linear = worst_se = worst_perm = 0.0
-    for _ in range(seeds):
-        hp = int(rng.integers(1, 5))
-        wp = int(rng.integers(1, 5))
-        tp = int(rng.integers(1, 9))
-        ch = int(rng.integers(1, 9))
-        scores = rng.standard_normal((hp, wp, tp))
-        worst_uniform = max(
-            worst_uniform,
-            abs(weighted_pool(scores, np.zeros(tp)) - float(scores.mean())),
-        )
-        direction = rng.standard_normal(scores.shape)
-        worst_linear = max(
-            worst_linear,
-            grad_check(
-                "weighted_pool_scores", (scores, rng.standard_normal(tp)), direction
-            ).best_rel_error,
-        )
-        grid = FeatureGrid(rng.standard_normal((hp, wp, tp, ch)))
-        unit = SqueezeExciteParams.unit_gate(tp)
-        worst_se = max(worst_se, float(np.abs(se_gate(grid, unit).z - grid.z).max()))
-        params = HeadParams.seeded(ch, rng)
-        _, scalar = quality_head(grid, params)
-        perm = rng.permutation(hp * wp)
-        shuffled = grid.z.reshape(hp * wp, tp, ch)[perm].reshape(grid.z.shape)
-        _, scalar_p = quality_head(FeatureGrid(shuffled), params)
-        worst_perm = max(worst_perm, abs(scalar - scalar_p))
-    record("uniform temporal weights equal plain mean pooling", worst_uniform, 1e-12)
-    record("pooling is linear in the score map", worst_linear, 1e-10)
-    record("saturated excitation gate passes features through", worst_se, 0.0)
-    record("head scalar ignores spatial permutations", worst_perm, 1e-9)
-
-    worst_g_se = 0.0
-    for _ in range(max(seeds // 4, 1)):
-        tp = int(rng.integers(1, 9))
-        grid = FeatureGrid(rng.standard_normal((3, 2, tp, 4)))
-        hidden = SqueezeExciteParams.hidden_for(tp)
-        params = SqueezeExciteParams(
-            w1=rng.standard_normal((hidden, tp)),
-            b1=rng.standard_normal(hidden),
-            w2=rng.standard_normal((tp, hidden)),
-            b2=rng.standard_normal(tp),
-        )
-        direction = rng.standard_normal(tp)
-        worst_g_se = max(
-            worst_g_se, grad_check("se_gate", (grid, params), direction).best_rel_error
-        )
-    record("excitation-bias gradient matches central differences", worst_g_se, 1e-4)
+    results = []
+    for prop in PROPERTIES:
+        runs = max(seeds // prop.per_seed, 1)
+        start = time.perf_counter()
+        worst = float(np.max([prop.error(rng) for _ in range(runs)]))
+        ms = (time.perf_counter() - start) * 1e3
+        detail = f"worst {worst:.3e}, tol {prop.tol:.0e}, {runs} seeds, {ms:.1f} ms"
+        results.append(PropertyResult(prop.name, worst <= prop.tol, detail))
     return results

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -559,6 +560,30 @@ def test_attn_check(capsys):
     assert main(["attn-check", "--seeds", "5"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    lines = out.splitlines()
+    assert len(lines) == 11
+    for line in lines:
+        assert re.match(r"PASS  .+ \(worst .+, \d+ seeds, \d+\.\d ms\)$", line), line
+
+
+def test_attn_check_times_each_property_alone(monkeypatch, capsys):
+    """A property's line reads its own time: a fast property listed after a
+    slow one does not carry the slow one's sleep."""
+    import sama.scalehead
+
+    def slow(rng):
+        time.sleep(0.05)
+        return 0.0
+
+    monkeypatch.setattr(sama.scalehead, "PROPERTIES", (
+        sama.scalehead.Property("slow property", 0.0, slow),
+        sama.scalehead.Property("fast property", 0.0, lambda rng: 0.0),
+    ))
+    assert main(["attn-check", "--seeds", "1"]) == 0
+    out = capsys.readouterr().out
+    ms = dict(re.findall(r"^PASS  (\w+) property \(.*, (\d+\.\d) ms\)$", out, re.M))
+    assert float(ms["slow"]) >= 50.0, out
+    assert float(ms["fast"]) < 50.0, out
 
 
 def test_verify_clean(capsys):
@@ -568,9 +593,13 @@ def test_verify_clean(capsys):
     assert "PASS  audit catches a flipped byte (1 mismatches, expected 1, " in out
     assert "PASS  audit catches a flipped byte in a video (1 mismatches, expected 1, " in out
     assert "determinism replay" in out
+    assert ("PASS  mask partition of unity (window 2 levels, patch 2 levels, "
+            "interlace3 3 levels, interlace4 4 levels, ") in out
+    assert ("PASS  temporal schedules (progressive 16, choppy 16, mixed 8 levels "
+            "over 32 frames, ") in out
     assert "FAIL" not in out
     checks = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-    assert len(checks) > 5
+    assert len(checks) == 7 + 11
     for line in checks:
         assert re.search(r"\b\d+\.\d ms\)$", line), line
 

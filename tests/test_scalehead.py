@@ -264,6 +264,19 @@ def test_se_rejects_mismatched_params():
         se_gate(grid, SqueezeExciteParams.unit_gate(6))
 
 
+def test_se_params_reject_a_nan_before_any_gate_runs():
+    unit = SqueezeExciteParams.unit_gate(4)
+    with pytest.raises(NonFiniteInput, match="b2"):
+        SqueezeExciteParams(unit.w1, unit.b1, unit.w2, np.array([0.0, np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("field, shape", [("b1", (2,)), ("w2", (4, 2)), ("b2", (3,))])
+def test_se_params_reject_layers_that_disagree(field, shape):
+    fields = vars(SqueezeExciteParams.unit_gate(4)) | {field: np.zeros(shape)}
+    with pytest.raises(DimMismatch):
+        SqueezeExciteParams(**fields)
+
+
 # ---------------------------------------------------------------------------
 # Quality head
 
