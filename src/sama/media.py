@@ -294,7 +294,12 @@ MAX_FRAMES_OUT = np.iinfo(PROVENANCE_DTYPE["frame"]).max + 1  # a record names i
 
 @dataclass(frozen=True)
 class ProvenanceEntry:
-    """Where one output pixel came from: level, frame, and coordinates."""
+    """Where one output pixel came from: level, frame, and coordinates.
+
+    In a v1 container ``src_frame`` is the pixel's own output frame. The
+    clip frame it was sampled from is that output frame's source key
+    (``SamplingPlan.source_keys``); naming it here waits on a container
+    that stores it."""
 
     scale_id: int
     src_frame: int

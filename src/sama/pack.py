@@ -25,26 +25,27 @@ header by the one rule ``parse_container`` states; a file read checks
 it, and the length it declares against the file's size, before the
 payload is read.
 
-The audit streams the source frames as the sampler does: it visits
-output frames in the order of their source frames, and reads each
-distinct source frame once, just the rows the recorded coordinates tap
-under its own bilinear rule, before it moves to the next. It files each
-output frame's pixels by (source frame, level): as views of the container
-when the frame's keys are already grouped, as every frame under a temporal
-mask is, and after one sort otherwise. It builds tap tables once per
-(source frame, level), and evaluates the rule in chunks of
-``_AUDIT_CHUNK`` pixels whose coordinates it widens to ``intp`` once and
-whose corners it blends in place. It checks each filed part where it
-lies, with no join, and keeps no per-scale tally (``scale_shares`` is the
-one count). So beyond views of the records it holds copies only for
-out-of-order frames, one source frame's rows and one chunk.
+The audit streams the source frames as the sampler does: output frame t
+was sampled from frame t of the clip, so it groups output frames by that
+frame's source key and reads each distinct source frame once, just the
+rows the recorded coordinates tap under its own bilinear rule, before it
+moves to the next. A record's ``frame`` is a claim it checks: one that
+names another output frame is a mismatch. It files each output frame's
+pixels by level: as views of the container when the frame's keys are
+already grouped, as every frame under a temporal mask is, and after one
+sort otherwise. It builds tap tables once per (source frame, level), and
+evaluates the rule in chunks of ``_AUDIT_CHUNK`` pixels whose coordinates
+it widens to ``intp`` once and whose corners it blends in place. It checks
+each filed part where it lies, with no join, and keeps no per-scale tally
+(``scale_shares`` is the one count). So beyond views of the records it
+holds copies only for out-of-order frames, one source frame's rows and one
+chunk.
 """
 
 from __future__ import annotations
 
 import colorsys
 import errno
-import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -127,7 +128,9 @@ class SampledTensor:
         return {int(s): int(counts[s]) / total for s in np.flatnonzero(counts)}
 
     def provenance_at(self, frame: int, y: int, x: int) -> ProvenanceEntry:
-        """Where output pixel (frame, y, x) was copied from."""
+        """Where output pixel (frame, y, x) was copied from; ``src_frame`` is
+        the record's ``frame``, the output frame itself, not the clip frame
+        (see ``ProvenanceEntry``)."""
         rec = self.provenance[frame, y, x]
         return ProvenanceEntry(
             scale_id=int(rec["scale"]),
@@ -370,19 +373,13 @@ def render_preview(
             raise DimMismatch("grid does not tile the output dims")
         ch = t.height // grid_rows
         cw = t.width // grid_cols
-        frames = []
-        for f in range(t.frames_out):
-            img = t.data[f].copy()
-            for r in range(grid_rows):
-                for c in range(grid_cols):
-                    y, x = r * ch, c * cw
-                    color = palette[t.provenance[f, y, x]["scale"]]
-                    img[y, x : x + cw] = color
-                    img[y + ch - 1, x : x + cw] = color
-                    img[y : y + ch, x] = color
-                    img[y : y + ch, x + cw - 1] = color
-            frames.append(FrameBuffer(img))
-        return frames
+        dy, dx = np.arange(ch), np.arange(cw)
+        edge = ((dy == 0) | (dy == ch - 1))[:, None] | ((dx == 0) | (dx == cw - 1))  # (ch, cw)
+        # each cell's colour, its top-left pixel's scale, broadcast over the cell
+        cells = palette[t.provenance["scale"][:, ::ch, ::cw]][:, :, None, :, None]
+        data = t.data.reshape(t.frames_out, grid_rows, ch, grid_cols, cw, 3)
+        out = np.where(edge[:, None, :, None], cells, data).reshape(t.data.shape)
+        return [FrameBuffer(out[f]) for f in range(t.frames_out)]
     raise ValueError(f"unknown preview style {style!r}")
 
 
@@ -471,69 +468,59 @@ _SOURCE_KEY = np.dtype(
 def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditReport:
     """Recompute every output pixel from its recorded source and compare.
 
-    Each pixel's record names a level, a frame of the clip the pyramid was
-    built from, and a level coordinate. The expected value is re-derived
-    from that source frame with the documented bilinear rule (see
-    ``_axis_table`` and ``_bilinear_at``), evaluated only at the recorded
-    coordinate, so the cost scales with the output size and not with the
-    level areas. The rule is written here apart from the resize code in
-    ``pyramid``, so an interpolation fault there shows up as mismatches.
-    The pyramid is read once: the clip its levels share, from its first
-    level (for a video, the selected clip), and each level's dims. A frame
-    is read from that clip at its own size, also when the level is larger:
-    provenance ``frame`` still records the output slot. An empty pyramid
-    raises ValueError.
+    Output frame f was sampled from frame f of the clip the pyramid was
+    built from (its first level's ``sources``; for a video, the selected
+    clip), so a record's ``frame`` must name f: one that names another frame
+    is a mismatch. The record's level and coordinate give the expected value,
+    re-derived from that clip frame, read at its own size, with the
+    documented bilinear rule (see ``_axis_table`` and ``_bilinear_at``) at
+    the recorded coordinate alone, so the cost scales with the output size
+    and not with the level areas. The rule is written here apart from the
+    resize code in ``pyramid``, so an interpolation fault there shows up as
+    mismatches. An empty pyramid raises ValueError.
 
-    Out-of-range scale ids, frame indices, or coordinates count as
-    mismatches rather than raising, so a corrupted tensor still yields a
-    report. Output frames are taken in runs that share a source key
-    (``sources.source_keys``); a run's pixels are filed by (source frame,
-    level) and checked one source frame at a time, which is read once, only
-    the rows its pixels' taps need. So each distinct source is read once
-    and each of its levels builds its tables once, however many output
-    frames repeat it. A frame whose keys are already grouped (one level and
-    source frame, or contiguous runs of them) is filed as views of ``t``,
-    and every filed part is checked where it lies: only out-of-order frames
-    are copied. The report has no per-scale tally; each level's share is
+    Out-of-range scale ids or coordinates, and every pixel of an output frame
+    past the clip's length, count as mismatches rather than raising, so a
+    corrupted tensor still yields a report. Output frames are grouped by
+    their source key (``sources.source_keys``): each group's pixels are filed
+    by level and checked against its source, which is read once, only the
+    rows their taps need, and whose levels each build their tables once.
+    The report has no per-scale tally; each level's share is
     ``t.scale_shares()``.
     """
     if not pyramid:
         raise ValueError("the audit needs a pyramid of at least one level")
     sources = pyramid[0].sources
     dims = [(level.height, level.width) for level in pyramid]
-    keys = sources.source_keys
-    mismatches = 0
-
-    def key_of(f: int) -> int:
-        return keys[f] if f < len(keys) else -1
-
-    # output frame f records source frame f, so frames sharing a key are one run
-    for _, run in itertools.groupby(sorted(range(t.frames_out), key=key_of), key=key_of):
-        filed: dict = {}  # source key -> (index, {scale id: parts})
-        for f in run:
+    mismatches = t.provenance[len(sources) :].size  # output frames past the clip
+    by_source: dict[int, list[int]] = {}  # source key -> its output frames
+    for f, key in enumerate(sources.source_keys[: t.frames_out]):
+        by_source.setdefault(key, []).append(f)
+    for frames in by_source.values():
+        levels: dict = {}  # scale id -> parts
+        for f in frames:
             prov, data = t.provenance[f].reshape(-1), t.data[f].reshape(-1, 3)
-            mismatches += _collect_checks(prov, data, sources, dims, filed)
-        for key in list(filed):  # popped, so no source's pixels outlive its audit
-            mismatches += _audit_source_frame(sources, dims, *filed.pop(key))
+            mismatches += _collect_checks(prov, data, f, dims, levels)
+        if levels:
+            mismatches += _audit_source_frame(sources, dims, frames[0], levels)
     return AuditReport(total_pixels=t.provenance.size, mismatches=mismatches)
 
 
-def _collect_checks(prov: np.ndarray, data: np.ndarray, sources, dims: list, filed: dict) -> int:
-    """File one output frame's in-range pixels in ``filed``: under their
-    source frame's key in ``sources``, as ``(index, {scale id: parts})``,
-    each part the ``(y, x, got)`` of the frame's pixels at level dims
-    ``dims[s]``. ``prov`` holds the frame's records and ``data`` its
-    (pixels, 3) values. Returns the mismatches found without reading:
-    pixels whose level, frame or coordinates lie outside the pyramid.
+def _collect_checks(prov: np.ndarray, data: np.ndarray, f: int, dims: list, levels: dict) -> int:
+    """File output frame ``f``'s in-range pixels in ``levels``, as
+    ``{scale id: parts}``, each part the ``(y, x, got)`` of the frame's
+    pixels at level dims ``dims[s]``. ``prov`` holds the frame's records and
+    ``data`` its (pixels, 3) values. Returns the mismatches found without
+    reading: pixels whose record names a frame other than f, or whose level
+    or coordinates lie outside the pyramid.
 
     The pixels are grouped by their (frame, scale) keys, read from the
     records in one pass, so each part keeps pixel order. When the keys are
     already non-decreasing, as in every frame the sampler writes under a
     temporal mask or none, each group is a slice of the frame, filed as
-    views of ``prov`` and ``data``. Otherwise (a spatial mask interleaves
-    levels, or the records are corrupt) one stable sort reorders copies of
-    the frame's records and values, and the groups are slices of those. A
-    group with pixels out of range files copies of just the pixels in range.
+    views of ``prov`` and ``data``; otherwise one stable sort reorders copies
+    of them first. A group with pixels out of range files copies of just the
+    pixels in range.
     """
     key = prov.view(_SOURCE_KEY)["key"] & 0xFFFFFF
     if (key[1:] < key[:-1]).any():  # out of order: one stable sort groups them
@@ -545,7 +532,7 @@ def _collect_checks(prov: np.ndarray, data: np.ndarray, sources, dims: list, fil
     mismatches = 0
     for lo, hi in zip(starts, starts[1:] + [key.size]):
         s, fr = int(key[lo]) & 0xFF, int(key[lo]) >> 8
-        if s >= len(dims) or fr >= len(sources):
+        if s >= len(dims) or fr != f:
             mismatches += hi - lo
             continue
         height, width = dims[s]
@@ -557,8 +544,7 @@ def _collect_checks(prov: np.ndarray, data: np.ndarray, sources, dims: list, fil
         if n_inside < hi - lo:
             y, x, got = y[inside], x[inside], got[inside]
         if n_inside:
-            entry = filed.setdefault(sources.source_keys[fr], (fr, {}))
-            entry[1].setdefault(s, []).append((y, x, got))
+            levels.setdefault(s, []).append((y, x, got))
     return mismatches
 
 

@@ -21,21 +21,22 @@ broadcasts them rather than expanding them per pixel.
 
 ``_render`` executes a plan. Source frames whose output frames draw on
 the same level tuples tap the same source rows, and ``_render_group``
-renders one such group at a time: it builds the group's coordinates,
-marks the rows they tap (``tap_rows``) and builds each level's taps on
-those rows (``pixel_taps``), all as locals; the coordinates are dropped
-once the taps are built. Each source frame is then read once, just those
-rows, every (frame, level) drawing on it runs one gather straight into
-the output, and it is released before the next is read. So in every mask
-mode memory is the output, one source frame's rows and one group's taps,
-and the gather cost does not grow with the number of levels interlaced.
-A group's taps cover every level tuple its output frames draw on, so a
-clip shorter than ``frames_out`` under a temporal mask, whose source
-frames each repeat over many levels, can hold every level tuple's taps at
-once: a 1-frame 1080p clip under the VQA default peaks at 56.0 MB under
-``tracemalloc``, against 23.1 MB for 64 distinct frames. Holding the
-group's source rows instead of its taps measured costlier for a 3-frame
-clip under ``choppy``, so that cost stands.
+renders one such group at a time: it builds every tuple's coordinates and
+marks the rows they tap (``tap_rows``), then reads each source frame once,
+just those rows, and runs one gather straight into the output for every
+(frame, level) drawing on it, releasing the frame before the next is read.
+A tuple's coordinates give way to its taps on those rows (``pixel_taps``)
+at its first output frame, and the taps are dropped after its last. So
+memory is the output, one source frame's rows and the taps of the tuples
+in use (with the coordinates of those not yet reached), and the gather
+cost does not grow with the number of levels interlaced. A group of one source frame, as each frame of
+a 1- or 3-frame clip under the VQA default is, holds one tuple's taps at a
+time: such a 1080p clip peaks at 23.1 MB under ``tracemalloc``, as 64
+distinct frames do. In a group of several source frames, each draws on
+every tuple, so all of them stay built until the last source frame: a 2-
+or 4-frame 1080p clip under the VQA default peaks at 56.0 or 35.5 MB.
+Holding such a group's source rows instead of its taps is the other
+choice; it is left open.
 ``provenance`` likewise fills one level tuple's records at a time,
 straight into the array it returns. The tests check the bytes against a
 reference that composes whole per-level mosaics.
@@ -213,15 +214,20 @@ def _render_group(
 ) -> None:
     """Render into ``data`` one group's output frames, ``slots`` (source
     key -> its output frames), whose source frames draw on the same level
-    tuples. The group's coordinates are dropped once its taps are built,
-    and its taps on return."""
+    tuples. Every tuple's coordinates are built and their rows marked
+    first. In the order the frames are rendered, a tuple's coordinates give
+    way to its taps at its first output frame, and its taps are dropped
+    after its last, so a group of one source frame holds one tuple's taps
+    at a time."""
     shape = plan.grid_shape
     sources = pyramid[0].sources
     marks = np.zeros(sources.height, dtype=bool)
+    # level tuple -> its last output frame, in render order
+    last = {plan.frame_levels[t]: t for ts in slots.values() for t in ts}
     # level tuple -> [(s, owned, ys, xs)]: a level owning every pixel keeps
     # the compact coords factors, a part the owned pixels' coordinates
     parts: dict[tuple[int, ...], list] = {}
-    for levels in {plan.frame_levels[t] for ts in slots.values() for t in ts}:
+    for levels in last:
         parts[levels] = []
         for s, owned in plan.parts(levels):
             ys, xs = plan.coords(s)
@@ -230,21 +236,25 @@ def _render_group(
             tap_rows(pyramid[s], ys, marks)
             parts[levels].append((s, owned, ys, xs))
     rows = np.flatnonzero(marks)
-    taps = {
-        levels: [(owned, pixel_taps(pyramid[s], ys, xs, rows)) for s, owned, ys, xs in part]
-        for levels, part in parts.items()
-    }
-    del parts  # only the taps live through the gathers
+    taps: dict[tuple[int, ...], list] = {}  # level tuple -> [(owned, its taps)]
     for key, ts in slots.items():
         src = sources.read(ts[0], rows)
         for t in ts:
+            levels = plan.frame_levels[t]
+            if levels not in taps:
+                taps[levels] = [
+                    (owned, pixel_taps(pyramid[s], ys, xs, rows))
+                    for s, owned, ys, xs in parts.pop(levels)
+                ]
             out = data[t].view(_RGB).reshape(-1)  # one frame as (H*W,) RGB items
-            for owned, level_taps in taps[plan.frame_levels[t]]:
+            for owned, level_taps in taps[levels]:
                 pixels = gather_taps(src, level_taps).view(_RGB).reshape(-1)
                 if owned is None:
                     out[:] = pixels
                 else:
                     out[owned] = pixels
+            if last[levels] == t:
+                del taps[levels]
         del src  # release this frame before the next is read
 
 

@@ -27,6 +27,7 @@ assert PIXELS > CHUNK + 1
 # levels below, at and above the source size.
 _SOURCES = select_frames(coordinate_clip(40, 56, 3), 5)
 assert len(set(_SOURCES.source_keys)) < len(_SOURCES)
+FRAMES = len(_SOURCES)  # output frames of the oracle test, one per slot
 _PYRAMID = [
     PyramidLevel(s, _SOURCES, h, w)
     for s, (h, w) in enumerate([(40, 56), (29, 37), (17, 23), (50, 71)])
@@ -61,44 +62,46 @@ def _rule(fr: int, h: int, w: int, y: int, x: int) -> tuple[int, int, int]:
 
 
 def _oracle(t: SampledTensor, pyramid) -> tuple[int, dict[int, float]]:
-    """(mismatches, per-scale shares of the pixels), one pixel at a time."""
+    """(mismatches, per-scale shares of the pixels), one pixel at a time:
+    output frame f's pixels are checked against frame f of the clip, so a
+    record naming another frame is a mismatch."""
     prov = t.provenance.reshape(-1)
     scales, frames, ys, xs = (prov[k].tolist() for k in PROVENANCE_DTYPE.names)
+    slots = np.repeat(np.arange(t.frames_out), t.height * t.width).tolist()
     got = [tuple(p) for p in t.data.reshape(-1, 3).tolist()]
     mismatches = 0
-    for s, fr, y, x, value in zip(scales, frames, ys, xs, got):
-        if s >= len(pyramid):
+    for f, s, fr, y, x, value in zip(slots, scales, frames, ys, xs, got):
+        if s >= len(pyramid) or fr != f:
             mismatches += 1
             continue
         level = pyramid[s]
-        if fr >= len(level.sources) or y >= level.height or x >= level.width:
+        if f >= len(level.sources) or y >= level.height or x >= level.width:
             mismatches += 1
             continue
-        mismatches += _rule(fr, level.height, level.width, y, x) != value
+        mismatches += _rule(f, level.height, level.width, y, x) != value
     return mismatches, {s: c / len(scales) for s, c in Counter(scales).items()}
 
 
 def _tensor(rng, frames: int, groups=None) -> SampledTensor:
-    """Output frames whose first ``split`` pixels record one (level, source
-    frame) and the rest another, at random in-range coordinates; the values
-    are the levels' own pixels. Frame ``f``'s two (level, source frame)
-    pairs are ``groups[f]`` if given, else drawn at random."""
+    """Output frames whose first ``split`` pixels record one level and the
+    rest another, each record naming its own frame, at random in-range
+    coordinates; the values are the levels' own pixels. Frame ``f``'s two
+    levels are ``groups[f]`` if given, else drawn at random."""
     prov = np.zeros((frames, PIXELS), dtype=PROVENANCE_DTYPE)
     data = np.zeros((frames, PIXELS, 3), dtype=np.uint8)
     for f in range(frames):
         split = int(rng.integers(CHUNK + 1, PIXELS))
         if groups is None:
             scales = rng.choice(len(_PYRAMID), size=2, replace=False)
-            slots = rng.choice(len(_SOURCES), size=2, replace=False)
         else:
-            scales, slots = zip(*groups[f])
-        for (lo, hi), s, fr in zip(((0, split), (split, PIXELS)), scales, slots):
+            scales = groups[f]
+        for (lo, hi), s in zip(((0, split), (split, PIXELS)), scales):
             level = _PYRAMID[s]
             part = prov[f, lo:hi]
-            part["scale"], part["frame"] = s, fr
+            part["scale"], part["frame"] = s, f
             part["y"] = rng.integers(0, level.height, hi - lo)
             part["x"] = rng.integers(0, level.width, hi - lo)
-            data[f, lo:hi] = level.frame(fr)[part["y"], part["x"]]
+            data[f, lo:hi] = level.frame(f)[part["y"], part["x"]]
     return SampledTensor(
         kind="video",
         data=data.reshape(frames, SIDE, SIDE, 3),
@@ -111,7 +114,7 @@ _FAULTS = {
     "byte": None,  # one channel
     "pixel": None,  # every channel: still one mismatch
     "scale": (len(_PYRAMID), 255),
-    "frame": (len(_SOURCES), 0xFFFF),
+    "frame": (None, 0xFFFF),  # None: the next output frame
     "y": (None, 0xFFFFFFFF),  # None: the level's first value outside
     "x": (None, 0xFFFFFFFF),
 }
@@ -122,7 +125,7 @@ _FAULTS = {
     seed=st.integers(0, 2**32 - 1),
     faults=st.lists(
         st.tuples(
-            st.integers(0, 2),  # output frame
+            st.integers(0, FRAMES - 1),  # output frame
             st.sampled_from([0, CHUNK - 1, CHUNK, PIXELS - 1]),
             st.sampled_from(sorted(_FAULTS)),
             st.integers(0, 1),  # which value, or channel
@@ -131,15 +134,17 @@ _FAULTS = {
     ),
 )
 def test_audit_matches_a_per_pixel_oracle(seed, faults):
-    t = _tensor(np.random.default_rng(seed), 3)
-    data = t.data.reshape(3, PIXELS, 3)
-    prov = t.provenance.reshape(3, PIXELS)
+    t = _tensor(np.random.default_rng(seed), FRAMES)
+    data = t.data.reshape(FRAMES, PIXELS, 3)
+    prov = t.provenance.reshape(FRAMES, PIXELS)
     for f, p, kind, pick in faults:
         if kind in ("byte", "pixel"):
             data[f, p, pick if kind == "byte" else slice(None)] ^= 0x80
             continue
         value = _FAULTS[kind][pick]
-        if value is None and prov[f, p]["scale"] < len(_PYRAMID):
+        if value is None and kind == "frame":
+            value = (f + 1) % FRAMES
+        elif value is None and prov[f, p]["scale"] < len(_PYRAMID):
             level = _PYRAMID[prov[f, p]["scale"]]
             value = level.height if kind == "y" else level.width
         elif value is None:
@@ -147,7 +152,7 @@ def test_audit_matches_a_per_pixel_oracle(seed, faults):
         prov[f, p][kind] = value
     report = provenance_audit(t, _PYRAMID)
     mismatches, shares = _oracle(t, _PYRAMID)
-    assert report.total_pixels == 3 * PIXELS
+    assert report.total_pixels == FRAMES * PIXELS
     assert report.mismatches == mismatches
     assert t.scale_shares() == shares
     if not faults:
@@ -155,12 +160,12 @@ def test_audit_matches_a_per_pixel_oracle(seed, faults):
 
 
 def test_audit_files_frames_in_and_out_of_key_order_alike():
-    """Frame 0's two (level, source frame) groups are in key order, so the
-    audit files them as views of the tensor; frame 1's are not, so it sorts
-    and copies them. Each frame has one flipped byte and one ``y`` outside
-    its level, and both give the oracle's report."""
-    # a record's key is frame << 8 | scale: (1, 0) sorts before (0, 2)
-    t = _tensor(np.random.default_rng(23), 2, [((1, 0), (0, 2)), ((0, 2), (1, 0))])
+    """Frame 0's two levels are in key order, so the audit files them as
+    views of the tensor; frame 1's are not, so it sorts and copies them.
+    Each frame has one flipped byte and one ``y`` outside its level, and
+    both give the oracle's report."""
+    # a record's key is frame << 8 | scale, and a frame's records share a frame
+    t = _tensor(np.random.default_rng(23), 2, [(0, 2), (2, 0)])
     data = t.data.reshape(2, PIXELS, 3)
     prov = t.provenance.reshape(2, PIXELS)
     for f in range(2):
@@ -169,21 +174,39 @@ def test_audit_files_frames_in_and_out_of_key_order_alike():
     report = provenance_audit(t, _PYRAMID)
     assert (report.mismatches, t.scale_shares()) == _oracle(t, _PYRAMID)
     assert report.mismatches == 4
-    # frame 0's byte is in its (1, 0) group and its y in its (0, 2) group,
+    # frame 0's byte is in its level-0 group and its y in its level-2 group,
     # frame 1's the other way round; a group that loses a pixel is a copy
-    views = ({(1, 0): True, (0, 2): False}, {(1, 0): False, (0, 2): False})
+    views = ({0: True, 2: False}, {0: False, 2: False})
     dims = [(level.height, level.width) for level in _PYRAMID]
     for f, view in enumerate(views):
-        filed = {}  # source key -> (source frame, {scale id: parts})
-        sama.pack._collect_checks(prov[f], data[f], _SOURCES, dims, filed)
-        assert list(filed) == sorted({_SOURCES.source_keys[fr] for _, fr in view})
-        shared = {
-            (s, fr): np.shares_memory(got, t.data)
-            for fr, levels in filed.values()
-            for s, parts in levels.items()
-            for _, _, got in parts
-        }
+        levels = {}  # scale id -> parts
+        assert sama.pack._collect_checks(prov[f], data[f], f, dims, levels) == 1
+        shared = {s: np.shares_memory(got, t.data) for s, parts in levels.items() for *_, got in parts}
         assert shared == view
+
+
+def test_a_record_naming_another_slot_of_its_source_is_a_mismatch():
+    """Output frame f is checked against its own source frame, so a record
+    whose ``frame`` names another output frame is a mismatch even when that
+    frame repeats the same source, where following the record would read
+    the same pixels."""
+    cfg = SamplerConfig(grid_rows=2, grid_cols=2, frag_h=4, frag_w=4, frames_out=8, n_scales=4)
+    res = sample_video(coordinate_clip(40, 56, 3), cfg)
+    keys = res.pyramid[0].sources.source_keys
+    f, g = next((f, g) for f in range(8) for g in range(8) if f != g and keys[f] == keys[g])
+    assert provenance_audit(res.tensor, res.pyramid).ok
+    res.tensor.provenance[f, 1, 2]["frame"] = g
+    assert provenance_audit(res.tensor, res.pyramid).mismatches == 1
+
+
+def test_output_frames_past_the_clip_are_mismatches_whole():
+    """A clip shorter than the tensor has no source for its last output
+    frames, so each of their pixels is a mismatch; the others check clean."""
+    t = _tensor(np.random.default_rng(7), FRAMES)
+    short = _SOURCES.pick(range(3))
+    pyramid = [PyramidLevel(lvl.scale_id, short, lvl.height, lvl.width) for lvl in _PYRAMID]
+    report = provenance_audit(t, pyramid)
+    assert report.mismatches == _oracle(t, pyramid)[0] == (FRAMES - 3) * PIXELS
 
 
 def test_audit_of_an_empty_pyramid_is_a_value_error():

@@ -360,6 +360,47 @@ def test_preview_bordered_checkerboard_counts():
     assert (c0, c1) == (25, 24)
 
 
+
+def _bordered_per_cell(t, grid_rows, grid_cols):
+    """The bordered preview as four painted slices per cell per frame."""
+    palette = scale_palette(t.n_scales)
+    ch, cw = t.height // grid_rows, t.width // grid_cols
+    frames = []
+    for f in range(t.frames_out):
+        img = t.data[f].copy()
+        for r in range(grid_rows):
+            for c in range(grid_cols):
+                y, x = r * ch, c * cw
+                color = palette[t.provenance[f, y, x]["scale"]]
+                img[y, x : x + cw] = color
+                img[y + ch - 1, x : x + cw] = color
+                img[y : y + ch, x] = color
+                img[y : y + ch, x + cw - 1] = color
+        frames.append(img)
+    return frames
+
+
+_BORDERED_CASES = {
+    "iqa": lambda: sample_image(coordinate_frame(300, 400), SamplerConfig.iqa_default()),
+    "patch-video": lambda: sample_video(
+        coordinate_clip(240, 300, 3),
+        SamplerConfig(frames_out=4, n_scales=4, spatial_mask="patch", temporal_mask="choppy"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BORDERED_CASES))
+def test_preview_bordered_equals_the_per_cell_painting(case):
+    res = _BORDERED_CASES[case]()
+    cfg = res.plan.config
+    for grid in ((1, 1), (2, 2), (cfg.grid_rows, cfg.grid_cols)):
+        frames = render_preview(res.tensor, "bordered", *grid)
+        expected = _bordered_per_cell(res.tensor, *grid)
+        assert len(frames) == len(expected) == res.tensor.frames_out
+        for frame, want in zip(frames, expected):
+            assert frame.data.dtype == np.uint8 and np.array_equal(frame.data, want), grid
+
+
 # ---------------------------------------------------------------------------
 # Audit
 

@@ -380,28 +380,36 @@ def _peak(call):
         tracemalloc.stop()
 
 
-def _largest_group_bytes(plan, pyramid):
-    """The most bytes one group of source frames drawing on the same level
-    tuples holds through its gathers: each part's taps, plus a part that
-    owns some pixels' owner mask. The group's coordinates are dropped once
-    its taps are built."""
+def _tuple_bytes(plan, pyramid, levels):
+    """The bytes one level tuple's taps hold: each part's taps, plus a part
+    that owns some pixels' owner mask."""
     pixels = plan.owner.size
     src = pyramid[0].sources
+    held = 0
+    for s, owned in plan.parts(levels):
+        n = pixels if owned is None else int(np.count_nonzero(owned))
+        at_source = (pyramid[s].height, pyramid[s].width) == (src.height, src.width)
+        held += n * (8 if at_source else 4 * 8 + 2 * 3 * 4)  # index, fractions
+        if owned is not None:
+            held += pixels  # the owner mask
+    return held
+
+
+def _largest_group_bytes(plan, pyramid):
+    """The most bytes one group of source frames drawing on the same level
+    tuples holds through its gathers: every tuple's taps, as each of the
+    group's source frames draws on them all. A tuple's coordinates, fewer
+    bytes than its taps, are dropped as its taps are built."""
     tuples: dict[int, set] = {}
     for key, levels in zip(plan.source_keys, plan.frame_levels):
         tuples.setdefault(key, set()).add(levels)
-    largest = 0
-    for group in {frozenset(levels) for levels in tuples.values()}:
-        held = 0
-        for levels in group:
-            for s, owned in plan.parts(levels):
-                n = pixels if owned is None else int(np.count_nonzero(owned))
-                at_source = (pyramid[s].height, pyramid[s].width) == (src.height, src.width)
-                held += n * (8 if at_source else 4 * 8 + 2 * 3 * 4)  # index, fractions
-                if owned is not None:
-                    held += pixels  # the owner mask
-        largest = max(largest, held)
-    return largest
+    return max(
+        sum(_tuple_bytes(plan, pyramid, levels) for levels in group)
+        for group in {frozenset(levels) for levels in tuples.values()}
+    )
+
+
+_CORNERS = 3 * (4 + 4 * 4 + 1)  # bytes a pixel: uint8 taps, their float32 copy, the blend
 
 
 @pytest.mark.parametrize("name", sorted(_WORKING_SETS))
@@ -409,11 +417,31 @@ def test_render_working_set_is_the_output_and_one_group_of_taps(name):
     plan, pyramid, frame_rows = _working_set(name)
     pixels = plan.owner.size
     output = len(plan.frame_levels) * pixels * 3
-    corners = pixels * 3 * (4 + 4 * 4 + 1)  # uint8 taps, their float32 copy, the blend
+    corners = pixels * _CORNERS
     slack = 2 * 2**20
     peak = _peak(lambda: _render(plan, pyramid))
     group = _largest_group_bytes(plan, pyramid)
     assert peak < output + group + frame_rows + corners + slack, (peak, group)
+
+
+@pytest.mark.parametrize("n_frames", [1, 3])
+def test_render_of_a_short_clip_holds_one_level_tuple_of_taps_at_a_time(n_frames):
+    """Under the VQA default a clip shorter than ``frames_out`` repeats each
+    source frame over many level tuples, and each source frame draws on
+    tuples of its own. A tuple's taps live from its first output frame to
+    its last, so the render holds no more than two tuples' taps at once,
+    not every tuple of the source frame."""
+    cfg = SamplerConfig.vqa_default()
+    height, width = 40, 56
+    clip = select_frames(synthetic_clip(height, width, n_frames), cfg.frames_out)
+    plan = plan_sampling(height, width, clip.source_keys, cfg)
+    pyramid = build_pyramid(clip, cfg)
+    pixels = plan.owner.size
+    output = len(plan.frame_levels) * pixels * 3
+    taps = max(_tuple_bytes(plan, pyramid, levels) for levels in set(plan.frame_levels))
+    slack = 2 * 2**20
+    peak = _peak(lambda: _render(plan, pyramid))
+    assert peak < output + 2 * taps + height * width * 3 + pixels * _CORNERS + slack, (peak, taps)
 
 
 @pytest.mark.parametrize("name", sorted(_WORKING_SETS))
