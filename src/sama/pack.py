@@ -18,12 +18,14 @@ provenance record per pixel (u8 scale, u16 frame, u32 y, u32 x; 11
 bytes). Every container carries its provenance; a reader rejects any
 other flags byte from the header alone. Files are written to a temp
 name, allocated to their full length first, and renamed into place, so
-a failed write never leaves a partial file. Neither direction copies the
-payload: a write hands the arrays' buffers to the file, and a read fills
-one buffer whose views are the tensor's arrays. Every reader checks the
-header by the one rule ``parse_container`` states; a file read checks
-it, and the length it declares against the file's size, before the
-payload is read.
+a failed write never leaves a partial file. A write hands the arrays'
+buffers to the file, without copying the payload. Every reader checks
+the header by the one rule ``parse_container`` states. A file read checks
+it, and the length it declares against the file's size, and reads no
+payload: the tensor it returns keeps the file open and reads one output
+frame (``SampledTensor.frame``) or one record when asked for it, and the
+whole payload, into one buffer whose views are the arrays, only on the
+first use of ``data`` or ``provenance``.
 
 The audit streams the source frames as the sampler does: output frame t
 was sampled from frame t of the clip, so it groups output frames by that
@@ -31,29 +33,33 @@ frame's source key and reads each distinct source frame once, just the
 rows the recorded coordinates tap under its own bilinear rule, before it
 moves to the next. A record's ``frame`` is a claim it checks: one that
 names another output frame is a mismatch. It files each output frame's
-pixels by level: as views of the container when the frame's keys are
+pixels by level: as views of the frame when the frame's keys are
 already grouped, as every frame under a temporal mask is, and after one
 sort otherwise. It builds tap tables once per (source frame, level), and
 evaluates the rule in chunks of ``_AUDIT_CHUNK`` pixels whose coordinates
 it widens to ``intp`` once and whose corners it blends in place. It checks
 each filed part where it lies, with no join, and keeps no per-scale tally
-(``scale_shares`` is the one count). So beyond views of the records it
-holds copies only for out-of-order frames, one source frame's rows and one
-chunk.
+(``scale_shares`` is the one count). It takes each output frame from
+``frame``: views of a tensor in memory, a read of the frame from a stored
+one, whose payload it never reads whole. So it holds the output frames of
+one source frame (one frame, when the clip has at least as many frames as
+the output), copies of them only when out of order, one source frame's
+rows and one chunk.
 """
 
 from __future__ import annotations
 
 import colorsys
 import errno
+import math
 import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import imageio
 from .errors import CorruptFile, DimMismatch, UnsupportedFormat
 from .media import PROVENANCE_DTYPE, FrameBuffer, ProvenanceEntry
 from .pyramid import PyramidLevel
@@ -82,6 +88,8 @@ class SampledTensor:
 
     ``data`` is always (T, H, W, 3) uint8 with T == 1 for images;
     ``provenance`` is a (T, H, W) structured array of PROVENANCE_DTYPE.
+    ``read_container`` returns a stored tensor, which reads these arrays
+    from its file only when asked for them; ``frame`` reads one frame.
     """
 
     kind: str
@@ -107,37 +115,118 @@ class SampledTensor:
             raise DimMismatch("provenance shape must match data frames")
 
     @property
+    def dims(self) -> tuple[int, int, int]:
+        """(T, H, W): the output's frames, height and width."""
+        return self.provenance.shape
+
+    @property
     def frames_out(self) -> int:
-        return self.data.shape[0]
+        return self.dims[0]
 
     @property
     def height(self) -> int:
-        return self.data.shape[1]
+        return self.dims[1]
 
     @property
     def width(self) -> int:
-        return self.data.shape[2]
+        return self.dims[2]
+
+    def frame(self, f: int) -> tuple[np.ndarray, np.ndarray]:
+        """Output frame ``f``: its (H, W, 3) pixels and (H, W) records, as
+        views of the arrays."""
+        return self.data[f], self.provenance[f]
 
     def scale_shares(self) -> dict[int, float]:
         """Fraction of output pixels each pyramid level contributed, counted
-        from the stored records; ``SamplingPlan.shares`` needs no records."""
+        from the stored records a frame at a time; ``SamplingPlan.shares``
+        needs no records."""
         counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
-        for scale in self.provenance["scale"]:  # a frame at a time: no whole-tensor temporary
+        for f in range(self.frames_out):
+            scale = self.frame(f)[1]["scale"]
             counts += np.bincount(scale.reshape(-1).astype(np.intp), minlength=256)
-        total = self.provenance.size
+        total = math.prod(self.dims)
         return {int(s): int(counts[s]) / total for s in np.flatnonzero(counts)}
 
     def provenance_at(self, frame: int, y: int, x: int) -> ProvenanceEntry:
         """Where output pixel (frame, y, x) was copied from; ``src_frame`` is
         the record's ``frame``, the output frame itself, not the clip frame
         (see ``ProvenanceEntry``)."""
-        rec = self.provenance[frame, y, x]
+        rec = self._record(frame, y, x)
         return ProvenanceEntry(
             scale_id=int(rec["scale"]),
             src_frame=int(rec["frame"]),
             src_y=int(rec["y"]),
             src_x=int(rec["x"]),
         )
+
+    def _record(self, frame: int, y: int, x: int) -> np.void:
+        return self.provenance[frame, y, x]
+
+
+class _StoredTensor(SampledTensor):
+    """A container file's tensor, as ``read_container`` returns it: the
+    header's fields, and a descriptor of the open file from which the
+    payload is read when asked for. The descriptor is closed when the
+    tensor is collected."""
+
+    def __init__(self, fd: int, fields: dict, dims: tuple[int, int, int], pos: int):
+        self.__dict__.update(fields)
+        self._fd, self._dims = fd, dims
+        self._pixels_at = pos
+        self._records_at = pos + math.prod(dims) * 3
+        self._arrays = None
+        weakref.finalize(self, os.close, fd)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self._dims
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._payload()[0]
+
+    @property
+    def provenance(self) -> np.ndarray:
+        return self._payload()[1]
+
+    def _payload(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both arrays, views of one buffer that the first call reads."""
+        if self._arrays is None:
+            n_pixels = math.prod(self._dims)
+            payload = np.empty(n_pixels * (3 + PROVENANCE_DTYPE.itemsize), dtype=np.uint8)
+            _read_at(self._fd, payload, self._pixels_at)
+            self._arrays = _payload_arrays(payload, 0, self._dims)
+        return self._arrays
+
+    def frame(self, f: int) -> tuple[np.ndarray, np.ndarray]:
+        """Output frame ``f`` read from the file: one read of its pixels and
+        one of its records, into new arrays."""
+        f = range(self.frames_out)[f]
+        _, height, width = self._dims
+        pixels = np.empty((height, width, 3), dtype=np.uint8)
+        records = np.empty((height, width, PROVENANCE_DTYPE.itemsize), dtype=np.uint8)
+        _read_at(self._fd, pixels, self._pixels_at + f * pixels.size)
+        _read_at(self._fd, records, self._records_at + f * records.size)
+        return pixels, records.view(PROVENANCE_DTYPE).reshape(height, width)
+
+    def _record(self, frame: int, y: int, x: int) -> np.void:
+        """One 11-byte record read from the file."""
+        frames, height, width = self._dims
+        index = (range(frames)[frame] * height + range(height)[y]) * width + range(width)[x]
+        record = np.empty(PROVENANCE_DTYPE.itemsize, dtype=np.uint8)
+        _read_at(self._fd, record, self._records_at + index * record.size)
+        return record.view(PROVENANCE_DTYPE)[0]
+
+
+def _read_at(fd: int, buf: np.ndarray, offset: int) -> None:
+    """Fill the contiguous uint8 array ``buf`` with the bytes of file ``fd``
+    from ``offset`` on; a file that ends first is ``CorruptFile``."""
+    view = memoryview(buf).cast("B")
+    while view.nbytes:
+        n = os.preadv(fd, [view], offset)
+        if not n:
+            raise CorruptFile("container file is shorter than its header declares")
+        view, offset = view[n:], offset + n
 
 
 def _container_parts(t: SampledTensor) -> list:
@@ -295,6 +384,17 @@ def _parse_header(data, size: int) -> tuple[dict, tuple[int, int, int], int]:
     return fields, (frames, height, width), pos
 
 
+def _payload_arrays(buf, pos: int, dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, H, W, 3) pixels and (T, H, W) records of a payload that
+    starts at byte ``pos`` of ``buf``, as views of it."""
+    n_pixels = math.prod(dims)
+    pixels = np.frombuffer(buf, dtype=np.uint8, count=n_pixels * 3, offset=pos)
+    provenance = np.frombuffer(
+        buf, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos + pixels.size
+    )
+    return pixels.reshape(*dims, 3), provenance.reshape(dims)
+
+
 def parse_container(data) -> SampledTensor:
     """Parse a container held in ``bytes`` or a uint8 buffer.
 
@@ -302,33 +402,40 @@ def parse_container(data) -> SampledTensor:
     is ``bytes``.
     """
     data = memoryview(data).cast("B")
-    fields, shape, pos = _parse_header(data, len(data))
-    n_pixels = shape[0] * shape[1] * shape[2]
-    pixels = np.frombuffer(data, dtype=np.uint8, count=n_pixels * 3, offset=pos)
-    provenance = np.frombuffer(
-        data, dtype=PROVENANCE_DTYPE, count=n_pixels, offset=pos + pixels.size
-    ).reshape(shape)
-    return SampledTensor(data=pixels.reshape(*shape, 3), provenance=provenance, **fields)
-
-
-# The longest header: the fixed part, a schedule of 0xFFFF scale ids, the flags.
-_MAX_HEADER = _FIXED_HEADER.size + 0xFFFF + 1
+    fields, dims, pos = _parse_header(data, len(data))
+    pixels, provenance = _payload_arrays(data, pos, dims)
+    return SampledTensor(data=pixels, provenance=provenance, **fields)
 
 
 def read_container(path: str | Path) -> SampledTensor:
-    """Read a container file once; the tensor's arrays are writable views
-    of that one buffer.
+    """Check a container file's header and open it; the payload is read
+    only when asked for.
 
-    The header is checked first, as ``parse_container`` checks it, from
-    at most ``_MAX_HEADER`` bytes, and the length it declares against the
-    file's size. So a file that is not a container, or is cut short or
-    padded, fails with at most those bytes read. They then start the
-    buffer (``imageio.read_buffer``), so no byte is read twice.
+    The header is checked as ``parse_container`` checks it, and the length
+    it declares against the file's size, from just the header's bytes: the
+    fixed part, then the schedule and the flags byte. So a file that is not
+    a container, or is cut short or padded, fails with no payload byte read.
+
+    The tensor keeps the file open. Its first use of ``data`` or
+    ``provenance`` reads the whole payload into one buffer, of which both
+    arrays are writable views; ``frame(f)`` reads one output frame and
+    ``provenance_at`` one record, every time they are called. Those reads
+    see the file as it is then: a file changed in place is seen, and one
+    cut short raises ``CorruptFile``, but a path replaced after this call,
+    as ``write_container`` replaces one, is not seen, since the open file is
+    still the one that was checked. This call and one ``frame`` read of
+    each output frame read each byte of the file once.
     """
-    with open(path, "rb", buffering=0) as fh:
-        head = fh.read(_MAX_HEADER)
-        _parse_header(head, os.fstat(fh.fileno()).st_size)
-        return parse_container(imageio.read_buffer(fh, head))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        head = os.pread(fd, _FIXED_HEADER.size, 0)
+        if len(head) == _FIXED_HEADER.size:  # then the schedule and the flags byte
+            head += os.pread(fd, _FIXED_HEADER.unpack(head)[-1] + 1, len(head))
+        fields, dims, pos = _parse_header(head, os.fstat(fd).st_size)
+    except BaseException:
+        os.close(fd)
+        raise
+    return _StoredTensor(fd, fields, dims, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -487,23 +594,31 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     rows their taps need, and whose levels each build their tables once.
     The report has no per-scale tally; each level's share is
     ``t.scale_shares()``.
+
+    The tensor is read one output frame at a time (``t.frame``), and the
+    total and the frames past the clip are counted from ``t.dims``. So a
+    tensor from ``read_container`` is audited without its payload being
+    read whole: the audit holds one group's output frames (one frame, when
+    no two output frames share a source frame), that source frame's tapped
+    rows and one chunk's temporaries.
     """
     if not pyramid:
         raise ValueError("the audit needs a pyramid of at least one level")
     sources = pyramid[0].sources
     dims = [(level.height, level.width) for level in pyramid]
-    mismatches = t.provenance[len(sources) :].size  # output frames past the clip
+    frames_out, height, width = t.dims
+    mismatches = max(frames_out - len(sources), 0) * height * width  # frames past the clip
     by_source: dict[int, list[int]] = {}  # source key -> its output frames
-    for f, key in enumerate(sources.source_keys[: t.frames_out]):
+    for f, key in enumerate(sources.source_keys[:frames_out]):
         by_source.setdefault(key, []).append(f)
     for frames in by_source.values():
         levels: dict = {}  # scale id -> parts
         for f in frames:
-            prov, data = t.provenance[f].reshape(-1), t.data[f].reshape(-1, 3)
-            mismatches += _collect_checks(prov, data, f, dims, levels)
+            data, prov = t.frame(f)
+            mismatches += _collect_checks(prov.reshape(-1), data.reshape(-1, 3), f, dims, levels)
         if levels:
             mismatches += _audit_source_frame(sources, dims, frames[0], levels)
-    return AuditReport(total_pixels=t.provenance.size, mismatches=mismatches)
+    return AuditReport(total_pixels=frames_out * height * width, mismatches=mismatches)
 
 
 def _collect_checks(prov: np.ndarray, data: np.ndarray, f: int, dims: list, levels: dict) -> int:

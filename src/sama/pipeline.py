@@ -21,15 +21,17 @@ broadcasts them rather than expanding them per pixel.
 
 ``_render`` executes a plan. Source frames whose output frames draw on
 the same level tuples tap the same source rows, and ``_render_group``
-renders one such group at a time: it builds every tuple's coordinates and
-marks the rows they tap (``tap_rows``), then reads each source frame once,
-just those rows, and runs one gather straight into the output for every
-(frame, level) drawing on it, releasing the frame before the next is read.
-A tuple's coordinates give way to its taps on those rows (``pixel_taps``)
-at its first output frame, and the taps are dropped after its last. So
-memory is the output, one source frame's rows and the taps of the tuples
-in use (with the coordinates of those not yet reached), and the gather
-cost does not grow with the number of levels interlaced. A group of one source frame, as each frame of
+renders one such group at a time: it marks the rows every tuple taps
+(``tap_rows``) from the compact ``coords`` factors (under a spatial mask,
+the factor rows holding an owned pixel), then reads each source frame
+once, just those rows, and runs one gather straight into the output for
+every (frame, level) drawing on it, releasing the frame before the next
+is read. A tuple's taps on those rows (``pixel_taps``) are built at its
+first output frame, from its parts' owned-pixel coordinates built just
+for them, and dropped after its last. So memory is the output, one
+source frame's rows and the taps of the tuples in use (with the owner
+masks, a bit a pixel, of those not yet reached), and the gather cost does
+not grow with the number of levels interlaced. A group of one source frame, as each frame of
 a 1- or 3-frame clip under the VQA default is, holds one tuple's taps at a
 time: such a 1080p clip peaks at 23.1 MB under ``tracemalloc``, as 64
 distinct frames do. In a group of several source frames, each draws on
@@ -49,6 +51,7 @@ plan's execution (coordinates, row marking, taps, row reads, gathers),
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -214,26 +217,29 @@ def _render_group(
 ) -> None:
     """Render into ``data`` one group's output frames, ``slots`` (source
     key -> its output frames), whose source frames draw on the same level
-    tuples. Every tuple's coordinates are built and their rows marked
-    first. In the order the frames are rendered, a tuple's coordinates give
-    way to its taps at its first output frame, and its taps are dropped
-    after its last, so a group of one source frame holds one tuple's taps
-    at a time."""
+    tuples. Every tuple's rows are marked first, from the compact coords
+    factors, and a part's owner mask is packed to a bit a pixel. In the
+    order the frames are rendered, a tuple's taps are built at its first
+    output frame, a part's owned-pixel coordinates only then, and its taps
+    are dropped after its last, so a group of one source frame holds one
+    tuple's taps at a time."""
     shape = plan.grid_shape
     sources = pyramid[0].sources
     marks = np.zeros(sources.height, dtype=bool)
     # level tuple -> its last output frame, in render order
     last = {plan.frame_levels[t]: t for ts in slots.values() for t in ts}
-    # level tuple -> [(s, owned, ys, xs)]: a level owning every pixel keeps
-    # the compact coords factors, a part the owned pixels' coordinates
+    # level tuple -> [(s, packed, ys, xs)]: the compact coords factors and a
+    # part's owner mask packed to a bit a pixel (None for a whole level)
     parts: dict[tuple[int, ...], list] = {}
     for levels in last:
         parts[levels] = []
         for s, owned in plan.parts(levels):
             ys, xs = plan.coords(s)
-            if owned is not None:
-                ys, xs = (np.broadcast_to(a, shape)[owned.reshape(shape)] for a in (ys, xs))
-            tap_rows(pyramid[s], ys, marks)
+            if owned is None:
+                tap_rows(pyramid[s], ys, marks)
+            else:  # the level rows of the (row, dy, col) lines holding an owned pixel
+                tap_rows(pyramid[s], ys[..., 0][owned.reshape(shape).any(axis=3)], marks)
+                owned = np.packbits(owned)
             parts[levels].append((s, owned, ys, xs))
     rows = np.flatnonzero(marks)
     taps: dict[tuple[int, ...], list] = {}  # level tuple -> [(owned, its taps)]
@@ -243,8 +249,8 @@ def _render_group(
             levels = plan.frame_levels[t]
             if levels not in taps:
                 taps[levels] = [
-                    (owned, pixel_taps(pyramid[s], ys, xs, rows))
-                    for s, owned, ys, xs in parts.pop(levels)
+                    _part_taps(pyramid[s], ys, xs, packed, rows, shape)
+                    for s, packed, ys, xs in parts.pop(levels)
                 ]
             out = data[t].view(_RGB).reshape(-1)  # one frame as (H*W,) RGB items
             for owned, level_taps in taps[levels]:
@@ -256,6 +262,21 @@ def _render_group(
             if last[levels] == t:
                 del taps[levels]
         del src  # release this frame before the next is read
+
+
+def _part_taps(
+    level: PyramidLevel, ys: np.ndarray, xs: np.ndarray, packed, rows: np.ndarray, shape: tuple
+) -> tuple:
+    """(owned, taps) of one part of a level tuple. A level that owns every
+    pixel (``packed`` None) is tapped at the compact coords factors ``ys``
+    and ``xs``; a part's owner mask is unpacked from ``packed`` and its
+    owned pixels' coordinates (16 bytes a pixel) are built just for its
+    taps."""
+    if packed is None:
+        return None, pixel_taps(level, ys, xs, rows)
+    owned = np.unpackbits(packed, count=math.prod(shape)).view(bool)
+    ys, xs = (np.broadcast_to(a, shape)[owned.reshape(shape)] for a in (ys, xs))
+    return owned, pixel_taps(level, ys, xs, rows)
 
 
 # ---------------------------------------------------------------------------

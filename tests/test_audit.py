@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import sama.pack
 from sama.media import PROVENANCE_DTYPE, SamplerConfig, load_clip, select_frames
-from sama.pack import SampledTensor, provenance_audit
+from sama.pack import SampledTensor, provenance_audit, read_container, write_container
 from sama.pipeline import sample_video
 from sama.pyramid import PyramidLevel, build_pyramid
 
@@ -302,3 +302,69 @@ def test_audit_files_frames_in_key_order_as_views(tmp_path, reads):
     rows = max(len(r) for _, r in reads) * 960 * 3
     chunk = CHUNK * 160
     assert peak < rows + chunk, (peak, rows, chunk)
+
+
+# ---------------------------------------------------------------------------
+# Stored containers: the audit reads one output frame at a time
+
+
+def test_a_stored_tensor_audits_as_its_arrays(tmp_path):
+    """The oracle's faults, and output frames past a short clip, give the
+    same report read from a file as held in memory."""
+    t = _tensor(np.random.default_rng(11), FRAMES)
+    data = t.data.reshape(FRAMES, PIXELS, 3)
+    prov = t.provenance.reshape(FRAMES, PIXELS)
+    data[0, CHUNK, 2] ^= 0x80
+    prov[1, 0]["scale"] = len(_PYRAMID)
+    prov[2, PIXELS - 1]["frame"] = 0
+    prov[3, CHUNK - 1]["x"] = 0xFFFFFFFF
+    write_container(t, tmp_path / "t.sama")
+    short = _SOURCES.pick(range(3))
+    on_short = [PyramidLevel(lvl.scale_id, short, lvl.height, lvl.width) for lvl in _PYRAMID]
+    for pyramid in (_PYRAMID, on_short):
+        stored = provenance_audit(read_container(tmp_path / "t.sama"), pyramid)
+        assert stored == provenance_audit(t, pyramid)
+        assert stored.mismatches == _oracle(t, pyramid)[0] > 0
+
+
+@pytest.mark.parametrize("section", ["pixels", "records"])
+def test_a_flipped_byte_in_a_stored_container_is_a_mismatch(tmp_path, section):
+    cfg = SamplerConfig(frames_out=8, n_scales=4)
+    res = sample_video(coordinate_clip(120, 150, 8), cfg)
+    path = tmp_path / "t.sama"
+    write_container(res.tensor, path)
+    assert provenance_audit(read_container(path), res.pyramid).ok
+    pixels = res.tensor.data.nbytes
+    at = path.stat().st_size - pixels - res.tensor.provenance.nbytes  # the payload's start
+    # a pixel's channel byte, or the low byte of a record's y
+    at += pixels // 2 if section == "pixels" else pixels + 1000 * PROVENANCE_DTYPE.itemsize + 3
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        byte = fh.read(1)[0]
+        fh.seek(at)
+        fh.write(bytes([byte ^ 0xFF]))
+    assert provenance_audit(read_container(path), res.pyramid).mismatches >= 1
+
+
+def test_audit_of_a_stored_container_holds_one_frame_at_a_time(tmp_path, reads):
+    """Thirty-two output frames of 32 source frames: the audit holds one
+    output frame's pixels and records, read from the file, beside one source
+    frame's rows and one chunk, and never the whole payload (22.5 MB)."""
+    write_clip(tmp_path / "clip", 32, 240, 320)
+    cfg = SamplerConfig.vqa_default()
+    write_container(sample_video(load_clip(tmp_path / "clip"), cfg).tensor, tmp_path / "t.sama")
+    clip = select_frames(load_clip(tmp_path / "clip"), cfg.frames_out, cfg.seed, cfg.offset_policy)
+    pyramid = build_pyramid(clip, cfg)
+    assert provenance_audit(read_container(tmp_path / "t.sama"), pyramid).ok  # lazy imports
+    del reads[:]
+    tracemalloc.start()
+    try:
+        report = provenance_audit(read_container(tmp_path / "t.sama"), pyramid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(reads) == 32
+    frame = cfg.out_h * cfg.out_w * (3 + PROVENANCE_DTYPE.itemsize)
+    rows = max(len(r) for _, r in reads) * 320 * 3
+    chunk = CHUNK * 160  # the kernel's temporaries, about 130 bytes a pixel
+    assert peak < frame + rows + chunk + 2 * 2**20, (peak, frame, rows, chunk)

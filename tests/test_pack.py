@@ -323,6 +323,127 @@ def test_tensor_validation():
 
 
 # ---------------------------------------------------------------------------
+# Stored tensors: read_container reads the header, the payload on demand
+
+
+_STORED_CASES = {
+    "image": lambda: sample_image(coordinate_frame(300, 320), SamplerConfig.iqa_default()),
+    "video": _video_tensor,
+    "patch-video": lambda: sample_video(
+        coordinate_clip(240, 300, 5), SamplerConfig(frames_out=8, n_scales=4, spatial_mask="patch")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STORED_CASES))
+def test_a_stored_frame_equals_the_parsed_file(tmp_path, case):
+    path = tmp_path / "t.sama"
+    write_container(_STORED_CASES[case]().tensor, path)
+    stored = read_container(path)
+    parsed = parse_container(path.read_bytes())
+    assert stored.dims == parsed.dims
+    for f in range(parsed.frames_out):
+        pixels, records = stored.frame(f)
+        assert pixels.shape == parsed.data.shape[1:] and records.dtype == PROVENANCE_DTYPE
+        assert np.array_equal(pixels, parsed.data[f])
+        assert np.array_equal(records, parsed.provenance[f])
+        y, x = f % parsed.height, (7 * f) % parsed.width
+        assert stored.provenance_at(f, y, x) == parsed.provenance_at(f, y, x)
+    assert np.array_equal(stored.frame(-1)[0], parsed.data[-1])
+    with pytest.raises(IndexError):
+        stored.frame(parsed.frames_out)
+    assert stored.scale_shares() == parsed.scale_shares()
+    assert np.array_equal(stored.data, parsed.data)
+    assert np.array_equal(stored.provenance, parsed.provenance)
+
+
+def test_a_header_and_every_frame_read_each_byte_of_the_file_once(tmp_path, monkeypatch):
+    t = _video_tensor().tensor
+    path = tmp_path / "t.sama"
+    write_container(t, path)
+    spans = []  # (offset, bytes read)
+    real_pread, real_preadv = os.pread, os.preadv
+
+    def pread(fd, n, offset):
+        out = real_pread(fd, n, offset)
+        spans.append((offset, len(out)))
+        return out
+
+    def preadv(fd, buffers, offset):
+        n = real_preadv(fd, buffers, offset)
+        spans.append((offset, n))
+        return n
+
+    monkeypatch.setattr(os, "pread", pread)
+    monkeypatch.setattr(os, "preadv", preadv)
+    stored = read_container(path)
+    assert sum(n for _, n in spans) == FIXED_HEADER_BYTES + len(t.schedule)
+    for f in range(stored.frames_out):
+        stored.frame(f)
+    assert len(spans) == 2 + 2 * stored.frames_out  # one read each of pixels and records
+    end = 0
+    for offset, n in sorted(spans):
+        assert offset == end
+        end += n
+    assert end == path.stat().st_size
+
+
+def test_a_stored_tensor_sees_its_file_changed_in_place_but_not_its_path_replaced(tmp_path):
+    path = tmp_path / "t.sama"
+    first = _tiny_tensor()
+    write_container(first, path)
+    stored = read_container(path)
+    with open(path, "r+b") as fh:  # flip the first pixel byte in place
+        fh.seek(FIXED_HEADER_BYTES)
+        fh.write(bytes([first.data[0, 0, 0, 0] ^ 0xFF]))
+    assert stored.frame(0)[0][0, 0, 0] == first.data[0, 0, 0, 0] ^ 0xFF
+    changed = parse_container(path.read_bytes())
+    second = SampledTensor(kind="image", data=255 - first.data, provenance=first.provenance)
+    write_container(second, path)
+    assert np.array_equal(stored.frame(0)[0], changed.data[0])
+    assert np.array_equal(stored.data, changed.data)
+    assert np.array_equal(read_container(path).data, second.data)
+
+
+@pytest.mark.parametrize("read", ["frame", "data", "provenance", "provenance_at"])
+def test_a_file_cut_short_after_it_was_opened_is_corrupt(tmp_path, read):
+    path = tmp_path / "t.sama"
+    write_container(_video_tensor().tensor, path)
+    stored = read_container(path)
+    os.truncate(path, path.stat().st_size - 1)
+    last = stored.frames_out - 1
+    with pytest.raises(CorruptFile, match="shorter than its header declares"):
+        if read == "frame":
+            stored.frame(last)
+        elif read == "provenance_at":
+            stored.provenance_at(last, stored.height - 1, stored.width - 1)
+        else:
+            getattr(stored, read)
+
+
+def test_a_stored_tensor_closes_its_file_when_collected(tmp_path):
+    path = tmp_path / "t.sama"
+    write_container(_tiny_tensor(), path)
+    stored = read_container(path)
+    fd = stored._fd
+    os.fstat(fd)  # open
+    del stored
+    with pytest.raises(OSError):
+        os.fstat(fd)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files from /proc")
+def test_a_rejected_header_leaves_no_file_open(tmp_path):
+    path = tmp_path / "t.sama"
+    path.write_bytes(_with_flags(0x02))
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with pytest.raises(UnsupportedFormat):
+            read_container(path)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+# ---------------------------------------------------------------------------
 # Previews
 
 
@@ -543,7 +664,14 @@ def test_audit_shares_no_code_with_the_resize_path():
         "resize_rgb", "resize_rect", "pixel_taps", "gather_taps",
     }
     assert not (attrs | names) & resize_code
-    assert not attrs & {"frame", "frames", "rect", "_sources"}  # PyramidLevel's
+    # PyramidLevel's; ``frame`` is also the tensor's own, read as t.frame or self.frame
+    levels = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("t", "self"))
+    }
+    assert not levels & {"frame", "frames", "rect", "_sources"}
 
 
 def test_audit_of_a_lazy_pyramid_reads_each_recorded_frame_once(tmp_path, alive_at_read):

@@ -444,6 +444,22 @@ def test_render_of_a_short_clip_holds_one_level_tuple_of_taps_at_a_time(n_frames
     assert peak < output + 2 * taps + height * width * 3 + pixels * _CORNERS + slack, (peak, taps)
 
 
+@pytest.mark.parametrize("spatial_mask", ["none", "window", "patch"])
+def test_render_under_a_spatial_mask_builds_a_parts_coordinates_only_for_its_taps(spatial_mask):
+    """A one-frame 540x960 clip under the VQA default repeats its frame
+    over every level tuple of the schedule. Under a spatial mask each
+    tuple's parts hold just their owner masks, a bit a pixel, until their
+    taps are built, so the render peaks as it does without a mask (about
+    13 MB); building every tuple's owned-pixel coordinates (16 bytes a
+    pixel) before the first read peaked at 24.3 MB."""
+    cfg = SamplerConfig.vqa_default(spatial_mask=spatial_mask)
+    clip = select_frames(synthetic_clip(540, 960, 1), cfg.frames_out)
+    plan = plan_sampling(540, 960, clip.source_keys, cfg)
+    pyramid = build_pyramid(clip, cfg)
+    peak = _peak(lambda: _render(plan, pyramid))
+    assert peak < 14_000_000, peak
+
+
 @pytest.mark.parametrize("name", sorted(_WORKING_SETS))
 def test_provenance_working_set_is_the_records_and_one_frame(name):
     plan, _, _ = _working_set(name)
