@@ -23,9 +23,10 @@ buffers to the file, without copying the payload. Every reader checks
 the header by the one rule ``parse_container`` states. A file read checks
 it, and the length it declares against the file's size, and reads no
 payload: the tensor it returns keeps the file open and reads one output
-frame (``SampledTensor.frame``) or one record when asked for it, and the
-whole payload, into one buffer whose views are the arrays, only on the
-first use of ``data`` or ``provenance``.
+frame (``SampledTensor.frame``), one frame's records (``records``) or one
+record when asked for it, and the whole payload, into one buffer whose
+views are the arrays, only on the first use of ``data`` or
+``provenance``.
 
 The audit streams the source frames as the sampler does: output frame t
 was sampled from frame t of the clip, so it groups output frames by that
@@ -134,15 +135,19 @@ class SampledTensor:
     def frame(self, f: int) -> tuple[np.ndarray, np.ndarray]:
         """Output frame ``f``: its (H, W, 3) pixels and (H, W) records, as
         views of the arrays."""
-        return self.data[f], self.provenance[f]
+        return self.data[f], self.records(f)
+
+    def records(self, f: int) -> np.ndarray:
+        """Output frame ``f``'s (H, W) records, a view of ``provenance``."""
+        return self.provenance[f]
 
     def scale_shares(self) -> dict[int, float]:
         """Fraction of output pixels each pyramid level contributed, counted
-        from the stored records a frame at a time; ``SamplingPlan.shares``
-        needs no records."""
+        from the stored records a frame at a time (``records``, which reads
+        no pixel); ``SamplingPlan.shares`` needs no records."""
         counts = np.zeros(256, dtype=np.int64)  # scale ids are u8
         for f in range(self.frames_out):
-            scale = self.frame(f)[1]["scale"]
+            scale = self.records(f)["scale"]
             counts += np.bincount(scale.reshape(-1).astype(np.intp), minlength=256)
         total = math.prod(self.dims)
         return {int(s): int(counts[s]) / total for s in np.flatnonzero(counts)}
@@ -202,12 +207,18 @@ class _StoredTensor(SampledTensor):
         """Output frame ``f`` read from the file: one read of its pixels and
         one of its records, into new arrays."""
         f = range(self.frames_out)[f]
-        _, height, width = self._dims
-        pixels = np.empty((height, width, 3), dtype=np.uint8)
-        records = np.empty((height, width, PROVENANCE_DTYPE.itemsize), dtype=np.uint8)
+        pixels = np.empty((*self._dims[1:], 3), dtype=np.uint8)
         _read_at(self._fd, pixels, self._pixels_at + f * pixels.size)
+        return pixels, self.records(f)
+
+    def records(self, f: int) -> np.ndarray:
+        """Output frame ``f``'s records read from the file, into a new
+        array; its pixels are not read."""
+        f = range(self.frames_out)[f]
+        _, height, width = self._dims
+        records = np.empty((height, width, PROVENANCE_DTYPE.itemsize), dtype=np.uint8)
         _read_at(self._fd, records, self._records_at + f * records.size)
-        return pixels, records.view(PROVENANCE_DTYPE).reshape(height, width)
+        return records.view(PROVENANCE_DTYPE).reshape(height, width)
 
     def _record(self, frame: int, y: int, x: int) -> np.void:
         """One 11-byte record read from the file."""

@@ -29,14 +29,15 @@ every (frame, level) drawing on it, releasing the frame before the next
 is read. A tuple's taps on those rows (``pixel_taps``) are built at its
 first output frame, from its parts' owned-pixel coordinates built just
 for them, and dropped after its last. So memory is the output, one
-source frame's rows and the taps of the tuples in use (with the owner
-masks, a bit a pixel, of those not yet reached), and the gather cost does
-not grow with the number of levels interlaced. A group of one source frame, as each frame of
-a 1- or 3-frame clip under the VQA default is, holds one tuple's taps at a
-time: such a 1080p clip peaks at 23.1 MB under ``tracemalloc``, as 64
-distinct frames do. In a group of several source frames, each draws on
-every tuple, so all of them stay built until the last source frame: a 2-
-or 4-frame 1080p clip under the VQA default peaks at 56.0 or 35.5 MB.
+source frame's rows and the taps of the tuples in use, and the gather
+cost does not grow with the number of levels interlaced. No owner mask is
+kept from row marking to tap building: ``parts`` compares the owner map
+afresh for each, in microseconds. A group of one source frame, as each
+frame of a 1- or 3-frame clip under the VQA default is, holds one tuple's
+taps at a time: such a 1080p clip peaks at 23.1 MB under ``tracemalloc``,
+as 64 distinct frames do. In a group of several source frames, each draws
+on every tuple, so all of them stay built until the last source frame: a
+2- or 4-frame 1080p clip under the VQA default peaks at 56.0 or 35.5 MB.
 Holding such a group's source rows instead of its taps is the other
 choice; it is left open.
 ``provenance`` likewise fills one level tuple's records at a time,
@@ -51,7 +52,6 @@ plan's execution (coordinates, row marking, taps, row reads, gathers),
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -62,7 +62,9 @@ from .fragments import plan_level
 from .masks import level_count, make_spatial_mask, make_temporal_mask
 from .media import PROVENANCE_DTYPE, FrameBuffer, MediaClip, SamplerConfig, select_frames
 from .pack import SampledTensor
-from .pyramid import PyramidLevel, build_pyramid, gather_taps, level_dims, pixel_taps, tap_rows
+from .pyramid import (
+    PixelTaps, PyramidLevel, build_pyramid, gather_taps, level_dims, pixel_taps, tap_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +109,16 @@ class SamplingPlan:
     def parts(self, levels: tuple[int, ...]) -> list[tuple[int, np.ndarray | None]]:
         """(s, owned) for each level s of the tuple ``levels`` that owns
         output pixels. Pixel p is owned by ``levels[owner[p]]``, so a level
-        named twice owns the union of its indices. ``owned`` is an
-        (out_h*out_w,) bool over the output, None when s owns every pixel."""
+        named twice owns the union of its indices: ``owned`` is the OR of
+        ``owner == k`` over them, an (out_h*out_w,) bool over the output,
+        None when s owns every pixel (and no owner map is read)."""
         owner = self.owner.reshape(-1)
         parts = []
         for s in sorted(set(levels)):
             index = [k for k, level in enumerate(levels) if level == s]
-            owned = None if len(index) == len(levels) else np.isin(owner, index)
+            owned = None
+            if len(index) < len(levels):
+                owned = np.logical_or.reduce([owner == k for k in index])
             if owned is None or owned.any():
                 parts.append((s, owned))
         return parts
@@ -217,30 +222,22 @@ def _render_group(
 ) -> None:
     """Render into ``data`` one group's output frames, ``slots`` (source
     key -> its output frames), whose source frames draw on the same level
-    tuples. Every tuple's rows are marked first, from the compact coords
-    factors, and a part's owner mask is packed to a bit a pixel. In the
-    order the frames are rendered, a tuple's taps are built at its first
-    output frame, a part's owned-pixel coordinates only then, and its taps
-    are dropped after its last, so a group of one source frame holds one
-    tuple's taps at a time."""
+    tuples. Every tuple's rows are marked first, from its ``plan.parts``
+    and the compact coords factors; no part is kept. In the order the
+    frames are rendered, a tuple's taps are built at its first output
+    frame, from its parts taken afresh, and dropped after its last, so a
+    group of one source frame holds one tuple's taps at a time."""
     shape = plan.grid_shape
     sources = pyramid[0].sources
     marks = np.zeros(sources.height, dtype=bool)
     # level tuple -> its last output frame, in render order
     last = {plan.frame_levels[t]: t for ts in slots.values() for t in ts}
-    # level tuple -> [(s, packed, ys, xs)]: the compact coords factors and a
-    # part's owner mask packed to a bit a pixel (None for a whole level)
-    parts: dict[tuple[int, ...], list] = {}
     for levels in last:
-        parts[levels] = []
         for s, owned in plan.parts(levels):
-            ys, xs = plan.coords(s)
-            if owned is None:
-                tap_rows(pyramid[s], ys, marks)
-            else:  # the level rows of the (row, dy, col) lines holding an owned pixel
-                tap_rows(pyramid[s], ys[..., 0][owned.reshape(shape).any(axis=3)], marks)
-                owned = np.packbits(owned)
-            parts[levels].append((s, owned, ys, xs))
+            ys = plan.coords(s)[0]
+            if owned is not None:  # the level rows of the (row, dy, col) lines holding an owned pixel
+                ys = ys[..., 0][owned.reshape(shape).any(axis=3)]
+            tap_rows(pyramid[s], ys, marks)
     rows = np.flatnonzero(marks)
     taps: dict[tuple[int, ...], list] = {}  # level tuple -> [(owned, its taps)]
     for key, ts in slots.items():
@@ -249,8 +246,8 @@ def _render_group(
             levels = plan.frame_levels[t]
             if levels not in taps:
                 taps[levels] = [
-                    _part_taps(pyramid[s], ys, xs, packed, rows, shape)
-                    for s, packed, ys, xs in parts.pop(levels)
+                    (owned, _part_taps(plan, pyramid[s], owned, rows))
+                    for s, owned in plan.parts(levels)
                 ]
             out = data[t].view(_RGB).reshape(-1)  # one frame as (H*W,) RGB items
             for owned, level_taps in taps[levels]:
@@ -265,18 +262,17 @@ def _render_group(
 
 
 def _part_taps(
-    level: PyramidLevel, ys: np.ndarray, xs: np.ndarray, packed, rows: np.ndarray, shape: tuple
-) -> tuple:
-    """(owned, taps) of one part of a level tuple. A level that owns every
-    pixel (``packed`` None) is tapped at the compact coords factors ``ys``
-    and ``xs``; a part's owner mask is unpacked from ``packed`` and its
-    owned pixels' coordinates (16 bytes a pixel) are built just for its
-    taps."""
-    if packed is None:
-        return None, pixel_taps(level, ys, xs, rows)
-    owned = np.unpackbits(packed, count=math.prod(shape)).view(bool)
-    ys, xs = (np.broadcast_to(a, shape)[owned.reshape(shape)] for a in (ys, xs))
-    return owned, pixel_taps(level, ys, xs, rows)
+    plan: SamplingPlan, level: PyramidLevel, owned: np.ndarray | None, rows: np.ndarray
+) -> PixelTaps:
+    """The taps of one part of a level tuple on the source ``rows``. A
+    level that owns every pixel (``owned`` None) is tapped at the compact
+    coords factors; a part's owned pixels' coordinates (16 bytes a pixel)
+    are built just for its taps."""
+    ys, xs = plan.coords(level.scale_id)
+    if owned is not None:
+        shape = plan.grid_shape
+        ys, xs = (np.broadcast_to(a, shape)[owned.reshape(shape)] for a in (ys, xs))
+    return pixel_taps(level, ys, xs, rows)
 
 
 # ---------------------------------------------------------------------------

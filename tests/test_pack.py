@@ -347,6 +347,7 @@ def test_a_stored_frame_equals_the_parsed_file(tmp_path, case):
         assert pixels.shape == parsed.data.shape[1:] and records.dtype == PROVENANCE_DTYPE
         assert np.array_equal(pixels, parsed.data[f])
         assert np.array_equal(records, parsed.provenance[f])
+        assert np.array_equal(stored.records(f), parsed.records(f))
         y, x = f % parsed.height, (7 * f) % parsed.width
         assert stored.provenance_at(f, y, x) == parsed.provenance_at(f, y, x)
     assert np.array_equal(stored.frame(-1)[0], parsed.data[-1])
@@ -386,6 +387,27 @@ def test_a_header_and_every_frame_read_each_byte_of_the_file_once(tmp_path, monk
         assert offset == end
         end += n
     assert end == path.stat().st_size
+
+
+def test_scale_shares_of_a_stored_tensor_reads_just_its_records(tmp_path, monkeypatch):
+    """8 output frames of 224x224 records are 4,415,488 bytes; the
+    1,204,224 bytes of their pixels are not read."""
+    t = _video_tensor().tensor
+    path = tmp_path / "t.sama"
+    write_container(t, path)
+    stored = read_container(path)
+    assert stored.dims == (8, 224, 224)
+    read = []
+    real_preadv = os.preadv
+
+    def preadv(fd, buffers, offset):
+        n = real_preadv(fd, buffers, offset)
+        read.append(n)
+        return n
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    assert stored.scale_shares() == t.scale_shares()
+    assert sum(read) == 4_415_488
 
 
 def test_a_stored_tensor_sees_its_file_changed_in_place_but_not_its_path_replaced(tmp_path):

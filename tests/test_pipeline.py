@@ -9,7 +9,9 @@ import pytest
 from sama import media
 from sama.bench import synthetic_clip
 from sama.errors import ConfigError
-from sama.masks import SPATIAL_KINDS, TEMPORAL_KINDS, make_spatial_mask, make_temporal_mask
+from sama.masks import (
+    SPATIAL_KINDS, TEMPORAL_KINDS, make_interlace_mask, make_spatial_mask, make_temporal_mask,
+)
 from sama.media import PROVENANCE_DTYPE, MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
 from sama.pipeline import _render, plan_sampling, sample_image, sample_video
@@ -212,6 +214,52 @@ def test_planning_reads_no_frame(monkeypatch, tmp_path):
 def test_plan_shares_are_the_record_counts_of_the_iqa_default():
     result = sample_image(coordinate_frame(300, 400), SamplerConfig.iqa_default())
     assert result.plan.shares() == result.tensor.scale_shares() == {0: 0.5, 1: 0.5}
+
+
+def _isin_parts(plan, levels):
+    """``SamplingPlan.parts`` by ``np.isin``: a level owns the pixels whose
+    owner index is any of the indices at which ``levels`` names it."""
+    owner = plan.owner.reshape(-1)
+    parts = []
+    for s in sorted(set(levels)):
+        index = [k for k, level in enumerate(levels) if level == s]
+        owned = None if len(index) == len(levels) else np.isin(owner, index)
+        if owned is None or owned.any():
+            parts.append((s, owned))
+    return parts
+
+
+def _assert_parts_are_the_isin_reference(plan, levels):
+    parts, reference = plan.parts(levels), _isin_parts(plan, levels)
+    assert [s for s, _ in parts] == [s for s, _ in reference]
+    for (_, owned), (_, expected) in zip(parts, reference):
+        if expected is None:
+            assert owned is None
+        else:
+            assert owned.dtype == bool and np.array_equal(owned, expected)
+
+
+@pytest.mark.parametrize("spatial_mask", ["window", "patch"])
+@pytest.mark.parametrize("default, frames", [("vqa", 32), ("iqa", 1)])
+def test_parts_are_the_isin_of_each_levels_owner_indices(default, frames, spatial_mask):
+    cfg = getattr(SamplerConfig, f"{default}_default")(spatial_mask=spatial_mask)
+    plan = plan_sampling(540, 960, tuple(range(frames)), cfg)
+    for levels in sorted(set(plan.frame_levels)):
+        _assert_parts_are_the_isin_reference(plan, levels)
+
+
+def test_parts_or_the_owner_indices_that_name_one_level():
+    # no mode names a level at two indices yet: a 3-level stagger over the
+    # levels (1, 2, 2) gives level 2 the pixels of owner indices 1 and 2
+    cfg = SamplerConfig.vqa_default(spatial_mask="window")
+    plan = plan_sampling(540, 960, tuple(range(cfg.frames_out)), cfg)
+    owner = make_interlace_mask(3, cfg.out_h, cfg.out_w, 32).indices
+    plan = replace(plan, owner=owner)
+    for levels in [(1, 2, 2), (2, 1, 1), (3, 3, 3)]:
+        _assert_parts_are_the_isin_reference(plan, levels)
+    (_, first), (_, second) = plan.parts((1, 2, 2))
+    assert np.array_equal(first, owner.reshape(-1) == 0)
+    assert np.array_equal(second, owner.reshape(-1) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +496,11 @@ def test_render_of_a_short_clip_holds_one_level_tuple_of_taps_at_a_time(n_frames
 def test_render_under_a_spatial_mask_builds_a_parts_coordinates_only_for_its_taps(spatial_mask):
     """A one-frame 540x960 clip under the VQA default repeats its frame
     over every level tuple of the schedule. Under a spatial mask each
-    tuple's parts hold just their owner masks, a bit a pixel, until their
-    taps are built, so the render peaks as it does without a mask (about
-    13 MB); building every tuple's owned-pixel coordinates (16 bytes a
-    pixel) before the first read peaked at 24.3 MB."""
+    tuple's parts hold nothing until their taps are built (the owner
+    masks are compared afresh then), so the render peaks as it does
+    without a mask (about 13 MB); building every tuple's owned-pixel
+    coordinates (16 bytes a pixel) before the first read peaked at 24.3
+    MB."""
     cfg = SamplerConfig.vqa_default(spatial_mask=spatial_mask)
     clip = select_frames(synthetic_clip(540, 960, 1), cfg.frames_out)
     plan = plan_sampling(540, 960, clip.source_keys, cfg)
