@@ -36,7 +36,7 @@ moves to the next. A record's ``frame`` is a claim it checks: one that
 names another output frame is a mismatch. It files each output frame's
 pixels by level: as views of the frame when the frame's keys are
 already grouped, as every frame under a temporal mask is, and after one
-sort otherwise. It builds tap tables once per (source frame, level), and
+sort otherwise. It builds each level's tap tables once per audit, and
 evaluates the rule in chunks of ``_AUDIT_CHUNK`` pixels whose coordinates
 it widens to ``intp`` once and whose corners it blends in place. It checks
 each filed part where it lies, with no join, and keeps no per-scale tally
@@ -602,7 +602,7 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     corrupted tensor still yields a report. Output frames are grouped by
     their source key (``sources.source_keys``): each group's pixels are filed
     by level and checked against its source, which is read once, only the
-    rows their taps need, and whose levels each build their tables once.
+    rows their taps need. Each level's tables are built once per audit.
     The report has no per-scale tally; each level's share is
     ``t.scale_shares()``.
 
@@ -622,13 +622,15 @@ def provenance_audit(t: SampledTensor, pyramid: list[PyramidLevel]) -> AuditRepo
     by_source: dict[int, list[int]] = {}  # source key -> its output frames
     for f, key in enumerate(sources.source_keys[:frames_out]):
         by_source.setdefault(key, []).append(f)
+    # each level's row and column tables, built once for the whole audit
+    tables = [_level_tables(sources, height, width) for height, width in dims]
     for frames in by_source.values():
         levels: dict = {}  # scale id -> parts
         for f in frames:
             data, prov = t.frame(f)
             mismatches += _collect_checks(prov.reshape(-1), data.reshape(-1, 3), f, dims, levels)
         if levels:
-            mismatches += _audit_source_frame(sources, dims, frames[0], levels)
+            mismatches += _audit_source_frame(sources, tables, frames[0], levels)
     return AuditReport(total_pixels=frames_out * height * width, mismatches=mismatches)
 
 
@@ -679,16 +681,25 @@ def _collect_checks(prov: np.ndarray, data: np.ndarray, f: int, dims: list, leve
 _AUDIT_CHUNK = 8192
 
 
-def _audit_source_frame(sources, dims: list, index: int, levels: dict) -> int:
+def _level_tables(sources, height: int, width: int) -> tuple[tuple, tuple]:
+    """The row and column tables of a ``height`` x ``width`` level over
+    ``sources``: each axis's two tap indices (``_axis_table``) and its
+    fractions repeated per channel, as (n, 3) float32."""
+    return tuple(
+        (i0, i1, np.repeat(f, 3).reshape(-1, 3))
+        for i0, i1, f in (_axis_table(sources.height, height), _axis_table(sources.width, width))
+    )
+
+
+def _audit_source_frame(sources, tables: list, index: int, levels: dict) -> int:
     """Mismatches among the pixels filed under frame ``index`` of
-    ``sources``: ``levels`` maps scale id s (dims ``dims[s]``) to its
-    ``(y, x, got)`` parts, each marked and checked where it lies. The rows
-    their taps need are marked (a bool per source row) and read once. Each
-    level's tables are built once: row taps as offsets into the rows read."""
+    ``sources``: ``levels`` maps scale id s (tables ``tables[s]``, from
+    ``_level_tables``) to its ``(y, x, got)`` parts, each marked and checked
+    where it lies. The rows their taps need are marked (a bool per source
+    row) and read once; the row taps become offsets into the rows read."""
     marks = np.zeros(sources.height, dtype=bool)
-    row_tables = {}
     for s, parts in levels.items():
-        i0, i1, fy = row_tables[s] = _axis_table(sources.height, dims[s][0])
+        i0, i1, _ = tables[s][0]
         used = np.zeros(i0.size, dtype=bool)
         for y, _, _ in parts:
             used[y.astype(np.intp)] = True  # numpy indexes faster with intp than uint32
@@ -701,10 +712,8 @@ def _audit_source_frame(sources, dims: list, index: int, levels: dict) -> int:
     at[rows] = np.arange(rows.size) * sources.width
     mismatches = 0
     for s, parts in levels.items():
-        i0, i1, fy = row_tables[s]
-        c0, c1, fx = _axis_table(sources.width, dims[s][1])
-        row_taps = (at[i0], at[i1], np.repeat(fy, 3).reshape(-1, 3))
-        col_taps = (c0, c1, np.repeat(fx, 3).reshape(-1, 3))
+        (i0, i1, fy), col_taps = tables[s]
+        row_taps = (at[i0], at[i1], fy)
         for y, x, got in parts:
             for lo in range(0, y.size, _AUDIT_CHUNK):
                 hi = lo + _AUDIT_CHUNK

@@ -20,26 +20,25 @@ col, dy) and its level column only on (cell row, cell col, dx):
 broadcasts them rather than expanding them per pixel.
 
 ``_render`` executes a plan. Source frames whose output frames draw on
-the same level tuples tap the same source rows, and ``_render_group``
-renders one such group at a time: it marks the rows every tuple taps
-(``tap_rows``) from the compact ``coords`` factors (under a spatial mask,
-the factor rows holding an owned pixel), then reads each source frame
-once, just those rows, and runs one gather straight into the output for
-every (frame, level) drawing on it, releasing the frame before the next
-is read. A tuple's taps on those rows (``pixel_taps``) are built at its
-first output frame, from its parts' owned-pixel coordinates built just
-for them, and dropped after its last. So memory is the output, one
-source frame's rows and the taps of the tuples in use, and the gather
-cost does not grow with the number of levels interlaced. No owner mask is
-kept from row marking to tap building: ``parts`` compares the owner map
-afresh for each, in microseconds. A group of one source frame, as each
-frame of a 1- or 3-frame clip under the VQA default is, holds one tuple's
-taps at a time: such a 1080p clip peaks at 23.1 MB under ``tracemalloc``,
-as 64 distinct frames do. In a group of several source frames, each draws
-on every tuple, so all of them stay built until the last source frame: a
-2- or 4-frame 1080p clip under the VQA default peaks at 56.0 or 35.5 MB.
-Holding such a group's source rows instead of its taps is the other
-choice; it is left open.
+the same level tuples tap the same source rows and form a group. The
+render marks the rows every tuple of a group taps (``tap_rows``) from the
+compact ``coords`` factors (under a spatial mask, the factor rows holding
+an owned pixel), then reads each of the group's source frames once, just
+those rows, one after another, and runs one gather straight into the
+output for every (frame, level) drawing on it, releasing the frame before
+the next is read. A source frame's output frames are rendered in
+level-tuple order, and only the last-built tuple's taps on the rows
+(``pixel_taps``) are kept: reused while the next output frame draws on
+the same tuple and dropped before the next tuple's are built, from its
+parts' owned-pixel coordinates built just for them. So memory is the
+output, one source frame's rows, one tuple's taps and one gather's
+temporaries, for every clip length: under the VQA default a 1080p clip
+of 1 to 64 frames peaks at 23.1 MB under ``tracemalloc``, and the gather
+cost does not grow with the number of levels interlaced. A clip of at
+least ``frames_out`` frames, and every image, builds each tuple's taps
+once; a shorter clip builds a tuple once per source frame that draws on
+it. No owner mask is kept from row marking to tap building: ``parts``
+compares the owner map afresh for each, in microseconds.
 ``provenance`` likewise fills one level tuple's records at a time,
 straight into the array it returns. The tests check the bytes against a
 reference that composes whole per-level mosaics.
@@ -201,64 +200,51 @@ _RGB = np.dtype("V3")
 
 def _render(plan: SamplingPlan, pyramid: list[PyramidLevel]) -> np.ndarray:
     """The (T, out_h, out_w, 3) pixels ``plan`` assigns, read from the clip
-    the levels of ``pyramid`` share: one group of source frames drawing on
-    the same level tuples at a time, one source frame's rows at a time."""
+    the levels of ``pyramid`` share. For each group of source frames
+    drawing on the same level tuples, the rows those tuples tap are marked
+    once; then the group's source frames are read one after another, just
+    those rows, and each one's output frames rendered in level-tuple order.
+    Only the last-built tuple's taps are kept: reused while the next output
+    frame draws on the same tuple, dropped before the next tuple's taps are
+    built."""
     c = plan.config
     data = np.empty((len(plan.frame_levels), c.out_h, c.out_w, 3), dtype=np.uint8)
     slots: dict[int, list[int]] = {}
     for t, key in enumerate(plan.source_keys):
         slots.setdefault(key, []).append(t)
-    # source frames whose slots draw on the same level tuples tap the same rows
     groups: dict[frozenset, dict[int, list[int]]] = {}
     for key, ts in slots.items():
         groups.setdefault(frozenset(plan.frame_levels[t] for t in ts), {})[key] = ts
-    for group in groups.values():
-        _render_group(plan, pyramid, group, data)
-    return data
-
-
-def _render_group(
-    plan: SamplingPlan, pyramid: list[PyramidLevel], slots: dict[int, list[int]], data: np.ndarray
-) -> None:
-    """Render into ``data`` one group's output frames, ``slots`` (source
-    key -> its output frames), whose source frames draw on the same level
-    tuples. Every tuple's rows are marked first, from its ``plan.parts``
-    and the compact coords factors; no part is kept. In the order the
-    frames are rendered, a tuple's taps are built at its first output
-    frame, from its parts taken afresh, and dropped after its last, so a
-    group of one source frame holds one tuple's taps at a time."""
-    shape = plan.grid_shape
     sources = pyramid[0].sources
-    marks = np.zeros(sources.height, dtype=bool)
-    # level tuple -> its last output frame, in render order
-    last = {plan.frame_levels[t]: t for ts in slots.values() for t in ts}
-    for levels in last:
-        for s, owned in plan.parts(levels):
-            ys = plan.coords(s)[0]
-            if owned is not None:  # the level rows of the (row, dy, col) lines holding an owned pixel
-                ys = ys[..., 0][owned.reshape(shape).any(axis=3)]
-            tap_rows(pyramid[s], ys, marks)
-    rows = np.flatnonzero(marks)
-    taps: dict[tuple[int, ...], list] = {}  # level tuple -> [(owned, its taps)]
-    for key, ts in slots.items():
-        src = sources.read(ts[0], rows)
-        for t in ts:
-            levels = plan.frame_levels[t]
-            if levels not in taps:
-                taps[levels] = [
-                    (owned, _part_taps(plan, pyramid[s], owned, rows))
-                    for s, owned in plan.parts(levels)
-                ]
-            out = data[t].view(_RGB).reshape(-1)  # one frame as (H*W,) RGB items
-            for owned, level_taps in taps[levels]:
-                pixels = gather_taps(src, level_taps).view(_RGB).reshape(-1)
-                if owned is None:
-                    out[:] = pixels
-                else:
-                    out[owned] = pixels
-            if last[levels] == t:
-                del taps[levels]
-        del src  # release this frame before the next is read
+    for tuples, group in groups.items():
+        # the last-built level tuple and its [(owned, taps)]; taps index the
+        # group's rows, so each group builds afresh
+        built, taps = None, None
+        marks = np.zeros(sources.height, dtype=bool)
+        for levels in tuples:
+            for s, owned in plan.parts(levels):
+                ys = plan.coords(s)[0]
+                if owned is not None:  # the level rows of the (row, dy, col) lines holding an owned pixel
+                    ys = ys[..., 0][owned.reshape(plan.grid_shape).any(axis=3)]
+                tap_rows(pyramid[s], ys, marks)
+        rows = np.flatnonzero(marks)
+        for key, ts in group.items():
+            src = sources.read(ts[0], rows)
+            for t in sorted(ts, key=plan.frame_levels.__getitem__):
+                levels = plan.frame_levels[t]
+                if levels != built:
+                    built, taps = levels, None  # drop the last tuple's taps first
+                    taps = [(owned, _part_taps(plan, pyramid[s], owned, rows))
+                            for s, owned in plan.parts(levels)]
+                out = data[t].view(_RGB).reshape(-1)  # one frame as (H*W,) RGB items
+                for owned, level_taps in taps:
+                    pixels = gather_taps(src, level_taps).view(_RGB).reshape(-1)
+                    if owned is None:
+                        out[:] = pixels
+                    else:
+                        out[owned] = pixels
+            del src  # release this frame before the next is read
+    return data
 
 
 def _part_taps(

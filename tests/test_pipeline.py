@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sama import media
+from sama import media, pipeline
 from sama.bench import synthetic_clip
 from sama.errors import ConfigError
 from sama.masks import (
-    SPATIAL_KINDS, TEMPORAL_KINDS, make_interlace_mask, make_spatial_mask, make_temporal_mask,
+    SPATIAL_KINDS, TEMPORAL_KINDS, level_count, make_interlace_mask, make_spatial_mask,
+    make_temporal_mask,
 )
 from sama.media import PROVENANCE_DTYPE, MediaClip, SamplerConfig, select_frames
 from sama.pack import container_bytes, provenance_audit
@@ -443,53 +444,104 @@ def _tuple_bytes(plan, pyramid, levels):
     return held
 
 
-def _largest_group_bytes(plan, pyramid):
-    """The most bytes one group of source frames drawing on the same level
-    tuples holds through its gathers: every tuple's taps, as each of the
-    group's source frames draws on them all. A tuple's coordinates, fewer
-    bytes than its taps, are dropped as its taps are built."""
-    tuples: dict[int, set] = {}
-    for key, levels in zip(plan.source_keys, plan.frame_levels):
-        tuples.setdefault(key, set()).add(levels)
-    return max(
-        sum(_tuple_bytes(plan, pyramid, levels) for levels in group)
-        for group in {frozenset(levels) for levels in tuples.values()}
-    )
+def _largest_tuple_bytes(plan, pyramid):
+    """The most bytes one level tuple of the plan holds through its gathers.
+    A tuple's coordinates, fewer bytes than its taps, are dropped as its
+    taps are built."""
+    return max(_tuple_bytes(plan, pyramid, levels) for levels in set(plan.frame_levels))
 
 
 _CORNERS = 3 * (4 + 4 * 4 + 1)  # bytes a pixel: uint8 taps, their float32 copy, the blend
 
 
 @pytest.mark.parametrize("name", sorted(_WORKING_SETS))
-def test_render_working_set_is_the_output_and_one_group_of_taps(name):
+def test_render_working_set_is_the_output_and_one_tuple_of_taps(name):
     plan, pyramid, frame_rows = _working_set(name)
     pixels = plan.owner.size
     output = len(plan.frame_levels) * pixels * 3
     corners = pixels * _CORNERS
     slack = 2 * 2**20
     peak = _peak(lambda: _render(plan, pyramid))
-    group = _largest_group_bytes(plan, pyramid)
-    assert peak < output + group + frame_rows + corners + slack, (peak, group)
+    taps = _largest_tuple_bytes(plan, pyramid)
+    assert peak < output + taps + frame_rows + corners + slack, (peak, taps)
 
 
-@pytest.mark.parametrize("n_frames", [1, 3])
+_SMALL = (40, 56)  # frame dims of the clips below
+
+
+def _small_clip_plan(cfg, n_frames):
+    """(plan, pyramid) of ``cfg`` over an ``n_frames`` synthetic clip of
+    ``_SMALL`` frames."""
+    clip = select_frames(synthetic_clip(*_SMALL, n_frames), cfg.frames_out)
+    return plan_sampling(*_SMALL, clip.source_keys, cfg), build_pyramid(clip, cfg)
+
+
+def _vqa(temporal_mask, spatial_mask="none"):
+    """The VQA default under ``temporal_mask``, with the levels it needs."""
+    n_scales = level_count("none", temporal_mask, SamplerConfig.vqa_default().frames_out)
+    return SamplerConfig.vqa_default(
+        temporal_mask=temporal_mask, spatial_mask=spatial_mask, n_scales=n_scales
+    )
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 4])
 def test_render_of_a_short_clip_holds_one_level_tuple_of_taps_at_a_time(n_frames):
-    """Under the VQA default a clip shorter than ``frames_out`` repeats each
-    source frame over many level tuples, and each source frame draws on
-    tuples of its own. A tuple's taps live from its first output frame to
-    its last, so the render holds no more than two tuples' taps at once,
-    not every tuple of the source frame."""
+    """Under the VQA default a 1080p clip shorter than ``frames_out``
+    repeats each source frame over many level tuples; at 2 and 4 frames
+    each source frame draws on every tuple. Only the last-built tuple's
+    taps are kept, so ``sample_video`` peaks at about 23 MB (the output,
+    4.8 MB, and its provenance, 17.7 MB, among it) whatever the length;
+    keeping every tuple a source frame draws on peaked at 56.0 MB at 2
+    frames and 35.5 MB at 4."""
+    clip = synthetic_clip(1080, 1920, n_frames)
     cfg = SamplerConfig.vqa_default()
-    height, width = 40, 56
-    clip = select_frames(synthetic_clip(height, width, n_frames), cfg.frames_out)
-    plan = plan_sampling(height, width, clip.source_keys, cfg)
-    pyramid = build_pyramid(clip, cfg)
+    peak = _peak(lambda: sample_video(clip, cfg))
+    assert peak < 30_000_000, peak
+
+
+@pytest.mark.parametrize("spatial_mask", ["none", "window"])
+@pytest.mark.parametrize("temporal_mask", ["progressive", "choppy", "mixed"])
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 4, 8, 64])
+def test_render_holds_one_level_tuple_of_taps_whatever_the_clip_length(
+    n_frames, temporal_mask, spatial_mask
+):
+    """Whether a clip repeats its source frames (shorter than
+    ``frames_out``) or not, and whether its source frames share level
+    tuples (2 and 4 frames under ``progressive`` each draw on every tuple)
+    or not, the render holds the output, one source frame's rows, the
+    largest tuple's taps and one gather's corners. Holding every tuple a
+    group of source frames draws on, as a 2-frame clip did, takes 16 times
+    the taps of one."""
+    plan, pyramid = _small_clip_plan(_vqa(temporal_mask, spatial_mask), n_frames)
     pixels = plan.owner.size
     output = len(plan.frame_levels) * pixels * 3
-    taps = max(_tuple_bytes(plan, pyramid, levels) for levels in set(plan.frame_levels))
+    taps = _largest_tuple_bytes(plan, pyramid)
     slack = 2 * 2**20
     peak = _peak(lambda: _render(plan, pyramid))
-    assert peak < output + 2 * taps + height * width * 3 + pixels * _CORNERS + slack, (peak, taps)
+    frame_rows = _SMALL[0] * _SMALL[1] * 3
+    assert peak < output + taps + frame_rows + pixels * _CORNERS + slack, (peak, taps)
+
+
+@pytest.mark.parametrize("temporal_mask", ["progressive", "choppy", "mixed"])
+@pytest.mark.parametrize("n_frames", [32, 64])
+def test_render_builds_each_level_tuple_once_from_a_long_enough_clip(
+    monkeypatch, n_frames, temporal_mask
+):
+    """A clip of at least ``frames_out`` frames gives each output frame a
+    source frame of its own, and the source frames drawing on one level
+    tuple form a group read one after another, so each tuple's taps are
+    built once and reused by every source frame of its group."""
+    plan, pyramid = _small_clip_plan(_vqa(temporal_mask), n_frames)
+    calls = []
+    real = pipeline.pixel_taps
+
+    def spy(*args):
+        calls.append(args[0].scale_id)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "pixel_taps", spy)
+    _render(plan, pyramid)
+    assert sorted(calls) == sorted(s for (s,) in set(plan.frame_levels))
 
 
 @pytest.mark.parametrize("spatial_mask", ["none", "window", "patch"])
